@@ -1,10 +1,13 @@
-"""Benchmark the hot propagator kernels: numba JIT vs pure numpy.
+"""Benchmark the propagator kernels: chirp-z slice transform vs dense sum.
 
-Run:  python benchmarks/bench_kernels.py [n_out] [n_src]
+Run:  python benchmarks/bench_kernels.py
 
-The first numba call includes compilation; it is timed separately and
-then re-timed from cache, matching how the kernels are used in practice
-(many calls per process).
+``propagate`` is timed against the dense ``propagate_numpy`` on two
+shapes of the detector pipeline: the Born readout (3905 outputs x 60
+uniform source slices of 66 points) and one evolved-wavefunction call
+(61 outputs x one prepared slice of 1024 points).  Each line reports the
+best of three timings of both paths and their max relative deviation.
+``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
 """
 
 import sys
@@ -27,49 +30,45 @@ def timed(fn, *args, repeat=3):
     return out, best
 
 
+def slices(rng, n_slices, n, t_lo, t_hi):
+    """Uniform x slices over [-0.5, 0.5] at n_slices times in [t_lo, t_hi]."""
+    x = np.tile(np.linspace(-0.5, 0.5, n), n_slices)
+    t = np.repeat(np.linspace(t_lo, t_hi, n_slices), n)
+    amp = (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)) * 1e-3
+    return x, t, amp
+
+
+def compare(label, args):
+    n_out, n_src = args[0].size, args[2].size
+    print(f"propagate, {label}: {n_out} outputs x {n_src} sources")
+    ref, t_dense = timed(_kernels.propagate_numpy, *args)
+    out, t_czt = timed(_kernels.propagate, *args)
+    err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+    print(f"  dense sum : {t_dense * 1e3:9.2f} ms")
+    print(f"  chirp-z   : {t_czt * 1e3:9.2f} ms   speedup {t_dense / t_czt:.1f}x"
+          f"   max rel deviation {err:.1e}")
+
+
 def main():
-    n_out = int(sys.argv[1]) if len(sys.argv) > 1 else 2048
-    n_src = int(sys.argv[2]) if len(sys.argv) > 2 else 30_000
     rng = np.random.default_rng(0)
-    x_out = np.linspace(-25, 25, n_out)
-    x_src = rng.uniform(-1, 1, n_src)
-    t_src = rng.uniform(3.0, 3.2, n_src)
-    amp = (rng.standard_normal(n_src) + 1j * rng.standard_normal(n_src)) * 1e-3
-    args = (x_out, 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0)
+    x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
+    compare("readout", (np.linspace(-38.0, 38.0, 3905), 4.2, x_src, t_src, amp,
+                        1.0, 1.0, 0.0))
+    x_src = np.linspace(-20.0, 20.0, 1024)
+    amp = (rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)) * 1e-3
+    compare("single slice", (np.linspace(-0.5, 0.5, 61), 3.1, x_src, np.zeros(x_src.size),
+                             amp, 1.0, 1.0, 0.0))
 
-    print(f"propagate: {n_out} targets x {n_src} sources "
-          f"({n_out * n_src / 1e6:.0f}M kernel evaluations)")
-    ref, t_np = timed(_kernels.propagate_numpy, *args)
-    print(f"  numpy   : {t_np:.3f} s")
-    if _kernels.HAS_NUMBA:
-        t0 = time.perf_counter()
-        out = _kernels.propagate_numba(*args)
-        t_compile = time.perf_counter() - t0
-        out, t_nb = timed(_kernels.propagate_numba, *args)
-        err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
-        print(f"  numba   : {t_nb:.3f} s  (first call incl. compile: {t_compile:.2f} s)")
-        print(f"  speedup : {t_np / t_nb:.1f}x   max rel deviation {err:.1e}")
-    else:
-        print("  numba   : not available (CQI_SIM_NO_NUMBA set or numba missing)")
-
-    n_a = n_b = int(np.sqrt(n_out * n_src / 4))
+    n_a = n_b = 3919
     xa = rng.uniform(-1, 1, n_a)
     ta = rng.uniform(3.0, 3.2, n_a)
     aa = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
     xb = rng.uniform(-1, 1, n_b)
     tb = rng.uniform(4.0, 4.2, n_b)
     ab = rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b)
-    args2 = (xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
-
     print(f"double_quad: {n_a} x {n_b} pairs")
-    ref2, t_np2 = timed(_kernels.double_quad_numpy, *args2)
-    print(f"  numpy   : {t_np2:.3f} s")
-    if _kernels.HAS_NUMBA:
-        _kernels.double_quad_numba(*args2)  # warm the cache
-        out2, t_nb2 = timed(_kernels.double_quad_numba, *args2)
-        err2 = abs(out2 - ref2) / abs(ref2)
-        print(f"  numba   : {t_nb2:.3f} s")
-        print(f"  speedup : {t_np2 / t_nb2:.1f}x   rel deviation {err2:.1e}")
+    _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
+    print(f"  dense sum : {t_dq:.3f} s")
 
 
 if __name__ == "__main__":

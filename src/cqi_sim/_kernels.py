@@ -1,11 +1,4 @@
-"""Hot numerical kernels: pairwise free-propagator sums.
-
-Both operations below are O(n_out * n_src) or O(n_a * n_b) loops over
-complex exponentials and dominate the runtime of every propagator-based
-computation.  They are JIT-compiled with numba when available; setting
-the environment variable ``CQI_SIM_NO_NUMBA=1`` (or running without
-numba installed) selects the pure-numpy fallback.  ``CQI_SIM_THREADS``
-caps the numba thread count.
+"""Hot numerical kernels: free-propagator sums over source points.
 
 The kernel is the normalized free-particle amplitude
 
@@ -15,30 +8,23 @@ The kernel is the normalized free-particle amplitude
 with dt = t - t' and an optional damping parameter eta >= 0 that
 rotates the time difference slightly into the complex plane.  Callers
 must keep dt != 0 whenever eta == 0.
+
+With eta == 0, ``propagate`` sums each run of uniformly spaced sources
+at one time onto uniform outputs as a chirp-z transform, by Bluestein's
+FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE
+Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
+All other sources take the dense O(n * m) sum ``propagate_numpy``,
+which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
-
-_want_numba = os.environ.get("CQI_SIM_NO_NUMBA", "0") not in ("1", "true", "yes")
-try:  # pragma: no cover - exercised via backend selection
-    if not _want_numba:
-        raise ImportError
-    import numba
-    from numba import njit, prange
-
-    _threads = os.environ.get("CQI_SIM_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, int(_threads)))
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+_CHUNK = 4_000_000  # elements per (outputs x sources) temporary of a dense sum
 
 
 def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
@@ -50,7 +36,7 @@ def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
     if x_src.size == 0:
         return out
     # chunk the source axis to bound the (n_out, chunk) temporaries
-    chunk = max(1, int(4_000_000 // max(x_out.size, 1)))
+    chunk = max(1, int(_CHUNK // max(x_out.size, 1)))
     for s in range(0, x_src.size, chunk):
         dt = t_out - t_src[s : s + chunk]
         denom = eta + 1j * dt
@@ -66,7 +52,7 @@ def double_quad_numpy(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
     acc = 0.0 + 0.0j
     if x_a.size == 0 or x_b.size == 0:
         return acc
-    chunk = max(1, int(4_000_000 // max(x_b.size, 1)))
+    chunk = max(1, int(_CHUNK // max(x_b.size, 1)))
     for s in range(0, x_a.size, chunk):
         dt = t_a[s : s + chunk, None] - t_b[None, :]
         denom = eta + 1j * dt
@@ -77,63 +63,75 @@ def double_quad_numpy(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
     return acc
 
 
-if HAS_NUMBA:
+def _is_uniform(x) -> bool:
+    """At least two points, equally spaced up to rounding of the values."""
+    if x.size < 2:
+        return False
+    grid = x[0] + (x[-1] - x[0]) / (x.size - 1) * np.arange(x.size)
+    return bool(np.max(np.abs(x - grid)) <= 1e-13 * np.max(np.abs(x)))
 
-    @njit(parallel=True, cache=True)
-    def _propagate_numba(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-        n_out = x_out.size
-        n_src = x_src.size
-        out = np.empty(n_out, dtype=np.complex128)
-        for j in prange(n_out):
-            acc = 0.0 + 0.0j
-            for i in range(n_src):
-                dt = t_out - t_src[i]
-                pref = np.sqrt(mass / (_TWO_PI * hbar * (eta + 1j * dt)))
-                dx = x_out[j] - x_src[i]
-                acc += (
-                    pref
-                    * np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
-                    * amp[i]
-                )
-            out[j] = acc
-        return out
 
-    @njit(parallel=True, cache=True)
-    def _double_quad_numba(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
-        n_a = x_a.size
-        n_b = x_b.size
-        acc = np.zeros(n_a, dtype=np.complex128)
-        for i in prange(n_a):
-            row = 0.0 + 0.0j
-            for j in range(n_b):
-                dt = t_a[i] - t_b[j]
-                pref = np.sqrt(mass / (_TWO_PI * hbar * (eta + 1j * dt)))
-                dx = x_a[i] - x_b[j]
-                row += (
-                    pref
-                    * np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
-                    * amp_b[j]
-                )
-            acc[i] = np.conj(amp_a[i]) * row
-        return acc.sum()
+def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
+    """Sum of the eta = 0 kernel over the uniform source runs [s, e) onto
+    the uniform outputs, the runs batched into 2-D FFTs.
 
-    def propagate_numba(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-        return _propagate_numba(x_out, t_out, x_src, t_src, amp, mass, hbar, eta)
+    With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
+    k (X_j - Y_i)^2 = [k Y_i^2 - 2 k x0 Y_i - r i^2]
+                    + [k X_j^2 - 2 k D y0 j - r j^2] + r (j - i)^2
+    with r = k D d: a pre-chirp on the sources, a post-chirp on the outputs
+    and a linear convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1.
+    """
+    m, n = x_out.size, max(e - s for s, e in runs)
+    size = 1 << (m + n - 2).bit_length()  # power of two >= m + n - 1
+    q = np.arange(size)
+    q = np.where(q < m, q, q - size)  # lag held by each FFT bin
+    j, i = np.arange(m), np.arange(n)
+    x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
+    out = np.zeros(m, dtype=np.complex128)
+    batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
+    for b in range(0, len(runs), batch):
+        part = runs[b : b + batch]
+        y = np.zeros((len(part), n))
+        a = np.zeros((len(part), n), dtype=np.complex128)
+        for row, (s, e) in enumerate(part):
+            y[row, : e - s] = x_src[s:e]
+            a[row, : e - s] = amp[s:e]
+        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for s, e in part])
+        dt = t_out - t_src[[s for s, _ in part]]
+        kap = (mass / (2.0 * hbar)) / dt[:, None]
+        r = kap * d_out * d[:, None]
+        a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
+        a *= np.exp(1j * (kap * y * (y - 2.0 * x0) - r * i * i))
+        h = np.exp(1j * r * (q * q))
+        conv = np.fft.ifft(np.fft.fft(a, size, axis=1) * np.fft.fft(h, axis=1), axis=1)
+        post = np.exp(1j * (kap * (x_out * x_out - 2.0 * d_out * y[:, :1] * j) - r * j * j))
+        out += np.sum(post * conv[:, :m], axis=0)
+    return out
 
-    def double_quad_numba(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
-        return complex(
-            _double_quad_numba(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta)
-        )
 
-    propagate = propagate_numba
-    double_quad = double_quad_numba
-    BACKEND = "numba"
-else:
-    propagate = propagate_numpy
-    double_quad = double_quad_numpy
-    BACKEND = "numpy"
+def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
+    """Same sum as ``propagate_numpy``.  When eta == 0 and x_out is uniform,
+    each run of at least two uniformly spaced sources at one time takes
+    the chirp-z transform; every other source takes the dense sum."""
+    runs = []
+    if eta == 0 and _is_uniform(x_out):
+        edges = (np.flatnonzero(np.diff(t_src)) + 1).tolist()
+        bounds = zip([0, *edges], [*edges, x_src.size])
+        runs = [(s, e) for s, e in bounds if e - s >= 2 and _is_uniform(x_src[s:e])]
+    dense = np.ones(x_src.size, dtype=bool)
+    for s, e in runs:
+        dense[s:e] = False
+    out = propagate_numpy(
+        x_out, t_out, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta
+    )
+    if runs:
+        out += _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar)
+    return out
+
+
+double_quad = double_quad_numpy
 
 
 def backend() -> str:
-    """Active kernel backend, "numba" or "numpy"."""
-    return BACKEND
+    """Kernel backend: always "numpy" (the chirp-z path uses numpy.fft)."""
+    return "numpy"

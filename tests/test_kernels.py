@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cqi_sim import _kernels
 
@@ -15,7 +17,7 @@ def random_points(n, rng=RNG):
 
 
 def test_backend_reported():
-    assert _kernels.backend() in ("numba", "numpy")
+    assert _kernels.backend() == "numpy"
 
 
 def test_propagate_backends_agree():
@@ -25,8 +27,6 @@ def test_propagate_backends_agree():
     ref = _kernels.propagate_numpy(*args)
     active = _kernels.propagate(*args)
     assert_allclose(active, ref, rtol=1e-12, atol=1e-14)
-    if _kernels.HAS_NUMBA:
-        assert_allclose(_kernels.propagate_numba(*args), ref, rtol=1e-12, atol=1e-14)
 
 
 def test_double_quad_backends_agree():
@@ -67,3 +67,118 @@ def test_point_kernel_value():
     )
     expect = np.sqrt(m / (2j * np.pi * hb * dt)) * np.exp(1j * m * dx**2 / (2 * hb * dt))
     assert_allclose(out[0], expect, rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# chirp-z slice transform against the dense sum
+
+
+def uniform_slices(rng, sizes, dts, t_out):
+    """Sources on uniform x slices, one slice per time t_out - dt."""
+    xs, ts, amps = [], [], []
+    for n, dt in zip(sizes, dts):
+        y0, step = rng.uniform(-5, 5), rng.uniform(1e-3, 5e-2)
+        xs.append(y0 + step * np.arange(n))
+        ts.append(np.full(n, t_out - dt))
+        amps.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.concatenate(xs), np.concatenate(ts), np.concatenate(amps)
+
+
+@pytest.fixture
+def chirp_calls(monkeypatch):
+    """Source runs handed to the chirp-z path, one list per propagate call."""
+    calls = []
+    original = _kernels._chirp_runs
+
+    def spy(*args):
+        calls.append(list(args[5]))
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "_chirp_runs", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=600),
+    st.lists(st.integers(min_value=2, max_value=600), min_size=1, max_size=4),
+    st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4, unique=True),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+)
+def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-10, 10)
+    x_out = np.linspace(x0, x0 + rng.uniform(0.5, 20), m)
+    x_src, t_src, amp = uniform_slices(rng, sizes, dts, 5.0)
+    args = (x_out, 5.0, x_src, t_src, amp, mass, hbar, 0.0)
+    ref = _kernels.propagate_numpy(*args)
+    assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_chirp_z_matches_scipy_czt(chirp_calls):
+    from scipy.signal import czt  # test-only dependency
+
+    m_, hb, dt = 1.3, 0.7, 0.9
+    rng = np.random.default_rng(5)
+    y = np.linspace(-1.0, 2.0, 300)
+    x = np.linspace(-12.0, 9.0, 501)
+    amp = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
+    out = _kernels.propagate(x, dt, y, np.zeros(y.size), amp, m_, hb, 0.0)
+    assert chirp_calls == [[(0, y.size)]]
+    # W(x_j; y_i) = pref e^{ik x_j^2} e^{ik y_i^2} e^{-2ik x_j y0} z_j^{-i},
+    # z_j = e^{2ik dy x_j} = A W^{-j}: a chirp-z transform of amp e^{ik y^2}
+    k = m_ / (2 * hb * dt)
+    dy, dx = y[1] - y[0], x[1] - x[0]
+    spec = czt(amp * np.exp(1j * k * y**2), m=x.size,
+               w=np.exp(-2j * k * dy * dx), a=np.exp(2j * k * dy * x[0]))
+    pref = np.sqrt(m_ / (2j * np.pi * hb * dt))
+    expect = pref * np.exp(1j * k * x**2 - 2j * k * x * y[0]) * spec
+    assert np.max(np.abs(out - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+
+def routing_case(rng):
+    x_src, t_src, amp = uniform_slices(rng, (40, 70, 25), (0.4, 1.1, 2.0), 3.0)
+    return np.linspace(-8.0, 8.0, 257), x_src, t_src, amp
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.2])
+def test_damped_kernel_takes_dense_sum(chirp_calls, eta):
+    x_out, x_src, t_src, amp = routing_case(np.random.default_rng(7))
+    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, eta)
+    assert_array_equal(_kernels.propagate(*args), _kernels.propagate_numpy(*args))
+    assert chirp_calls == []
+
+
+@pytest.mark.parametrize("x_out", [np.linspace(-8.0, 8.0, 257) ** 3 / 64, np.array([0.7])])
+def test_nonuniform_or_single_output_takes_dense_sum(chirp_calls, x_out):
+    _, x_src, t_src, amp = routing_case(np.random.default_rng(8))
+    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
+    assert_array_equal(_kernels.propagate(*args), _kernels.propagate_numpy(*args))
+    assert chirp_calls == []
+
+
+def test_single_point_run_takes_dense_sum(chirp_calls):
+    x_out, x_src, t_src, amp = routing_case(np.random.default_rng(9))
+    x_src = np.append(x_src, 0.3)
+    t_src = np.append(t_src, 2.5)
+    amp = np.append(amp, 1.0 - 0.5j)
+    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
+    ref = _kernels.propagate_numpy(*args)
+    assert_allclose(_kernels.propagate(*args), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+    assert chirp_calls == [[(0, 40), (40, 110), (110, 135)]]
+
+
+def test_uniform_runs_mixed_with_scattered(chirp_calls):
+    rng = np.random.default_rng(10)
+    x_out, x_uni, t_uni, a_uni = routing_case(rng)
+    x_sc, t_sc, a_sc = random_points(30, rng)  # scattered: a new time per point
+    x_gap = np.delete(np.linspace(-1.0, 1.0, 20), 7)  # one time, uneven spacing
+    x_src = np.concatenate((x_sc[:15], x_uni[:40], x_gap, x_uni[40:], x_sc[15:]))
+    t_src = np.concatenate((t_sc[:15], t_uni[:40], np.full(19, 1.7), t_uni[40:], t_sc[15:]))
+    amp = np.concatenate((a_sc[:15], a_uni[:40], np.ones(19), a_uni[40:], a_sc[15:]))
+    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
+    ref = _kernels.propagate_numpy(*args)
+    assert_allclose(_kernels.propagate(*args), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+    assert chirp_calls == [[(15, 55), (74, 144), (144, 169)]]

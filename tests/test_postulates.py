@@ -128,6 +128,29 @@ class TestBornProbability:
         p1 = born_probability(benchmark_experiment(refine=1))
         assert abs(p1 / p0 - 1) < 1e-3
 
+    def test_richardson_extrapolates_when_step_test_unmet(self, monkeypatch):
+        # c + a h^{3/2} with h = 1 / density: every step change exceeds
+        # 0.3 * xcheck_tol, and the 4 -> 8 pair extrapolates to c exactly
+        c, a = 1.0, 0.1
+        densities = []
+
+        def raw(exp, t_density):
+            densities.append(t_density)
+            return c + a * t_density**-1.5
+
+        monkeypatch.setattr(ps, "_born_double_region_raw", raw)
+        assert ps._born_double_region(BENCH) == pytest.approx(c, rel=1e-12)
+        assert densities == [1, 2, 4, 8]
+
+    def test_no_double_region_without_xcheck(self, monkeypatch):
+        p_slice = born_probability_detail(BENCH).p_slice
+
+        def fail(exp):
+            raise AssertionError("double-region cross-check computed")
+
+        monkeypatch.setattr(ps, "_born_double_region", fail)
+        assert born_probability(BENCH, xcheck=False) == p_slice
+
 
 class TestRrProbability:
     def test_alpha_independent(self):
