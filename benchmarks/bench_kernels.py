@@ -8,6 +8,12 @@ uniform source slices of 66 points) and one evolved-wavefunction call
 (61 outputs x one prepared slice of 1024 points).  Each line reports the
 best of three timings of both paths and their max relative deviation.
 ``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
+
+On ``two_point_experiment()`` at time density 8, two more comparisons:
+the Born double-region cross-check as the pairwise slice sum of
+``tests/oracles.py`` against the factorized sum in ``postulates``, and
+the slices of one rectangle evolved by one ``evolved_wavefunction``
+call per slice against one batched call.
 """
 
 import sys
@@ -16,8 +22,10 @@ import time
 import numpy as np
 
 sys.path.insert(0, "src")
+sys.path.insert(0, "tests")
 
-from cqi_sim import _kernels  # noqa: E402
+from cqi_sim import _kernels, postulates  # noqa: E402
+from oracles import born_double_region_pairwise  # noqa: E402
 
 
 def timed(fn, *args, repeat=3):
@@ -49,6 +57,29 @@ def compare(label, args):
           f"   max rel deviation {err:.1e}")
 
 
+def compare_two_point(density=8):
+    exp = postulates.two_point_experiment()
+    print(f"double-region cross-check, two-point at time density {density}")
+    ref, t_pair = timed(born_double_region_pairwise, exp, density, repeat=1)
+    got, t_fact = timed(postulates._born_double_region_raw, exp, density)
+    print(f"  pairwise  : {t_pair * 1e3:9.2f} ms")
+    print(f"  factorized: {t_fact * 1e3:9.2f} ms   speedup {t_pair / t_fact:.1f}x"
+          f"   rel deviation {abs(got - ref) / abs(ref):.1e}")
+
+    xq, tq, _, _ = postulates._rect_subgrid(exp, exp.region[0], density)
+    print(f"evolved_wavefunction, {tq.size} slices of {xq.size} points")
+
+    def per_slice():
+        return np.stack([postulates.evolved_wavefunction(exp, xq, float(t)) for t in tq])
+
+    ref, t_loop = timed(per_slice)
+    got, t_batch = timed(postulates.evolved_wavefunction, exp, xq, tq)
+    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+    print(f"  per slice : {t_loop * 1e3:9.2f} ms")
+    print(f"  batched   : {t_batch * 1e3:9.2f} ms   speedup {t_loop / t_batch:.1f}x"
+          f"   max rel deviation {err:.1e}")
+
+
 def main():
     rng = np.random.default_rng(0)
     x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
@@ -69,6 +100,8 @@ def main():
     print(f"double_quad: {n_a} x {n_b} pairs")
     _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
     print(f"  dense sum : {t_dq:.3f} s")
+
+    compare_two_point()
 
 
 if __name__ == "__main__":

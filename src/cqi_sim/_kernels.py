@@ -14,7 +14,8 @@ at one time onto uniform outputs as a chirp-z transform, by Bluestein's
 FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE
 Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
 All other sources take the dense O(n * m) sum ``propagate_numpy``,
-which the tests keep as the reference.
+which the tests keep as the reference.  ``propagate`` also takes a
+vector of output times, so that one call evolves a slice to many times.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _is_uniform(x) -> bool:
 
 def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     """Sum of the eta = 0 kernel over the uniform source runs [s, e) onto
-    the uniform outputs, the runs batched into 2-D FFTs.
+    the uniform outputs at each time of the 1-D ``t_out``, one row per
+    time; every (output time, run) pair is one row of a batched 2-D FFT.
 
     With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
     k (X_j - Y_i)^2 = [k Y_i^2 - 2 k x0 Y_i - r i^2]
@@ -87,17 +89,19 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     q = np.where(q < m, q, q - size)  # lag held by each FFT bin
     j, i = np.arange(m), np.arange(n)
     x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
-    out = np.zeros(m, dtype=np.complex128)
+    out = np.zeros((t_out.size, m), dtype=np.complex128)
+    rows = [(k, s, e) for k in range(t_out.size) for s, e in runs]
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
-    for b in range(0, len(runs), batch):
-        part = runs[b : b + batch]
+    for b in range(0, len(rows), batch):
+        part = rows[b : b + batch]
         y = np.zeros((len(part), n))
         a = np.zeros((len(part), n), dtype=np.complex128)
-        for row, (s, e) in enumerate(part):
+        for row, (_, s, e) in enumerate(part):
             y[row, : e - s] = x_src[s:e]
             a[row, : e - s] = amp[s:e]
-        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for s, e in part])
-        dt = t_out - t_src[[s for s, _ in part]]
+        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for _, s, e in part])
+        kt = np.array([k for k, _, _ in part])  # output time of each row
+        dt = t_out[kt] - t_src[[s for _, s, _ in part]]
         kap = (mass / (2.0 * hbar)) / dt[:, None]
         r = kap * d_out * d[:, None]
         a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
@@ -105,14 +109,22 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
         h = np.exp(1j * r * (q * q))
         conv = np.fft.ifft(np.fft.fft(a, size, axis=1) * np.fft.fft(h, axis=1), axis=1)
         post = np.exp(1j * (kap * (x_out * x_out - 2.0 * d_out * y[:, :1] * j) - r * j * j))
-        out += np.sum(post * conv[:, :m], axis=0)
+        rows_out = post * conv[:, :m]
+        # each output time sums its rows alone, as a scalar t_out always did
+        first = np.flatnonzero(np.diff(kt, prepend=-1))
+        for lo, hi in zip(first, [*first[1:], len(part)]):
+            out[kt[lo]] += np.sum(rows_out[lo:hi], axis=0)
     return out
 
 
 def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-    """Same sum as ``propagate_numpy``.  When eta == 0 and x_out is uniform,
-    each run of at least two uniformly spaced sources at one time takes
-    the chirp-z transform; every other source takes the dense sum."""
+    """Same sum as ``propagate_numpy``, at a scalar output time or, for a
+    1-D ``t_out``, at each of its times: then the result has shape
+    (len(t_out), len(x_out)).  When eta == 0 and x_out is uniform, each
+    run of at least two uniformly spaced sources at one time takes the
+    chirp-z transform; every other source takes the dense sum, once per
+    output time."""
+    times = np.atleast_1d(np.asarray(t_out, dtype=float))
     runs = []
     if eta == 0 and _is_uniform(x_out):
         edges = (np.flatnonzero(np.diff(t_src)) + 1).tolist()
@@ -121,12 +133,15 @@ def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
     dense = np.ones(x_src.size, dtype=bool)
     for s, e in runs:
         dense[s:e] = False
-    out = propagate_numpy(
-        x_out, t_out, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta
-    )
+    out = np.zeros((times.size, x_out.size), dtype=np.complex128)
+    if dense.any():
+        for k, t in enumerate(times):
+            out[k] = propagate_numpy(
+                x_out, t, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta
+            )
     if runs:
-        out += _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar)
-    return out
+        out += _chirp_runs(x_out, times, x_src, t_src, amp, runs, mass, hbar)
+    return out if np.ndim(t_out) else out[0]
 
 
 double_quad = double_quad_numpy

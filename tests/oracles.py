@@ -32,6 +32,59 @@ def evolved_gaussian(x, t, center, width, momentum=0.0, mass=1.0, hbar=1.0):
     )
 
 
+def born_double_region_pairwise(exp, t_density):
+    """Double-region kernel integral of a detector experiment as the
+    explicit sum over every pair of region slices.
+
+    Each pair (i, j) contributes w_i w_j <F_i, P(t_i - t_j) F_j> with F
+    the FFT of slice i and P the free propagator in momentum space; the
+    O(n^2) reference for the factorized sum in ``postulates``.
+    """
+    from cqi_sim.postulates import _rect_subgrid, evolved_wavefunction
+
+    m, hb = exp.kernel.mass, exp.kernel.hbar
+    min_extent = min(r.x_hi - r.x_lo for r in exp.region)
+    dxf = min(exp.dx / 2.0, min_extent / 16.0)
+    nf = int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1
+    xf = np.linspace(exp.x_min, exp.x_max, nf)
+    dxf = float(xf[1] - xf[0])
+    kvec = 2.0 * np.pi * np.fft.fftfreq(nf, d=dxf)
+
+    times, weights, ffts = [], [], []
+    for rect in exp.region:
+        _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
+        cover = np.clip(
+            (np.minimum(xf + dxf / 2, rect.x_hi) - np.maximum(xf - dxf / 2, rect.x_lo))
+            / dxf,
+            0.0,
+            1.0,
+        )
+        live = cover > 0
+        for j, t in enumerate(tq):
+            vals = np.zeros(nf, dtype=complex)
+            vals[live] = cover[live] * evolved_wavefunction(exp, xf[live], float(t))
+            times.append(float(t))
+            weights.append(wt[j])
+            ffts.append(np.fft.fft(vals))
+
+    n = len(times)
+    phase_cache: dict[float, np.ndarray] = {}
+    acc = 0.0
+    for i in range(n):
+        # diagonal term, then twice the real part of the upper triangle
+        acc += weights[i] ** 2 * np.vdot(ffts[i], ffts[i]).real
+        for j in range(i + 1, n):
+            dt = round(times[i] - times[j], 12)
+            phase = phase_cache.get(dt)
+            if phase is None:
+                phase = np.exp(-1j * hb * kvec**2 * dt / (2.0 * m))
+                phase_cache[dt] = phase
+            acc += 2.0 * weights[i] * weights[j] * np.vdot(ffts[i], phase * ffts[j]).real
+    acc *= dxf / nf
+    pref = (exp.coupling_alpha * exp.potential_v / hb) ** 2
+    return float(pref * acc)
+
+
 def chain_distribution_exhaustive(initial, overlaps, observer):
     """Outcome distribution of one observer by brute-force index summation.
 

@@ -106,8 +106,9 @@ def chirp_calls(monkeypatch):
     st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4, unique=True),
     st.floats(0.5, 2.0),
     st.floats(0.5, 2.0),
+    st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
 )
-def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
+def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar, lags):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-10, 10)
     x_out = np.linspace(x0, x0 + rng.uniform(0.5, 20), m)
@@ -115,6 +116,13 @@ def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
     args = (x_out, 5.0, x_src, t_src, amp, mass, hbar, 0.0)
     ref = _kernels.propagate_numpy(*args)
     assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # a vector of output times, each at or after 5.0, gives one row per time
+    t_out = 5.0 + np.array(lags)
+    rest = (x_src, t_src, amp, mass, hbar, 0.0)
+    ref = np.stack([_kernels.propagate_numpy(x_out, t, *rest) for t in t_out])
+    got = _kernels.propagate(x_out, t_out, *rest)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_chirp_z_matches_scipy_czt(chirp_calls):
@@ -181,4 +189,10 @@ def test_uniform_runs_mixed_with_scattered(chirp_calls):
     args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
     ref = _kernels.propagate_numpy(*args)
     assert_allclose(_kernels.propagate(*args), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
-    assert chirp_calls == [[(15, 55), (74, 144), (144, 169)]]
+    # two output times: one chirp-z call for both, the dense rest per time
+    t_out = np.array([3.0, 3.5])
+    ref = np.stack([_kernels.propagate_numpy(x_out, t, *args[2:]) for t in t_out])
+    got = _kernels.propagate(x_out, t_out, *args[2:])
+    assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+    assert chirp_calls == [[(15, 55), (74, 144), (144, 169)]] * 2
+

@@ -4,7 +4,7 @@ from dataclasses import replace
 from numpy.testing import assert_allclose
 
 from cqi_sim import hilbert, postulates as ps
-from cqi_sim.contspace import GridFunction, spectral_evolve
+from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
 from cqi_sim.errors import NumericalValidationError
 from cqi_sim.postulates import (
     BandRegion,
@@ -25,9 +25,21 @@ from cqi_sim.postulates import (
 )
 from cqi_sim.utils import trapezoid_weights
 
-from oracles import evolved_gaussian
+from oracles import born_double_region_pairwise, evolved_gaussian
 
 BENCH = benchmark_experiment()
+
+
+def shifted(exp, s):
+    """The experiment with preparation, region, readout and band all
+    moved later by s."""
+    return replace(
+        exp,
+        t0=exp.t0 + s,
+        region=tuple(Rect(r.x_lo, r.x_hi, r.t_lo + s, r.t_hi + s) for r in exp.region),
+        readout_time=exp.readout_time + s,
+        band=(exp.band[0] + s, exp.band[1] + s),
+    )
 
 
 class TestExperimentValidation:
@@ -74,6 +86,30 @@ class TestEvolvedWavefunction:
     def test_before_preparation_rejected(self):
         with pytest.raises(NumericalValidationError):
             evolved_wavefunction(BENCH, np.array([0.0]), -1.0)
+
+    @pytest.mark.parametrize(
+        "exp, x",
+        [
+            (BENCH, np.linspace(-8, 4, 200)),  # chirp-z path
+            (
+                benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3)),
+                np.linspace(-8, 4, 200),
+            ),  # dense path
+            (BENCH, np.linspace(-2, 2, 90) ** 3 - 5.0),  # non-uniform outputs
+            (BENCH, np.array([-4.7])),  # single output
+        ],
+        ids=["uniform", "eta", "nonuniform", "single"],
+    )
+    def test_batched_times_match_scalar_calls(self, exp, x):
+        times = np.array([exp.t0, 0.7, 3.1, 3.1, 2.0])
+        got = evolved_wavefunction(exp, x, times)
+        ref = np.stack([evolved_wavefunction(exp, x, float(t)) for t in times])
+        assert got.shape == (times.size, x.size)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_batched_time_before_preparation_rejected(self):
+        with pytest.raises(NumericalValidationError):
+            evolved_wavefunction(BENCH, np.array([0.0, 1.0]), np.array([1.0, -0.5, 2.0]))
 
 
 class TestFirstOrderAmplitude:
@@ -150,6 +186,24 @@ class TestBornProbability:
 
         monkeypatch.setattr(ps, "_born_double_region", fail)
         assert born_probability(BENCH, xcheck=False) == p_slice
+
+
+class TestDoubleRegion:
+    @pytest.mark.parametrize(
+        "exp, density",
+        [
+            (BENCH, 1),
+            (BENCH, 2),
+            (benchmark_experiment(1), 1),
+            (two_point_experiment(), 1),
+            (two_point_experiment(), 2),
+            (shifted(BENCH, 50.0), 1),
+        ],
+        ids=["bench-1", "bench-2", "bench-refine1-1", "two-point-1", "two-point-2", "shifted-1"],
+    )
+    def test_factorized_sum_matches_pairwise(self, exp, density):
+        got = ps._born_double_region_raw(exp, density)
+        assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
 
 
 class TestRrProbability:
