@@ -80,6 +80,31 @@ _SCHEMA = {
     },
 }
 
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
+# scalar parameters that _detector_overrides reads for both detector kinds
+_DETECTOR_FLOATS = (
+    "packet_center",
+    "packet_width",
+    "packet_momentum",
+    "t0",
+    "coupling_alpha",
+    "potential_v",
+    "readout_time",
+)
+_DETECTOR = {**dict.fromkeys(_DETECTOR_FLOATS, {"type": "number"}), "band": _PAIR}
+
+_REGION = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "required": ["x", "t"],
+        "properties": {"x": _PAIR, "t": _PAIR},
+        "additionalProperties": False,
+    },
+}
+
 _PARAM_SCHEMAS = {
     "chain": {
         "type": "object",
@@ -89,6 +114,7 @@ _PARAM_SCHEMAS = {
             "overlaps": {"type": "array"},
             "explore_general_interactions": {"type": "boolean"},
         },
+        "additionalProperties": False,
     },
     "zeno": {
         "type": "object",
@@ -99,6 +125,7 @@ _PARAM_SCHEMAS = {
             "halvings": {"type": "integer", "minimum": 0},
             "n_ancillas": {"type": "integer", "minimum": 0},
         },
+        "additionalProperties": False,
     },
     "time-reversed-zeno": {
         "type": "object",
@@ -109,6 +136,7 @@ _PARAM_SCHEMAS = {
             "n_thetas": {"type": "integer", "minimum": 1},
             "theta_max": {"type": "number"},
         },
+        "additionalProperties": False,
     },
     "epr": {
         "type": "object",
@@ -118,15 +146,49 @@ _PARAM_SCHEMAS = {
             "beta": _COMPLEX,
             "n_random_unitaries": {"type": "integer", "minimum": 0},
         },
+        "additionalProperties": False,
     },
     "realism-scenario": {
         "type": "object",
         "required": ["alpha", "beta"],
         "properties": {"alpha": _COMPLEX, "beta": _COMPLEX},
+        "additionalProperties": False,
     },
-    "detector-compare": {"type": "object"},
-    "two-point": {"type": "object"},
+    "detector-compare": {
+        "type": "object",
+        "properties": {**_DETECTOR, "region": _REGION, "id": {"type": "string"}},
+        "additionalProperties": False,
+    },
+    "two-point": {
+        "type": "object",
+        "properties": {
+            **_DETECTOR,
+            "separation": {"type": "number"},
+            "eps_pt": {"type": "number", "exclusiveMinimum": 0},
+            "t1": {"type": "number"},
+        },
+        "additionalProperties": False,
+    },
 }
+
+
+def _validate(instance, schema: dict, prefix: str = "") -> None:
+    """Validate against one of the schemas above; the ConfigError names the field.
+
+    ``jsonschema.validate`` would also check the constant schema against
+    its metaschema on every call (about 4 ms); the tests check it once.
+    """
+    err = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    )
+    if err is None:
+        return
+    path = [prefix] if prefix else []
+    path += [str(p) for p in err.absolute_path]
+    if err.validator == "additionalProperties":
+        extra = sorted(set(err.instance) - set(err.schema.get("properties", {})))
+        raise ConfigError(", ".join(".".join(path + [key]) for key in extra) + ": unknown field")
+    raise ConfigError(f"{'.'.join(path) or '(top level)'}: {err.message}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +202,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if jsonschema is not None:
-            try:
-                jsonschema.validate(data, _SCHEMA)
-                kind = data["kind"]
-                jsonschema.validate(data.get("params", {}), _PARAM_SCHEMAS[kind])
-            except jsonschema.ValidationError as err:
-                path = ".".join(str(p) for p in err.absolute_path) or "(top level)"
-                raise ConfigError(f"{path}: {err.message}") from err
+            _validate(data, _SCHEMA)
+            _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
         elif "kind" not in data:
             raise ConfigError("kind: field is required")
         elif data["kind"] not in KINDS:
@@ -215,15 +272,7 @@ def _run_chain(cfg: ExperimentConfig, refine: int):
 def _detector_overrides(cfg: ExperimentConfig) -> dict:
     p = dict(cfg.params)
     over = {}
-    for key in (
-        "packet_center",
-        "packet_width",
-        "packet_momentum",
-        "t0",
-        "coupling_alpha",
-        "potential_v",
-        "readout_time",
-    ):
+    for key in _DETECTOR_FLOATS:
         if key in p:
             over[key] = float(p[key])
     if "band" in p:
@@ -541,6 +590,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def run(config_path: str | Path, refine: int = 0, out_dir: str | Path = ".") -> list[Path]:
     """Execute a config file; returns the written output paths."""
     cfg = load_config(config_path)
+    if refine < 0:
+        raise ConfigError(f"--refine {refine}: must be nonnegative")
+    if refine and cfg.kind not in ("detector-compare", "two-point"):
+        raise ConfigError(f"--refine {refine}: kind {cfg.kind!r} has no grid to refine")
     columns, rows, results, diagnostics = _RUNNERS[cfg.kind](cfg, refine)
     return _write_outputs(cfg, Path(out_dir), columns, rows, results, diagnostics)
 

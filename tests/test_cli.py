@@ -227,3 +227,84 @@ class TestMainEntry:
         path = write_config(tmp_path, "det.json", cfg)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "perturbation" in capsys.readouterr().err
+
+
+class TestStrictParams:
+    MISSPELLED = {
+        "kind": "detector-compare",
+        "params": {"coupling_alpa": 0.02, "regoin": [{"x": [-0.5, 0.5], "t": [3.0, 3.2]}]},
+        "output": {"path": "typo"},
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_misspelled_detector_keys_exit_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, "typo.json", self.MISSPELLED)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "params.coupling_alpa" in err and "params.regoin" in err
+        assert not (tmp_path / "typo.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_two_point_rejects_region(self, tmp_path, capsys, command):
+        cfg = {
+            "kind": "two-point",
+            "params": {"separation": 2.0, "region": [{"x": [-0.5, 0.5], "t": [3.0, 3.2]}]},
+        }
+        path = write_config(tmp_path, "tp.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert "params.region" in capsys.readouterr().err
+
+    def test_region_entry_names_its_field(self, tmp_path):
+        cfg = {"kind": "detector-compare", "params": {"region": [{"x": [0.0, 1.0], "t": [3.0]}]}}
+        path = write_config(tmp_path, "det.json", cfg)
+        with pytest.raises(ConfigError, match=r"params\.region\.0\.t"):
+            cli.load_config(path)
+
+    def test_detector_keys_accepted(self, tmp_path):
+        params = {key: 1.0 for key in cli._DETECTOR_FLOATS}
+        params.update(band=[3.5, 3.9], region=[{"x": [-0.5, 0.5], "t": [3.0, 3.2]}], id="slab")
+        path = write_config(tmp_path, "det.json", {"kind": "detector-compare", "params": params})
+        assert cli.load_config(path).params == params
+        tp = {key: 1.0 for key in cli._DETECTOR_FLOATS}
+        tp.update(band=[3.5, 3.9], separation=2.0, eps_pt=0.1, t1=3.0)
+        path = write_config(tmp_path, "tp.json", {"kind": "two-point", "params": tp})
+        assert cli.load_config(path).params == tp
+
+    def test_unknown_zeno_key(self, tmp_path):
+        cfg = dict(ZENO_CFG, params={"omega": 1.0, "epsilon": 0.05, "halving": 2})
+        path = write_config(tmp_path, "z.json", cfg)
+        with pytest.raises(ConfigError, match=r"params\.halving"):
+            cli.load_config(path)
+
+
+class TestRefineRejected:
+    CONFIGS = {
+        "chain": {"initial": [0.6, 0.8]},
+        "zeno": {"omega": 1.0, "epsilon": 0.05},
+        "time-reversed-zeno": {"omega": 1.0, "thetas": [0.1]},
+        "epr": {"alpha": 0.6, "beta": 0.8, "n_random_unitaries": 1},
+        "realism-scenario": {"alpha": 0.6, "beta": 0.8},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_refine_without_grid_exits_1(self, tmp_path, capsys, kind):
+        cfg = {"kind": kind, "params": self.CONFIGS[kind], "output": {"path": "out"}}
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["run", str(path), "--refine", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "--refine" in err and kind in err
+        assert not (tmp_path / "out.csv").exists()
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_negative_refine_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "det.json", {"kind": "detector-compare"})
+        assert cli.main(["run", str(path), "--refine", "-1", "--out", str(tmp_path)]) == 1
+        assert "--refine" in capsys.readouterr().err
+
+
+def test_schemas_match_metaschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    for schema in [cli._SCHEMA, *cli._PARAM_SCHEMAS.values()]:
+        jsonschema.Draft202012Validator.check_schema(schema)

@@ -206,6 +206,63 @@ class TestDoubleRegion:
         assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
 
 
+class TestDoubleRegionLadder:
+    """Nested Richardson ladder: density 2k reuses density k's slices."""
+
+    @staticmethod
+    def spy_slices(monkeypatch):
+        """Record (x points, t) of every slice handed to evolved_wavefunction."""
+        seen = []
+        real = ps.evolved_wavefunction
+
+        def spy(exp, x, t):
+            seen.extend((tuple(np.atleast_1d(x)), float(s)) for s in np.atleast_1d(t))
+            return real(exp, x, t)
+
+        monkeypatch.setattr(ps, "evolved_wavefunction", spy)
+        return seen
+
+    def test_each_slice_evolved_once(self, monkeypatch):
+        seen = self.spy_slices(monkeypatch)
+        exp = two_point_experiment()  # fresh: nothing cached for it
+        ps._born_double_region(exp)
+        # the step test is never met on two-point, so the ladder runs to density 8
+        n8 = sum(ps._rect_subgrid(exp, r, 8)[1].size for r in exp.region)
+        assert n8 == 2 * 257
+        assert len(seen) == n8
+        assert len(set(seen)) == n8
+
+    @pytest.mark.parametrize(
+        "exp, density",
+        [(two_point_experiment(), 4), (BENCH, 4), (BENCH, 8)],
+        ids=["two-point-4", "bench-4", "bench-8"],
+    )
+    def test_nested_ladder_matches_pairwise(self, exp, density):
+        got = ps._born_double_region_raw(exp, density)
+        assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
+
+    def test_one_slice_rectangle(self, monkeypatch):
+        real = ps._rect_subgrid
+
+        def first_slice(exp, rect, t_density=1):
+            xq, tq, wx, wt = real(exp, rect, t_density)
+            return xq, tq[:1], wx, np.ones(1)
+
+        # the oracle imports _rect_subgrid from postulates when called
+        monkeypatch.setattr(ps, "_rect_subgrid", first_slice)
+        exp = benchmark_experiment()
+        got = ps._born_double_region_raw(exp, 1)
+        assert got == pytest.approx(born_double_region_pairwise(exp, 1), rel=1e-10)
+
+    def test_single_live_point(self, monkeypatch):
+        # a rectangle hanging over the grid edge covers only the last fine point
+        seen = self.spy_slices(monkeypatch)
+        exp = benchmark_experiment(packet_center=15.0, region=(Rect(19.99, 20.5, 3.0, 3.2),))
+        got = ps._born_double_region_raw(exp, 2)
+        assert {x for x, _ in seen} == {(20.0,)}
+        assert got == pytest.approx(born_double_region_pairwise(exp, 2), rel=1e-10)
+
+
 class TestRrProbability:
     def test_alpha_independent(self):
         p1 = rr_probability(BENCH)
