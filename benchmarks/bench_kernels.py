@@ -13,9 +13,10 @@ On ``two_point_experiment()``, two more comparisons: the Born
 double-region cross-check over its full Richardson ladder (time
 densities 1, 2, 4, 8) as the pairwise slice sums of ``tests/oracles.py``
 against the nested ladder of ``postulates`` (each slice evolved once,
-transformed on its live support only), and the slices of one rectangle
-at time density 8 evolved by one ``evolved_wavefunction`` call per
-slice against one batched call.
+transformed on its live support only), and the prepared state on the
+region slices of that ladder (both rectangles at time density 8) by
+kernel quadrature of psi0 (one batched ``propagate`` call per
+rectangle) against the closed form of ``evolved_wavefunction``.
 """
 
 import sys
@@ -27,6 +28,7 @@ sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
 from cqi_sim import _kernels, postulates  # noqa: E402
+from cqi_sim.utils import trapezoid_weights  # noqa: E402
 from oracles import born_double_region_pairwise  # noqa: E402
 
 
@@ -76,18 +78,22 @@ def compare_two_point(densities=(1, 2, 4, 8)):
     print(f"  ladder    : {t_ladder * 1e3:9.2f} ms   speedup {t_pair / t_ladder:.1f}x"
           f"   max rel deviation {err:.1e}")
 
-    density = densities[-1]
-    xq, tq, _, _ = postulates._rect_subgrid(exp, exp.region[0], density)
-    print(f"evolved_wavefunction, {tq.size} slices of {xq.size} points")
 
-    def per_slice():
-        return np.stack([postulates.evolved_wavefunction(exp, xq, float(t)) for t in tq])
-
-    ref, t_loop = timed(per_slice)
-    got, t_batch = timed(postulates.evolved_wavefunction, exp, xq, tq)
-    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-    print(f"  per slice : {t_loop * 1e3:9.2f} ms")
-    print(f"  batched   : {t_batch * 1e3:9.2f} ms   speedup {t_loop / t_batch:.1f}x"
+def compare_prepared_state(density=8):
+    exp = postulates.two_point_experiment()
+    k = exp.kernel
+    amp = postulates.psi0_values(exp) * trapezoid_weights(exp.nx, exp.dx)
+    src = (exp.x(), np.full(exp.nx, exp.t0), amp, k.mass, k.hbar, k.regularization_eta)
+    slices = [postulates._rect_subgrid(exp, rect, density)[:2] for rect in exp.region]
+    n_slices = sum(tq.size for _, tq in slices)
+    print(f"prepared state, two-point ladder: {n_slices} slices of {slices[0][0].size} points")
+    ref, t_quad = timed(lambda: [_kernels.propagate(xq, tq, *src) for xq, tq in slices])
+    got, t_closed = timed(
+        lambda: [postulates.evolved_wavefunction(exp, xq, tq) for xq, tq in slices]
+    )
+    err = max(np.max(np.abs(g - r)) / np.max(np.abs(r)) for g, r in zip(got, ref))
+    print(f"  quadrature: {t_quad * 1e3:9.2f} ms")
+    print(f"  closed    : {t_closed * 1e3:9.2f} ms   speedup {t_quad / t_closed:.1f}x"
           f"   max rel deviation {err:.1e}")
 
 
@@ -113,6 +119,7 @@ def main():
     print(f"  dense sum : {t_dq:.3f} s")
 
     compare_two_point()
+    compare_prepared_state()
 
 
 if __name__ == "__main__":

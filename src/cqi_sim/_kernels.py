@@ -64,12 +64,29 @@ def double_quad_numpy(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
     return acc
 
 
-def _is_uniform(x) -> bool:
-    """At least two points, equally spaced up to rounding of the values."""
-    if x.size < 2:
-        return False
-    grid = x[0] + (x[-1] - x[0]) / (x.size - 1) * np.arange(x.size)
-    return bool(np.max(np.abs(x - grid)) <= 1e-13 * np.max(np.abs(x)))
+def _uniform_runs(x, starts) -> np.ndarray:
+    """For each run x[starts[r] : starts[r + 1]] (the last to the end):
+    at least two points, equally spaced up to 1e-13 of the run's max |x|."""
+    size = np.diff(starts, append=x.size)
+    run = np.repeat(np.arange(starts.size), size)
+    first, last = x[starts], x[starts + size - 1]
+    step = (last - first) / np.maximum(size - 1, 1)
+    grid = first[run] + step[run] * (np.arange(x.size) - starts[run])
+    dev = np.maximum.reduceat(np.abs(x - grid), starts)
+    return (size >= 2) & (dev <= 1e-13 * np.maximum.reduceat(np.abs(x), starts))
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length numpy transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
@@ -84,7 +101,7 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     and a linear convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1.
     """
     m, n = x_out.size, max(e - s for s, e in runs)
-    size = 1 << (m + n - 2).bit_length()  # power of two >= m + n - 1
+    size = _fast_len(m + n - 1)
     q = np.arange(size)
     q = np.where(q < m, q, q - size)  # lag held by each FFT bin
     j, i = np.arange(m), np.arange(n)
@@ -107,7 +124,9 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
         a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
         a *= np.exp(1j * (kap * y * (y - 2.0 * x0) - r * i * i))
         h = np.exp(1j * r * (q * q))
-        conv = np.fft.ifft(np.fft.fft(a, size, axis=1) * np.fft.fft(h, axis=1), axis=1)
+        conv = np.fft.fft(a, size, axis=1)
+        conv *= np.fft.fft(h, axis=1)
+        conv = np.fft.ifft(conv, axis=1)
         post = np.exp(1j * (kap * (x_out * x_out - 2.0 * d_out * y[:, :1] * j) - r * j * j))
         rows_out = post * conv[:, :m]
         # each output time sums its rows alone, as a scalar t_out always did
@@ -126,13 +145,14 @@ def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
     output time."""
     times = np.atleast_1d(np.asarray(t_out, dtype=float))
     runs = []
-    if eta == 0 and _is_uniform(x_out):
-        edges = (np.flatnonzero(np.diff(t_src)) + 1).tolist()
-        bounds = zip([0, *edges], [*edges, x_src.size])
-        runs = [(s, e) for s, e in bounds if e - s >= 2 and _is_uniform(x_src[s:e])]
     dense = np.ones(x_src.size, dtype=bool)
-    for s, e in runs:
-        dense[s:e] = False
+    uniform_out = min(x_out.size, x_src.size) >= 2 and _uniform_runs(x_out, np.array([0]))[0]
+    if eta == 0 and uniform_out:
+        starts = np.r_[0, np.flatnonzero(np.diff(t_src)) + 1]
+        ok = _uniform_runs(x_src, starts)
+        ends = np.append(starts[1:], x_src.size)
+        dense = ~np.repeat(ok, ends - starts)
+        runs = list(zip(starts[ok].tolist(), ends[ok].tolist()))
     out = np.zeros((times.size, x_out.size), dtype=np.complex128)
     if dense.any():
         for k, t in enumerate(times):

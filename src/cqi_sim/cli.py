@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__, chain, epr, hilbert, postulates, zeno
 from .errors import ConfigError, InvariantViolation, NumericalValidationError
@@ -201,13 +197,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if jsonschema is not None:
-            _validate(data, _SCHEMA)
-            _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
-        elif "kind" not in data:
-            raise ConfigError("kind: field is required")
-        elif data["kind"] not in KINDS:
-            raise ConfigError(f"kind: unknown experiment kind {data['kind']!r}")
+        _validate(data, _SCHEMA)
+        _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
         return cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),

@@ -389,14 +389,19 @@ def spectral_evolve(
 
 
 def gaussian_packet(
-    x: np.ndarray, center: float, width: float, momentum: float = 0.0
+    x: np.ndarray, center: float, width: float, momentum: float = 0.0, tau=0.0
 ) -> np.ndarray:
     """L2-normalized Gaussian (pi a^2)^(-1/4) exp(-(x-c)^2/(2a^2) + i k (x-c)).
 
     ``width`` is the amplitude width a; the density |psi|^2 then has
-    variance a^2/2 and spreads as a^2 -> a^2 + (hbar t / (m a))^2.
+    variance a^2/2 and spreads as a^2 -> a^2 + (hbar t / (m a))^2.  With
+    ``tau`` = hbar (t - i eta) / m (scalar, or broadcasting against x) it
+    is the packet evolved for time t by the kernel with damping eta.
     """
     a = float(width)
-    return (np.pi * a**2) ** -0.25 * np.exp(
-        -((x - center) ** 2) / (2.0 * a**2) + 1j * momentum * (x - center)
+    zeta = 1.0 + 1j * tau / a**2
+    drift = x - center - tau * momentum
+    return (np.pi * a**2) ** -0.25 / np.sqrt(zeta) * np.exp(
+        -(drift**2) / (2.0 * a**2) * (1.0 / zeta)
+        + 1j * momentum * (x - center - 0.5 * tau * momentum)
     )

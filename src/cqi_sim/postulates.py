@@ -34,7 +34,6 @@ from .contspace import (
     collapse_to_slice,
     gaussian_packet,
     physical_inner_product,
-    spectral_evolve,
 )
 from .errors import NumericalValidationError
 from .hilbert import DensityOp
@@ -290,10 +289,11 @@ def psi0_values(exp: DetectorExperiment, x: np.ndarray | None = None) -> np.ndar
 def evolved_wavefunction(
     exp: DetectorExperiment, x: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
-    """Freely evolved prepared state at (x, t), by kernel quadrature from t0.
+    """Freely evolved prepared state at (x, t), in closed form.
 
-    A 1-D array ``t`` gives shape (len(t), len(x)), one row per time,
-    from a single batched kernel call.
+    The kernel (with its damping eta) carries the prepared Gaussian to
+    the Gaussian at complex time tau = hbar (t - t0 - i eta) / m.  A 1-D
+    array ``t`` gives shape (len(t), len(x)), one row per time.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < exp.t0):
@@ -303,15 +303,10 @@ def evolved_wavefunction(
     out = np.empty((times.size, x.size), dtype=complex)
     out[~late] = psi0_values(exp, x)
     if late.any():
-        out[late] = _kernels.propagate(
-            x,
-            times[late],
-            exp.x(),
-            np.full(exp.nx, exp.t0),
-            psi0_values(exp) * trapezoid_weights(exp.nx, exp.dx),
-            exp.kernel.mass,
-            exp.kernel.hbar,
-            exp.kernel.regularization_eta,
+        k = exp.kernel
+        tau = k.hbar * (times[late, None] - exp.t0 - 1j * k.regularization_eta) / k.mass
+        out[late] = gaussian_packet(
+            x, exp.packet_center, exp.packet_width, exp.packet_momentum, tau
         )
     return out if np.ndim(t) else out[0]
 
@@ -655,21 +650,20 @@ def _branch_functions(
     multiplied by the uniform smearing profile (integral one).
 
     The branches are free solutions throughout the band, so each is
-    seeded on the first slice by kernel quadrature and stepped to the
-    remaining slices spectrally.
+    seeded on the first slice, transformed once and stepped to every
+    slice spectrally by one batched inverse FFT.
     """
     n = exp.band_slices
     grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], n)
     g = 1.0 / (band[1] - band[0])
     xg = exp.x()
-    psi_seed = evolved_wavefunction(exp, xg, band[0])
-    phi_seed = first_order_amplitude(exp, xg, band[0])
-    psi_vals = np.empty((exp.nx, n), dtype=complex)
-    phi_vals = np.empty((exp.nx, n), dtype=complex)
-    for j, t in enumerate(grid.t):
-        dt = float(t - band[0])
-        psi_vals[:, j] = spectral_evolve(psi_seed, grid.dx, exp.kernel, dt) * g
-        phi_vals[:, j] = spectral_evolve(phi_seed, grid.dx, exp.kernel, dt) * g
+    seeds = np.fft.fft(
+        [evolved_wavefunction(exp, xg, band[0]), first_order_amplitude(exp, xg, band[0])]
+    )
+    kvec = 2.0 * np.pi * np.fft.fftfreq(exp.nx, d=grid.dx)
+    dt = grid.t - band[0]
+    kin = np.exp(-1j * exp.kernel.hbar * kvec[:, None] ** 2 * dt / (2.0 * exp.kernel.mass))
+    psi_vals, phi_vals = np.fft.ifft(kin * seeds[:, :, None], axis=1) * g
     return grid, psi_vals, phi_vals
 
 

@@ -32,6 +32,25 @@ def evolved_gaussian(x, t, center, width, momentum=0.0, mass=1.0, hbar=1.0):
     )
 
 
+def evolved_by_quadrature(exp, x, times):
+    """Prepared packet of a detector experiment at each of ``times``, by
+    the dense trapezoid sum of the kernel over psi0 on the x grid (psi0
+    itself at t0); the reference for the closed form in ``postulates``."""
+    from cqi_sim import _kernels
+    from cqi_sim.postulates import psi0_values
+    from cqi_sim.utils import trapezoid_weights
+
+    k = exp.kernel
+    amp = psi0_values(exp) * trapezoid_weights(exp.nx, exp.dx)
+    src = (exp.x(), np.full(exp.nx, exp.t0), amp, k.mass, k.hbar, k.regularization_eta)
+    return np.stack(
+        [
+            psi0_values(exp, x) if t == exp.t0 else _kernels.propagate_numpy(x, t, *src)
+            for t in times
+        ]
+    )
+
+
 def born_double_region_pairwise(exp, t_density):
     """Double-region kernel integral of a detector experiment as the
     explicit sum over every pair of region slices.

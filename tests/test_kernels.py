@@ -196,3 +196,9 @@ def test_uniform_runs_mixed_with_scattered(chirp_calls):
     assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
     assert chirp_calls == [[(15, 55), (74, 144), (144, 169)]] * 2
 
+
+
+def test_fast_len_is_smallest_5_smooth_length():
+    smooth = [2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)]
+    for n in range(1, 5001):
+        assert _kernels._fast_len(n) == min(v for v in smooth if v >= n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cqi_sim import hilbert, postulates as ps
 from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
@@ -25,7 +25,7 @@ from cqi_sim.postulates import (
 )
 from cqi_sim.utils import trapezoid_weights
 
-from oracles import born_double_region_pairwise, evolved_gaussian
+from oracles import born_double_region_pairwise, evolved_by_quadrature, evolved_gaussian
 
 BENCH = benchmark_experiment()
 
@@ -88,13 +88,45 @@ class TestEvolvedWavefunction:
             evolved_wavefunction(BENCH, np.array([0.0]), -1.0)
 
     @pytest.mark.parametrize(
+        "exp",
+        [
+            BENCH,
+            benchmark_experiment(1),
+            two_point_experiment(),
+            benchmark_experiment(packet_momentum=0.6),
+            benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3)),
+            shifted(BENCH, 50.0),
+        ],
+        ids=["refine0", "refine1", "two-point", "momentum", "eta", "shifted"],
+    )
+    def test_matches_kernel_quadrature(self, exp):
+        x = np.linspace(-10, 4, 301)
+        times = exp.t0 + np.array([0.0, 0.5, 2.0, 3.1, 3.7, 4.2])
+        ref = evolved_by_quadrature(exp, x, times)
+        got = evolved_wavefunction(exp, x, times)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        scalar = evolved_wavefunction(exp, x, float(times[3]))
+        assert np.max(np.abs(scalar - ref[3])) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_closed_form_needs_no_kernel_sum(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel sum called")
+
+        monkeypatch.setattr(ps._kernels, "propagate", fail)
+        monkeypatch.setattr(ps._kernels, "propagate_numpy", fail)
+        eta = benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3))
+        for exp in (BENCH, eta):
+            evolved_wavefunction(exp, exp.x(), 3.1)
+            evolved_wavefunction(exp, exp.x(), np.array([exp.t0, 1.0, 3.1]))
+
+    @pytest.mark.parametrize(
         "exp, x",
         [
-            (BENCH, np.linspace(-8, 4, 200)),  # chirp-z path
+            (BENCH, np.linspace(-8, 4, 200)),
             (
                 benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3)),
                 np.linspace(-8, 4, 200),
-            ),  # dense path
+            ),
             (BENCH, np.linspace(-2, 2, 90) ** 3 - 5.0),  # non-uniform outputs
             (BENCH, np.array([-4.7])),  # single output
         ],
@@ -396,6 +428,18 @@ class TestCqiProbability:
     def test_band_must_follow_region(self):
         with pytest.raises(NumericalValidationError):
             cqi_probability(BENCH, band=(3.0, 3.3))
+
+    @pytest.mark.parametrize("exp", [BENCH, benchmark_experiment(packet_momentum=0.6)])
+    def test_batched_band_steps_equal_per_slice_evolution(self, exp):
+        band = (exp.band[0] + 0.3, exp.band[1] + 0.3)
+        grid, psi_vals, phi_vals = ps._branch_functions(exp, band)
+        g = 1.0 / (band[1] - band[0])
+        for vals, seed in (
+            (psi_vals, evolved_wavefunction(exp, exp.x(), band[0])),
+            (phi_vals, first_order_amplitude(exp, exp.x(), band[0])),
+        ):
+            ref = [spectral_evolve(seed, grid.dx, exp.kernel, float(t - band[0])) for t in grid.t]
+            assert_array_equal(vals, np.stack(ref, axis=1) * g)
 
 
 class TestTwoPoint:
