@@ -17,6 +17,12 @@ transformed on its live support only), and the prepared state on the
 region slices of that ladder (both rectangles at time density 8) by
 kernel quadrature of psi0 (one batched ``propagate`` call per
 rectangle) against the closed form of ``evolved_wavefunction``.
+
+Last, the covariant partial trace of the band joint state of
+``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
+decomposition with per-slice collapse of ``tests/oracles.py`` against
+the d x d physical Gram matrix of ``postulates`` (one batched spectral
+evolution), with the max deviation of the normalized density matrices.
 """
 
 import sys
@@ -29,7 +35,7 @@ sys.path.insert(0, "tests")
 
 from cqi_sim import _kernels, postulates  # noqa: E402
 from cqi_sim.utils import trapezoid_weights  # noqa: E402
-from oracles import born_double_region_pairwise  # noqa: E402
+from oracles import born_double_region_pairwise, covariant_partial_trace_schmidt  # noqa: E402
 
 
 def timed(fn, *args, repeat=3):
@@ -97,6 +103,25 @@ def compare_prepared_state(density=8):
           f"   max rel deviation {err:.1e}")
 
 
+def compare_partial_trace(refines=(0, 1, 2)):
+    for r in refines:
+        exp = postulates.benchmark_experiment(r)
+        grid, psi, phi = postulates._branch_functions(exp, exp.band)
+        values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
+        values[:, :, 0], values[:, :, 3] = psi, phi
+        joint = postulates.JointState(grid.x, grid.t, values, (2, 2))
+        print(f"covariant partial trace, refine {r}: {exp.nx} x {exp.band_slices} x 4")
+        (rho_raw, _), t_schmidt = timed(covariant_partial_trace_schmidt, joint, exp.kernel)
+        red, t_gram = timed(
+            postulates.covariant_partial_trace, joint, exp.kernel, postulates.BandRegion(*exp.band)
+        )
+        ref = 0.5 * (rho_raw + rho_raw.conj().T) / np.trace(rho_raw).real
+        err = np.max(np.abs(red.rho.matrix - ref))
+        print(f"  schmidt   : {t_schmidt * 1e3:9.2f} ms")
+        print(f"  gram      : {t_gram * 1e3:9.2f} ms   speedup {t_schmidt / t_gram:.1f}x"
+              f"   max |drho| {err:.1e}")
+
+
 def main():
     rng = np.random.default_rng(0)
     x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
@@ -120,6 +145,7 @@ def main():
 
     compare_two_point()
     compare_prepared_state()
+    compare_partial_trace()
 
 
 if __name__ == "__main__":

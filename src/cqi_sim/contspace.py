@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalValidationError
+from .utils import trapezoid_weights
 
 SUPPORT_EPS = 1e-14
 
@@ -149,18 +150,11 @@ class GridFunction:
         dt = self.grid.dt
         runs = np.split(sup, np.flatnonzero(np.diff(sup) > 1) + 1)
         for run in runs:
-            if run.size == 1:
-                w[run[0]] = dt
-            else:
-                w[run] = dt
-                w[run[0]] = w[run[-1]] = 0.5 * dt
+            w[run] = trapezoid_weights(run.size, dt) if run.size > 1 else dt
         return w
 
     def x_weights(self) -> np.ndarray:
-        dx = self.grid.dx
-        w = np.full(self.grid.nx, dx)
-        w[0] = w[-1] = 0.5 * dx
-        return w
+        return trapezoid_weights(self.grid.nx, self.grid.dx)
 
     def support_points(
         self, eps: float = SUPPORT_EPS
@@ -273,22 +267,20 @@ def _common_x(a: GridFunction, b: GridFunction) -> None:
 def collapse_to_slice(
     psi: GridFunction, k: PropagatorKernel, t_ref: float
 ) -> np.ndarray:
-    """Projected state on the slice t_ref via per-slice spectral evolution.
+    """Projected state on the slice t_ref by batched spectral evolution.
 
-    Each support slice is evolved to t_ref with the spectral integrator
-    and accumulated with its time-quadrature weight.  Numerically robust
-    for arbitrarily small time offsets (the kernel quadrature of
+    All support slices are evolved to t_ref by one ``spectral_evolve``
+    call and summed with their time-quadrature weights.  Numerically
+    robust for arbitrarily small time offsets (the kernel quadrature of
     ``project`` chirps too fast to sample at short offsets); used by the
     slice route of the physical inner product.
     """
     grid = psi.grid
     tw = psi.time_weights()
-    out = np.zeros(grid.nx, dtype=complex)
-    for j in np.flatnonzero(tw > 0):
-        out += tw[j] * spectral_evolve(
-            psi.values[:, j], grid.dx, k, t_ref - grid.t[j]
-        )
-    return out
+    cols = np.flatnonzero(tw > 0)
+    return tw[cols] @ spectral_evolve(
+        psi.values[:, cols].T, grid.dx, k, t_ref - grid.t[cols]
+    )
 
 
 def physical_inner_product(
@@ -359,22 +351,24 @@ def spectral_evolve(
     values_x: np.ndarray,
     dx: float,
     k: PropagatorKernel,
-    t_total: float,
+    t_total: float | np.ndarray,
     n_steps: int = 1,
     potential: np.ndarray | None = None,
 ) -> np.ndarray:
     """Split-step Fourier integration of the Schroedinger equation.
 
-    For the free particle a single step is exact up to the grid's
-    momentum cutoff; with a potential a symmetric Strang splitting is
-    used.  Periodic boundary conditions apply, so states must stay away
-    from the grid edges.  This integrator is independent of the kernel
-    quadrature path and serves as its cross-check.
+    ``values_x`` is (..., nx) with x last; ``t_total`` is a scalar or
+    broadcasts against ``values_x.shape[:-1]``, and each input row is
+    transformed forward once.  For the free particle a single step is
+    exact up to the grid's momentum cutoff; with a potential a symmetric
+    Strang splitting is used.  Periodic boundary conditions apply, so
+    states must stay away from the grid edges.  This integrator is
+    independent of the kernel quadrature path and serves as its
+    cross-check.
     """
     psi = np.asarray(values_x, dtype=complex).copy()
-    n = psi.size
-    kvec = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    dt = t_total / n_steps
+    kvec = 2.0 * np.pi * np.fft.fftfreq(psi.shape[-1], d=dx)
+    dt = np.asarray(t_total, dtype=float)[..., None] / n_steps
     exp_kin = np.exp(-1j * k.hbar * kvec**2 * dt / (2.0 * k.mass))
     if potential is None:
         for _ in range(n_steps):

@@ -12,8 +12,8 @@ probability is computed by
   R, which carries no kernel factor and therefore disagrees with the
   Born value for extended regions;
 * the covariant route (cqi): reduced density operator of the detector
-  and observer on an interaction-free readout region, built from a
-  Schmidt decomposition and pairwise physical inner products.
+  and observer on an interaction-free readout region, the Gram matrix of
+  physical inner products of the observer-conditioned system components.
 
 Units follow the kernel (default hbar = m = 1).
 """
@@ -29,11 +29,9 @@ import numpy as np
 from . import _kernels, hilbert
 from .contspace import (
     Grid,
-    GridFunction,
     PropagatorKernel,
-    collapse_to_slice,
     gaussian_packet,
-    physical_inner_product,
+    spectral_evolve,
 )
 from .errors import NumericalValidationError
 from .hilbert import DensityOp
@@ -110,7 +108,7 @@ class JointState:
     slice times; ``obs_dims`` records the tensor structure of the
     observer side.  A single slice (nt == 1) is delta-normalized in
     time, a band uses trapezoid weights (any smearing profile is folded
-    into the values).
+    into the values).  Both axes must be uniformly sampled.
     """
 
     x: np.ndarray
@@ -125,6 +123,9 @@ class JointState:
         d = math.prod(self.obs_dims)
         if v.shape != (x.size, t.size, d):
             raise ValueError(f"values shape {v.shape} != {(x.size, t.size, d)}")
+        for name, a in (("x", x), ("t", t)):
+            if a.size > 2 and not np.allclose(np.diff(a), a[1] - a[0], rtol=1e-9, atol=0.0):
+                raise ValueError(f"{name} sampling must be uniform")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", v)
@@ -583,12 +584,12 @@ def covariant_partial_trace(
 ) -> CovariantReducedState:
     """Observer reduced state from a joint kinematical state on a region.
 
-    Schmidt-decomposes the joint state across the system/observer cut in
-    the kinematical measure, then assembles the observer operator from
-    pairwise physical inner products of the system-side Schmidt
-    functions.  The Gram matrix is the identity when the region is a
-    single slice, where the construction reduces to the ordinary
-    partial trace.
+    rho[a, b] = <P Psi_b, P Psi_a> for the observer-conditioned system
+    components Psi_a = ``values[:, :, a]``, all collapsed to the last
+    slice by one batched spectral evolution; on a single slice this is
+    the ordinary partial trace.  The Schmidt rank counts singular values
+    of the weighted (nx nt) x d matrix above 1e-12 of the largest (the
+    d x d kinematical Gram matrix would square their condition number).
     """
     if isinstance(region, SliceRegion):
         inside = np.isclose(joint.t, region.t, rtol=0, atol=1e-9)
@@ -598,31 +599,16 @@ def covariant_partial_trace(
         raise NumericalValidationError("joint state support leaks outside the region")
 
     nx, nt, d = joint.values.shape
-    w = np.outer(joint.x_weights(), joint.t_weights()).reshape(-1)
-    sqw = np.sqrt(w)
-    mat = joint.values.reshape(nx * nt, d) * sqw[:, None]
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    xw, tw = joint.x_weights(), joint.t_weights()
+    sqw = np.sqrt(np.outer(xw, tw)).reshape(-1, 1)
+    s = np.linalg.svd(joint.values.reshape(nx * nt, d) * sqw, compute_uv=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
     if rank == 0:
         raise NumericalValidationError("joint state is numerically zero")
-    s = s[:rank]
-    u = u[:, :rank]
-    vh = vh[:rank]
 
-    if nt == 1 or isinstance(region, SliceRegion):
-        gram = np.eye(rank, dtype=complex)
-    else:
-        t_ref = float(joint.t[-1])
-        grid = Grid(joint.x[0], joint.x[-1], nx, joint.t[0], joint.t[-1], nt)
-        xw = joint.x_weights()
-        cols = np.empty((rank, nx), dtype=complex)
-        for si in range(rank):
-            gf = GridFunction(grid, (u[:, si] / sqw).reshape(nx, nt))
-            cols[si] = collapse_to_slice(gf, k, t_ref)
-        gram = np.einsum("i,si,ti->st", xw, np.conj(cols), cols)
-
-    c = (s[:, None] * vh).T  # c[a, s] = s_s * vh[s, a]
-    rho_raw = c @ np.conj(gram) @ c.conj().T
+    dx = float(joint.x[1] - joint.x[0])
+    cols = tw @ spectral_evolve(joint.values.transpose(2, 1, 0), dx, k, joint.t[-1] - joint.t)
+    rho_raw = (cols * xw) @ cols.conj().T
     trace_raw = float(np.trace(rho_raw).real)
     if abs(trace_raw - 1.0) > norm_tol:
         raise NumericalValidationError(
@@ -636,7 +622,7 @@ def covariant_partial_trace(
 @dataclass(frozen=True, eq=False)
 class CqiResult:
     p_cqi: float  # activation probability from the observer's preferred basis
-    p_physical_norm: float  # independent route: physical norm of the |1>-branch
+    p_physical_norm: float  # rho[3, 3]: physical norm of the |1>-branch over trace_raw
     rho_observer: DensityOp
     schmidt_rank: int
     normalization_deficit: float
@@ -657,13 +643,11 @@ def _branch_functions(
     grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], n)
     g = 1.0 / (band[1] - band[0])
     xg = exp.x()
-    seeds = np.fft.fft(
+    seeds = np.array(
         [evolved_wavefunction(exp, xg, band[0]), first_order_amplitude(exp, xg, band[0])]
     )
-    kvec = 2.0 * np.pi * np.fft.fftfreq(exp.nx, d=grid.dx)
-    dt = grid.t - band[0]
-    kin = np.exp(-1j * exp.kernel.hbar * kvec[:, None] ** 2 * dt / (2.0 * exp.kernel.mass))
-    psi_vals, phi_vals = np.fft.ifft(kin * seeds[:, :, None], axis=1) * g
+    steps = spectral_evolve(seeds[:, None, :], grid.dx, exp.kernel, grid.t - band[0])
+    psi_vals, phi_vals = steps.transpose(0, 2, 1) * g
     return grid, psi_vals, phi_vals
 
 
@@ -703,11 +687,9 @@ def cqi_probability_detail(
     weights_on_1 = np.abs(pb.basis[1, :]) ** 2
     p_cqi = float(pb.dist.probs[int(np.argmax(weights_on_1))])
 
-    phi_gf = GridFunction(grid, phi_vals)
-    p_norm = physical_inner_product(phi_gf, phi_gf, exp.kernel).real
     return CqiResult(
         p_cqi=p_cqi,
-        p_physical_norm=float(p_norm / reduced.trace_raw),
+        p_physical_norm=float(reduced.rho.matrix[3, 3].real),
         rho_observer=rho_obs,
         schmidt_rank=reduced.schmidt_rank,
         normalization_deficit=reduced.trace_raw - 1.0,

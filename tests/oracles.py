@@ -104,6 +104,40 @@ def born_double_region_pairwise(exp, t_density):
     return float(pref * acc)
 
 
+def covariant_partial_trace_schmidt(joint, k):
+    """Unnormalized observer state and Schmidt rank of a joint state, by
+    Schmidt decomposition.
+
+    The joint values are Schmidt-decomposed across the system/observer
+    cut in the kinematical measure; each system-side Schmidt function is
+    collapsed to the last slice one slice at a time, and the observer
+    operator is assembled from the pairwise physical inner products of
+    those functions (the identity on a single slice).  Returns
+    (rho_raw, rank); the reference for the d x d physical Gram matrix
+    of ``postulates.covariant_partial_trace``.
+    """
+    from cqi_sim.contspace import spectral_evolve
+
+    nx, nt, d = joint.values.shape
+    xw, tw = joint.x_weights(), joint.t_weights()
+    sqw = np.sqrt(np.outer(xw, tw).reshape(-1))
+    u, s, vh = np.linalg.svd(joint.values.reshape(nx * nt, d) * sqw[:, None], full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * s[0]))
+    s, u, vh = s[:rank], u[:, :rank], vh[:rank]
+    if nt == 1:
+        gram = np.eye(rank, dtype=complex)
+    else:
+        dx = float(joint.x[1] - joint.x[0])
+        cols = np.zeros((rank, nx), dtype=complex)
+        for si in range(rank):
+            f = (u[:, si] / sqw).reshape(nx, nt)
+            for j in range(nt):
+                cols[si] += tw[j] * spectral_evolve(f[:, j], dx, k, joint.t[-1] - joint.t[j])
+        gram = np.einsum("i,si,ti->st", xw, np.conj(cols), cols)
+    c = (s[:, None] * vh).T  # c[a, s] = s_s * vh[s, a]
+    return c @ np.conj(gram) @ c.conj().T, rank
+
+
 def chain_distribution_exhaustive(initial, overlaps, observer):
     """Outcome distribution of one observer by brute-force index summation.
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cqi_sim import hilbert, postulates as ps
@@ -25,7 +27,12 @@ from cqi_sim.postulates import (
 )
 from cqi_sim.utils import trapezoid_weights
 
-from oracles import born_double_region_pairwise, evolved_by_quadrature, evolved_gaussian
+from oracles import (
+    born_double_region_pairwise,
+    covariant_partial_trace_schmidt,
+    evolved_by_quadrature,
+    evolved_gaussian,
+)
 
 BENCH = benchmark_experiment()
 
@@ -387,6 +394,74 @@ class TestCovariantPartialTrace:
         bad = JointState(joint.x, joint.t, joint.values * 2.0, joint.obs_dims)
         with pytest.raises(NumericalValidationError):
             covariant_partial_trace(bad, BENCH.kernel, SliceRegion(3.6))
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_nonuniform_sampling_rejected(self, axis):
+        joint = _joint_state_on_band(BENCH)
+        samples = {"x": joint.x.copy(), "t": joint.t.copy()}
+        a = samples[axis]
+        a[1] += 0.1 * (a[2] - a[1])
+        with pytest.raises(ValueError, match=f"^{axis} sampling must be uniform"):
+            JointState(samples["x"], samples["t"], joint.values, joint.obs_dims)
+
+    @pytest.mark.parametrize("case", ["r0", "r1", "two-point", "slice"])
+    def test_matches_schmidt_oracle(self, case):
+        exp = {"r1": benchmark_experiment(1), "two-point": two_point_experiment()}.get(case, BENCH)
+        if case == "slice":
+            joint, region = _joint_state_on_slice(exp, 3.6), SliceRegion(3.6)
+        else:
+            joint, region = _joint_state_on_band(exp), BandRegion(*exp.band)
+        red = covariant_partial_trace(joint, exp.kernel, region)
+        rho_raw, rank = covariant_partial_trace_schmidt(joint, exp.kernel)
+        trace_raw = np.trace(rho_raw).real
+        rho = 0.5 * (rho_raw + rho_raw.conj().T) / trace_raw
+        assert np.max(np.abs(red.rho.matrix - rho)) <= 1e-12
+        assert abs(red.trace_raw - trace_raw) <= 1e-13
+        assert red.schmidt_rank == rank
+
+
+@pytest.fixture(scope="module")
+def mixture_basis():
+    """Band branch functions of BENCH, each of unit kinematical norm."""
+    grid, psi, phi = ps._branch_functions(BENCH, BENCH.band)
+    w = np.outer(trapezoid_weights(grid.nx, grid.dx), trapezoid_weights(grid.nt, grid.dt))
+    return grid, [f / np.sqrt(np.sum(w * np.abs(f) ** 2)) for f in (psi, phi)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([2, 4]),
+    st.booleans(),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.integers(min_value=0, max_value=BENCH.band_slices - 1),
+)
+def test_covariant_trace_invariants_hypothesis(mixture_basis, seed, d, dependent, q, j):
+    # components are random mixtures of the two branches and a modulated
+    # copy of the |0> branch; a dependent last component leaves rank d - 1,
+    # which the kinematical Gram matrix's eigenvalues would miss
+    grid, (psi, phi) = mixture_basis
+    basis = np.stack([psi, phi, psi * np.exp(1j * q * grid.x)[:, None]])
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    if dependent:
+        mix = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+        coef[-1] = mix @ coef[:-1]
+    joint = JointState(grid.x, grid.t, np.einsum("ab,bxt->xta", coef, basis), (d,))
+    red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(*BENCH.band), norm_tol=np.inf)
+    m = red.rho.matrix
+    assert abs(np.trace(m).real - 1.0) < 1e-12
+    assert np.max(np.abs(m - m.conj().T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+    assert red.schmidt_rank == covariant_partial_trace_schmidt(joint, BENCH.kernel)[1]
+    assert red.schmidt_rank == min(d - dependent, 3)
+
+    vals = joint.values[:, j : j + 1, :]
+    on_slice = JointState(grid.x, grid.t[j : j + 1], vals, (d,))
+    red_s = covariant_partial_trace(on_slice, BENCH.kernel, SliceRegion(grid.t[j]), norm_tol=np.inf)
+    amps = (vals[:, 0, :] * np.sqrt(trapezoid_weights(grid.nx, grid.dx))[:, None]).reshape(-1)
+    oracle = hilbert.reduced_state(hilbert.Ket(amps / np.linalg.norm(amps), (grid.nx, d)), {1})
+    assert np.max(np.abs(red_s.rho.matrix - oracle.matrix)) < 1e-12
 
 
 class TestCqiProbability:
