@@ -23,6 +23,12 @@ Last, the covariant partial trace of the band joint state of
 decomposition with per-slice collapse of ``tests/oracles.py`` against
 the d x d physical Gram matrix of ``postulates`` (one batched spectral
 evolution), with the max deviation of the normalized density matrices.
+
+Finally the finite suite's sample sweeps, per-sample loops of
+``tests/oracles.py`` against the batched paths: the EPR no-communication
+check over 500 Haar unitaries (``configs/epr.json``) and the general
+interaction probe over 50 cases (``configs/chain.json``), each with its
+max deviation.
 """
 
 import sys
@@ -33,9 +39,14 @@ import numpy as np
 sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
-from cqi_sim import _kernels, postulates  # noqa: E402
-from cqi_sim.utils import trapezoid_weights  # noqa: E402
-from oracles import born_double_region_pairwise, covariant_partial_trace_schmidt  # noqa: E402
+from cqi_sim import _kernels, chain, epr, postulates  # noqa: E402
+from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
+from oracles import (  # noqa: E402
+    born_double_region_pairwise,
+    covariant_partial_trace_schmidt,
+    general_interaction_probe_loop,
+    no_communication_loop,
+)
 
 
 def timed(fn, *args, repeat=3):
@@ -122,6 +133,25 @@ def compare_partial_trace(refines=(0, 1, 2)):
               f"   max |drho| {err:.1e}")
 
 
+def compare_finite_suite(n_unitaries=500, n_cases=50):
+    us = haar_unitary(np.random.default_rng(0), 2, (n_unitaries,))
+    print(f"epr no-communication check: {n_unitaries} Haar unitaries")
+    ref, t_loop = timed(no_communication_loop, 0.6, 0.8, us)
+    got, t_batch = timed(epr.no_communication_check, epr.EprConfig(0.6, 0.8, us))
+    print(f"  loop      : {t_loop * 1e3:9.2f} ms")
+    print(f"  batched   : {t_batch * 1e3:9.2f} ms   speedup {t_loop / t_batch:.1f}x"
+          f"   max |ddist| {np.max(np.abs(got - ref)):.1e}")
+
+    print(f"general interaction probe: {n_cases} cases")
+    ref, t_loop = timed(general_interaction_probe_loop, 0, n_cases)
+    got, t_batch = timed(chain.general_interaction_probe, 0, n_cases)
+    dev = abs(got["worst_entropy_drop_bits"] - ref["worst_entropy_drop_bits"])
+    same = all(got[k] == ref[k] for k in ("cases", "monotone", "violations"))
+    print(f"  loop      : {t_loop * 1e3:9.2f} ms")
+    print(f"  batched   : {t_batch * 1e3:9.2f} ms   speedup {t_loop / t_batch:.1f}x"
+          f"   counts equal {same}   |dworst| {dev:.1e}")
+
+
 def main():
     rng = np.random.default_rng(0)
     x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
@@ -146,6 +176,7 @@ def main():
     compare_two_point()
     compare_prepared_state()
     compare_partial_trace()
+    compare_finite_suite()
 
 
 if __name__ == "__main__":

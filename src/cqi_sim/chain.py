@@ -16,7 +16,7 @@ import numpy as np
 from . import hilbert
 from .errors import NumericalValidationError
 from .hilbert import DensityOp, Ket, ProbDist
-from .utils import is_unitary
+from .utils import ginibre_unitary, is_unitary
 
 UNITARY_TOL = 1e-10
 
@@ -167,29 +167,24 @@ def general_interaction_probe(seed: int, n_cases: int = 50, d: int = 2) -> dict:
 
     Not an invariant of the formalism; results are reported, not asserted.
     """
-    from .utils import haar_unitary
-
-    rng = np.random.default_rng(seed)
-    ready = np.zeros(d, dtype=complex)
-    ready[0] = 1.0
-    monotone = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        amps /= np.linalg.norm(amps)
-        v = np.kron(np.kron(amps, ready), ready).reshape(d, d, d)
-        u1 = haar_unitary(rng, d * d)
-        v = (u1 @ v.reshape(d * d, d)).reshape(d, d, d)  # joint unitary on (Q, O1)
-        u2 = haar_unitary(rng, d * d)
-        v = np.moveaxis(v, 1, 2)  # bring (Q, O2) together
-        v = (u2 @ v.reshape(d * d, d)).reshape(d, d, d)
-        v = np.moveaxis(v, 2, 1)
-        ket = Ket(v.reshape(-1), (d, d, d))
-        s1 = hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {1}))
-        s2 = hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {2}))
-        if s2 >= s1 - 1e-9:
-            monotone += 1
-        worst = min(worst, s2 - s1)
+    # per case, in draw order: amplitudes (real, imag), then u1 and u2 as Ginibre pairs
+    g = np.random.default_rng(seed).standard_normal((n_cases, 2 * d + 4 * d**4))
+    amps = g[:, :d] + 1j * g[:, d : 2 * d]
+    re, im = amps.real, amps.imag  # row norms summed as the 1-D np.linalg.norm does
+    amps /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    u = ginibre_unitary(g[:, 2 * d :].reshape(n_cases, 2, 2, d * d, d * d))
+    v = np.zeros((n_cases, d, d, d), dtype=complex)  # (case, Q, O1, O2), observers ready
+    v[:, :, 0, 0] = amps
+    v = (u[:, 0] @ v.reshape(n_cases, d * d, d)).reshape(v.shape)  # joint unitary on (Q, O1)
+    v = v.swapaxes(2, 3)  # bring (Q, O2) together
+    v = (u[:, 1] @ v.reshape(n_cases, d * d, d)).reshape(v.shape).swapaxes(2, 3)
+    # reduce onto O1 and O2 as hilbert.reduced_state does: rows O, columns (Q, other O)
+    a = np.stack([v.transpose(0, 2, 1, 3), v.transpose(0, 3, 1, 2)]).reshape(2, n_cases, d, d * d)
+    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    hilbert.check_density(rho)
+    s1, s2 = hilbert.von_neumann_entropy(rho)
+    monotone = int(np.count_nonzero(s2 >= s1 - 1e-9))
+    worst = float(np.min(s2 - s1, initial=0.0))
     return {
         "cases": n_cases,
         "monotone": monotone,

@@ -415,11 +415,10 @@ def _run_time_reversed_zeno(cfg: ExperimentConfig, refine: int):
         tmax = float(p.get("theta_max", np.pi / 4))
         thetas = list(np.linspace(-tmax, tmax, n))
     rows = []
-    worst = 0.0
     for th in thetas:
         res = zeno.time_reversed_zeno(zeno.ZenoConfig(omega=omega, epsilon=1e-3, theta=th))
         rows.append([th, res.delta_t])
-        worst = max(worst, abs(res.delta_t - th / omega))
+    worst = max([abs(dt - th / omega) for th, dt in rows], default=0.0)
     results = {"max_shift_error": worst}
     return ["theta", "delta_t"], rows, results, {"max_shift_error": worst}
 
@@ -435,12 +434,9 @@ def _run_epr(cfg: ExperimentConfig, refine: int):
     s_ab = hilbert.von_neumann_entropy(rho_ab)
     cond = hilbert.conditional_entropy(rho_ab)
     mut = hilbert.mutual_information(rho_ab)
-    rng = np.random.default_rng(cfg.seed)
     n_rand = int(p.get("n_random_unitaries", 500))
-    worst = 0.0
-    for _ in range(n_rand):
-        u = haar_unitary(rng, 2)
-        worst = max(worst, epr.no_communication_check(epr.EprConfig(alpha, beta, u)))
+    us = haar_unitary(np.random.default_rng(cfg.seed), 2, (n_rand,))
+    worst = float(np.max(epr.no_communication_check(epr.EprConfig(alpha, beta, us)), initial=0.0))
     rows = [
         ["entropy_alice_bits", s_a],
         ["entropy_bob_bits", s_b],
@@ -506,16 +502,8 @@ def realism_scenario(alpha: complex, beta: complex) -> dict:
 def _run_realism(cfg: ExperimentConfig, refine: int):
     p = cfg.params
     report = realism_scenario(_complex_of(p["alpha"]), _complex_of(p["beta"]))
-    rows = [
-        [
-            s["slice"],
-            s["entropy_alice_bits"],
-            s["entropy_bob_bits"],
-            s["conditional_entropy_bits"],
-        ]
-        for s in report["slices"]
-    ]
     cols = ["slice", "entropy_alice_bits", "entropy_bob_bits", "conditional_entropy_bits"]
+    rows = [[s[c] for c in cols] for s in report["slices"]]
     results = {"slices": report["slices"]}
     return cols, rows, results, {}
 

@@ -34,8 +34,8 @@ class EprConfig:
             raise NumericalValidationError("pair amplitudes must satisfy |a|^2+|b|^2 = 1")
         if self.alice_unitary is not None:
             u = np.asarray(self.alice_unitary, dtype=complex)
-            if u.shape != (2, 2) or not is_unitary(u, 1e-10):
-                raise NumericalValidationError("alice_unitary must be a 2x2 unitary")
+            if u.shape[-2:] != (2, 2) or not is_unitary(u, 1e-10):
+                raise NumericalValidationError("alice_unitary must be 2x2 unitary (or a stack)")
             object.__setattr__(self, "alice_unitary", u)
 
 
@@ -61,9 +61,7 @@ def epr_final_state(cfg: EprConfig, order: tuple[int, int] = (0, 1)) -> Ket:
     for who in order:
         state = _measure(state, *steps[who])
     if cfg.alice_unitary is not None:
-        state = np.moveaxis(
-            np.tensordot(cfg.alice_unitary, state, axes=(1, A)), 0, A
-        )
+        state = np.einsum("ij,qjrb->qirb", cfg.alice_unitary, state)  # U on factor A
     return Ket(state.reshape(-1), (2, 2, 2, 2))
 
 
@@ -76,16 +74,18 @@ def epr_reduced(cfg: EprConfig) -> tuple[DensityOp, DensityOp, DensityOp]:
     return rho_a, rho_b, rho_ab
 
 
-def no_communication_check(cfg: EprConfig) -> float:
+def no_communication_check(cfg: EprConfig) -> float | np.ndarray:
     """Trace distance of Bob's state with and without Alice's local unitary.
 
     Zero (to rounding) for every unitary: local operations on Alice's
-    side never move information to Bob.
+    side never move information to Bob.  A (..., 2, 2) stack of unitaries
+    is applied and reduced in one batch and gives an array of distances.
     """
     if cfg.alice_unitary is None:
         raise NumericalValidationError("no_communication_check needs alice_unitary")
-    rho_b_plain = hilbert.reduced_state(
-        epr_final_state(EprConfig(cfg.alpha, cfg.beta)), {B}
-    )
-    rho_b_rotated = hilbert.reduced_state(epr_final_state(cfg), {B})
-    return hilbert.trace_distance(rho_b_plain, rho_b_rotated)
+    ket = epr_final_state(EprConfig(cfg.alpha, cfg.beta))
+    rotated = np.einsum("...ij,qjrb->...qirb", cfg.alice_unitary, ket.amplitudes.reshape((2,) * 4))
+    a = np.moveaxis(rotated, -1, -4).reshape(rotated.shape[:-4] + (2, 8))  # (B, Q1, A, Q2)
+    rho_b_rotated = a @ np.swapaxes(a.conj(), -1, -2)
+    hilbert.check_density(rho_b_rotated)
+    return hilbert.trace_distance(hilbert.reduced_state(ket, {B}), rho_b_rotated)

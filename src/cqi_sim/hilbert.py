@@ -24,6 +24,7 @@ __all__ = [
     "Ket",
     "DensityOp",
     "ProbDist",
+    "check_density",
     "PreferredBasis",
     "tensor",
     "density",
@@ -85,6 +86,18 @@ class Ket:
             raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {tol}")
 
 
+def check_density(m: np.ndarray, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL) -> None:
+    """Raise ValueError unless each matrix of the (..., d, d) stack m is a density matrix."""
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) > herm_tol:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag)) > trace_tol
+    if np.any(bad):
+        raise ValueError(f"trace {tr[bad][0]} deviates from 1 beyond tolerance")
+    if np.min(np.linalg.eigvalsh(m), initial=np.inf) < -psd_tol:
+        raise ValueError("matrix has an eigenvalue below -psd_tol")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOp:
     """Hermitian, unit-trace operator with tensor-factor structure."""
@@ -101,21 +114,13 @@ class DensityOp:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} incompatible with dims {dims}")
-        if np.max(np.abs(m - m.conj().T)) > self.herm_tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > self.trace_tol or abs(np.trace(m).imag) > self.trace_tol:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1 beyond tolerance")
-        if np.min(np.linalg.eigvalsh(m)) < -self.psd_tol:
-            raise ValueError("matrix has an eigenvalue below -psd_tol")
+        check_density(m, self.herm_tol, self.trace_tol, self.psd_tol)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "factor_dims", dims)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,11 +238,13 @@ def schmidt_decompose(
     return out
 
 
-def von_neumann_entropy(rho: DensityOp) -> float:
-    """-sum(p log2 p) over the eigenvalues, with 0 log 0 = 0. Units: bits."""
-    lam = np.clip(rho.eigenvalues(), 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)) + 0.0)
+def von_neumann_entropy(rho: DensityOp | np.ndarray) -> float | np.ndarray:
+    """-sum(p log2 p) over the eigenvalues, 0 log 0 = 0, in bits; also of a (..., d, d) stack."""
+    m = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho)
+    lam = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    log = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    s = -np.sum(lam * log, axis=-1) + 0.0
+    return float(s) if s.ndim == 0 else s
 
 
 def conditional_entropy(rho_ab: DensityOp, conditioning: int = 1) -> float:
@@ -310,9 +317,9 @@ def preferred_basis(rho: DensityOp, degeneracy_tol: float = DEGENERACY_TOL) -> P
     return PreferredBasis(ProbDist(lam), vec, degenerate)
 
 
-def trace_distance(a: DensityOp | np.ndarray, b: DensityOp | np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b)."""
+def trace_distance(a: DensityOp | np.ndarray, b: DensityOp | np.ndarray) -> float | np.ndarray:
+    """(1/2) * trace norm of (a - b); (..., d, d) stacks broadcast to an array."""
     ma = a.matrix if isinstance(a, DensityOp) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityOp) else np.asarray(b)
-    diff = ma - mb
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -588,8 +588,9 @@ def covariant_partial_trace(
     components Psi_a = ``values[:, :, a]``, all collapsed to the last
     slice by one batched spectral evolution; on a single slice this is
     the ordinary partial trace.  The Schmidt rank counts singular values
-    of the weighted (nx nt) x d matrix above 1e-12 of the largest (the
+    of the weighted d x (nt nx) matrix above 1e-12 of the largest (the
     d x d kinematical Gram matrix would square their condition number).
+    Identically zero components are skipped: their rho rows stay zero.
     """
     if isinstance(region, SliceRegion):
         inside = np.isclose(joint.t, region.t, rtol=0, atol=1e-9)
@@ -599,15 +600,19 @@ def covariant_partial_trace(
         raise NumericalValidationError("joint state support leaks outside the region")
 
     nx, nt, d = joint.values.shape
+    comps = np.ascontiguousarray(joint.values.transpose(2, 1, 0))  # (d, nt, nx)
+    live = np.flatnonzero(np.any(comps.reshape(d, -1), axis=1))
+    comps = comps[live]
     xw, tw = joint.x_weights(), joint.t_weights()
-    sqw = np.sqrt(np.outer(xw, tw)).reshape(-1, 1)
-    s = np.linalg.svd(joint.values.reshape(nx * nt, d) * sqw, compute_uv=False)
+    sqw = np.sqrt(np.outer(tw, xw)).reshape(-1)
+    s = np.linalg.svd(comps.reshape(live.size, nt * nx) * sqw, compute_uv=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
     if rank == 0:
         raise NumericalValidationError("joint state is numerically zero")
 
     dx = float(joint.x[1] - joint.x[0])
-    cols = tw @ spectral_evolve(joint.values.transpose(2, 1, 0), dx, k, joint.t[-1] - joint.t)
+    cols = np.zeros((d, nx), dtype=complex)  # the d x d product keeps its summation order
+    cols[live] = tw @ spectral_evolve(comps, dx, k, joint.t[-1] - joint.t)
     rho_raw = (cols * xw) @ cols.conj().T
     trace_raw = float(np.trace(rho_raw).real)
     if abs(trace_raw - 1.0) > norm_tol:

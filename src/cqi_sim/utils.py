@@ -5,18 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-random d x d unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def ginibre_unitary(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries by QR of the Ginibre matrices g[..., 0, :, :] + 1j g[..., 1, :, :]."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(rng: np.random.Generator, d: int, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random d x d unitary, or a ``batch`` stack; each draws its real, then imaginary part."""
+    return ginibre_unitary(rng.standard_normal(tuple(batch) + (2, d, d)))
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+    """True if u, or every member of a (..., n, n) stack, is unitary within tol."""
     u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(np.all(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])) <= tol))
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -138,6 +138,99 @@ def covariant_partial_trace_schmidt(joint, k):
     return c @ np.conj(gram) @ c.conj().T, rank
 
 
+def haar_unitary_single(rng, d):
+    """One Haar-random d x d unitary: QR of a complex Ginibre matrix drawn
+    as a real then an imaginary (d, d) block, phases of R moved into Q."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def no_communication_loop(alpha, beta, unitaries):
+    """Trace distance of Bob's state with and without each of Alice's
+    unitaries, one unitary at a time: the unitary is applied to factor A
+    of the global state by ``tensordot`` and each state is reduced with
+    ``hilbert.reduced_state``; the reference for the batched
+    ``epr.no_communication_check``."""
+    from cqi_sim import hilbert
+    from cqi_sim.epr import A, B, EprConfig, epr_final_state
+    from cqi_sim.hilbert import Ket
+
+    plain = epr_final_state(EprConfig(alpha, beta))
+    out = []
+    for u in unitaries:
+        state = plain.amplitudes.reshape(2, 2, 2, 2)
+        state = np.moveaxis(np.tensordot(u, state, axes=(1, A)), 0, A)
+        rho_rotated = hilbert.reduced_state(Ket(state.reshape(-1), (2, 2, 2, 2)), {B})
+        rho_plain = hilbert.reduced_state(plain, {B})
+        out.append(hilbert.trace_distance(rho_plain, rho_rotated))
+    return np.array(out)
+
+
+def general_interaction_probe_loop(seed, n_cases=50, d=2):
+    """``chain.general_interaction_probe`` one case at a time: per case
+    draw the amplitudes (real, imag) and two Haar unitaries, apply them to
+    (Q, O1) and (Q, O2) and compare the observers' entropies."""
+    from cqi_sim import hilbert
+    from cqi_sim.hilbert import Ket
+
+    rng = np.random.default_rng(seed)
+    ready = np.zeros(d, dtype=complex)
+    ready[0] = 1.0
+    monotone = 0
+    worst = 0.0
+    for _ in range(n_cases):
+        amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        amps /= np.linalg.norm(amps)
+        v = np.kron(np.kron(amps, ready), ready).reshape(d, d, d)
+        u1 = haar_unitary_single(rng, d * d)
+        v = (u1 @ v.reshape(d * d, d)).reshape(d, d, d)  # joint unitary on (Q, O1)
+        u2 = haar_unitary_single(rng, d * d)
+        v = np.moveaxis(v, 1, 2)  # bring (Q, O2) together
+        v = (u2 @ v.reshape(d * d, d)).reshape(d, d, d)
+        v = np.moveaxis(v, 2, 1)
+        ket = Ket(v.reshape(-1), (d, d, d))
+        s1 = hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {1}))
+        s2 = hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {2}))
+        if s2 >= s1 - 1e-9:
+            monotone += 1
+        worst = min(worst, s2 - s1)
+    return {
+        "cases": n_cases,
+        "monotone": monotone,
+        "violations": n_cases - monotone,
+        "worst_entropy_drop_bits": -worst,
+    }
+
+
+def zeno_cancellation_loop(cfg, inverse_delay=0.0, n_samples=17):
+    """``zeno.zeno_cancellation`` one sample time at a time: each evolved
+    pair is reduced with ``hilbert.reduced_state`` and compared with the
+    density operator of the freely evolved qubit."""
+    from cqi_sim import hilbert, zeno
+    from cqi_sim.hilbert import Ket
+
+    def cnot(qa):  # system (row) controls the ancilla (column)
+        out = qa.copy()
+        out[1] = qa[1, ::-1]
+        return out
+
+    w, eps = cfg.omega, cfg.epsilon
+    qa = np.zeros((2, 2), dtype=complex)  # (Q, A)
+    qa[:, 0] = zeno.free_evolution_matrix(eps, w)[:, 0]
+    qa = cnot(qa)
+    if inverse_delay:
+        qa = zeno.free_evolution_matrix(inverse_delay, w) @ qa
+    qa = cnot(qa)
+    worst = 0.0
+    for t in np.linspace(0.0, np.pi / w, n_samples):
+        evolved = zeno.free_evolution_matrix(t, w) @ qa
+        rho_q = hilbert.reduced_state(Ket(evolved.reshape(-1), (2, 2)), {0})
+        free = hilbert.density(zeno.free_qubit(eps + inverse_delay + t, w))
+        worst = max(worst, hilbert.trace_distance(rho_q, free))
+    return worst
+
+
 def chain_distribution_exhaustive(initial, overlaps, observer):
     """Outcome distribution of one observer by brute-force index summation.
 

@@ -7,7 +7,7 @@ from cqi_sim.chain import ChainSpec, run_chain, unmeasured_comparison
 from cqi_sim.errors import NumericalValidationError
 from cqi_sim.utils import haar_unitary
 
-from oracles import chain_distribution_exhaustive
+from oracles import chain_distribution_exhaustive, general_interaction_probe_loop
 
 RNG = np.random.default_rng(42)
 
@@ -186,6 +186,16 @@ def test_serialization_roundtrip():
     assert_allclose(spec2.initial, spec.initial, atol=1e-15)
     for u, v in zip(spec2.overlaps, spec.overlaps):
         assert_allclose(u, v, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, n_cases", [(2, 50), (2, 1), (3, 12), (2, 0)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_general_interaction_probe_matches_per_case_oracle(seed, d, n_cases):
+    got = chain.general_interaction_probe(seed, n_cases, d)
+    want = general_interaction_probe_loop(seed, n_cases, d)
+    for key in ("cases", "monotone", "violations"):
+        assert got[key] == want[key]
+    assert abs(got["worst_entropy_drop_bits"] - want["worst_entropy_drop_bits"]) <= 1e-15
 
 
 def test_general_interaction_probe_reports():

@@ -308,3 +308,16 @@ def test_schemas_match_metaschema():
     jsonschema = pytest.importorskip("jsonschema")
     for schema in [cli._SCHEMA, *cli._PARAM_SCHEMAS.values()]:
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_epr_without_random_unitaries(tmp_path):
+    cfg = {
+        "kind": "epr",
+        "seed": 3,
+        "params": {"alpha": 0.6, "beta": 0.8, "n_random_unitaries": 0},
+        "output": {"path": "epr_none"},
+    }
+    cli.run(write_config(tmp_path, "epr.json", cfg), out_dir=tmp_path)
+    report = json.loads((tmp_path / "epr_none.json").read_text())
+    assert report["results"]["max_no_communication_distance"] == 0.0
+    assert report["diagnostics"]["n_random_unitaries"] == 0

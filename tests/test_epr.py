@@ -5,7 +5,9 @@ from numpy.testing import assert_allclose
 from cqi_sim import epr, hilbert
 from cqi_sim.epr import EprConfig
 from cqi_sim.errors import NumericalValidationError
-from cqi_sim.utils import haar_unitary
+from cqi_sim.utils import haar_unitary, is_unitary
+
+from oracles import haar_unitary_single, no_communication_loop
 
 RNG = np.random.default_rng(11)
 
@@ -109,6 +111,64 @@ class TestNoCommunication:
             u = haar_unitary(rng, 2)
             worst = max(worst, epr.no_communication_check(EprConfig(a, b, u)))
         assert worst <= 1e-12
+
+
+class TestHaarUnitary:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,)])
+    def test_stack_equals_single_draws(self, d, batch):
+        rng_stack, rng_loop = np.random.default_rng(9), np.random.default_rng(9)
+        got = haar_unitary(rng_stack, d, batch)
+        n = int(np.prod(batch))
+        want = np.array([haar_unitary_single(rng_loop, d) for _ in range(n)])
+        assert got.shape == batch + (d, d)
+        assert np.array_equal(got, want.reshape(batch + (d, d)))
+        assert is_unitary(got)
+        # both consumed the same stretch of the stream
+        assert rng_stack.standard_normal() == rng_loop.standard_normal()
+
+    def test_is_unitary_checks_every_member(self):
+        us = haar_unitary(np.random.default_rng(2), 3, (4, 5))
+        assert is_unitary(us)
+        us[2, 3] *= 1.0 + 1e-9
+        assert not is_unitary(us)
+        assert is_unitary(us, 1e-8)
+
+
+class TestBatchedNoCommunication:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_unitary_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_pair(rng)
+        us = haar_unitary(rng, 2, (200,))
+        d = epr.no_communication_check(EprConfig(a, b, us))
+        assert d.shape == (200,)
+        assert_allclose(d, no_communication_loop(a, b, us), rtol=0, atol=1e-15)
+        assert np.max(d) <= 1e-12
+
+    def test_stack_shape_and_single_float(self):
+        rng = np.random.default_rng(5)
+        us = haar_unitary(rng, 2, (3, 4))
+        d = epr.no_communication_check(EprConfig(0.6, 0.8, us))
+        assert d.shape == (3, 4)
+        single = epr.no_communication_check(EprConfig(0.6, 0.8, us[1, 2]))
+        assert isinstance(single, float)
+        assert single == d[1, 2]
+
+    def test_empty_stack(self):
+        d = epr.no_communication_check(EprConfig(0.6, 0.8, np.zeros((0, 2, 2))))
+        assert d.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.array([[1, 1], [0, 1]]), "scaled"])
+    def test_one_non_unitary_member_rejected(self, bad):
+        us = haar_unitary(np.random.default_rng(4), 2, (20,))
+        us[13] = us[13] * (1.0 + 1e-9) if isinstance(bad, str) else bad
+        with pytest.raises(NumericalValidationError):
+            EprConfig(0.6, 0.8, us)
+
+    def test_wrong_trailing_shape_rejected(self):
+        with pytest.raises(NumericalValidationError):
+            EprConfig(0.6, 0.8, haar_unitary(np.random.default_rng(4), 3, (5,)))
 
 
 def test_amplitude_normalization_enforced():

@@ -8,6 +8,7 @@ from cqi_sim import hilbert
 from cqi_sim.hilbert import (
     DensityOp,
     Ket,
+    check_density,
     conditional_entropy,
     density,
     mutual_information,
@@ -264,3 +265,55 @@ def test_trace_distance_basics():
     r2 = DensityOp(np.diag([0.0, 1.0]).astype(complex), (2,))
     assert trace_distance(r1, r1) == pytest.approx(0.0, abs=1e-15)
     assert trace_distance(r1, r2) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestCheckDensity:
+    @staticmethod
+    def reduced_stack(n=6):
+        kets = [random_ket(RNG, (2, 3)).reshape(2, 3) for _ in range(n)]
+        return np.array([a @ a.conj().T for a in kets])
+
+    def test_valid_stack_passes(self):
+        check_density(self.reduced_stack())
+        check_density(np.zeros((0, 2, 2), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "push, message",
+        [
+            ("offdiag", "not Hermitian"),
+            ("scale", "trace .* deviates from 1"),
+            ("negative", "eigenvalue below -psd_tol"),
+        ],
+    )
+    def test_one_bad_member_trips(self, push, message):
+        m = self.reduced_stack()
+        if push == "offdiag":
+            m[3, 0, 1] += 1e-8
+        elif push == "scale":
+            m[3] *= 1.0 + 1e-8
+        else:
+            m[3] = np.diag([1.0 + 1e-8, -1e-8])
+        with pytest.raises(ValueError, match=message):
+            check_density(m)
+        check_density(np.delete(m, 3, axis=0))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], "matrix is not Hermitian within tolerance"),
+            ([[0.7, 0.0], [0.0, 0.8]], "trace (1.5+0j) deviates from 1 beyond tolerance"),
+            ([[1.2, 0.0], [0.0, -0.2]], "matrix has an eigenvalue below -psd_tol"),
+        ],
+    )
+    def test_single_matrix_messages(self, matrix, message):
+        with pytest.raises(ValueError) as err:
+            DensityOp(np.array(matrix, dtype=complex), (2,))
+        assert str(err.value) == message
+
+
+def test_batched_entropy_and_distance_match_single():
+    m = TestCheckDensity.reduced_stack(5)
+    rhos = [DensityOp(r, (2,)) for r in m]
+    assert von_neumann_entropy(m).tolist() == [von_neumann_entropy(r) for r in rhos]
+    assert trace_distance(m, m[0]).tolist() == [trace_distance(r, rhos[0]) for r in rhos]
+    assert isinstance(von_neumann_entropy(rhos[1]), float)

@@ -404,6 +404,30 @@ class TestCovariantPartialTrace:
         with pytest.raises(ValueError, match=f"^{axis} sampling must be uniform"):
             JointState(samples["x"], samples["t"], joint.values, joint.obs_dims)
 
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_identically_zero_components_skipped(self, monkeypatch, touched):
+        # the band state's components 1 and 2 are identically zero: only the
+        # others are evolved, and their rows and columns of rho stay exactly 0;
+        # one nonzero sample is enough for a component to be evolved
+        joint = _joint_state_on_band(BENCH)
+        if touched:
+            vals = joint.values.copy()
+            vals[BENCH.nx // 2, 0, 2] = 1e-30
+            joint = JointState(joint.x, joint.t, vals, joint.obs_dims)
+        shapes = []
+        evolve = ps.spectral_evolve
+        monkeypatch.setattr(
+            ps, "spectral_evolve", lambda v, *a: shapes.append(v.shape) or evolve(v, *a)
+        )
+        red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(*BENCH.band))
+        live = [0, 2, 3] if touched else [0, 3]
+        assert shapes == [(len(live), BENCH.band_slices, BENCH.nx)]
+        dead = [a for a in range(4) if a not in live]
+        assert np.all(red.rho.matrix[dead, :] == 0) and np.all(red.rho.matrix[:, dead] == 0)
+        rho_raw, rank = covariant_partial_trace_schmidt(joint, BENCH.kernel)
+        assert red.schmidt_rank == rank
+        assert abs(red.trace_raw - np.trace(rho_raw).real) <= 1e-13
+
     @pytest.mark.parametrize("case", ["r0", "r1", "two-point", "slice"])
     def test_matches_schmidt_oracle(self, case):
         exp = {"r1": benchmark_experiment(1), "two-point": two_point_experiment()}.get(case, BENCH)

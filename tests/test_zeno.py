@@ -6,7 +6,7 @@ from cqi_sim import zeno
 from cqi_sim.errors import NumericalValidationError
 from cqi_sim.zeno import ZenoConfig
 
-from oracles import iterated_zeno_markov, qubit_evolution_expm
+from oracles import iterated_zeno_markov, qubit_evolution_expm, zeno_cancellation_loop
 
 
 class TestFreeQubit:
@@ -16,6 +16,13 @@ class TestFreeQubit:
     def test_quarter_period(self):
         q = zeno.free_qubit(np.pi / 2, 1.0)
         assert_allclose(q.amplitudes, [0, 1j], atol=1e-15)
+
+    def test_array_of_times_is_the_stack(self):
+        times = np.array([[0.0, 0.3], [1.7, 12.9]])
+        stack = zeno.free_evolution_matrix(times, 0.7)
+        assert stack.shape == (2, 2, 2, 2)
+        for idx in np.ndindex(times.shape):
+            assert np.array_equal(stack[idx], zeno.free_evolution_matrix(times[idx], 0.7))
 
     @pytest.mark.parametrize("t", [0.3, 1.7, 12.9])
     def test_matches_matrix_exponential(self, t):
@@ -90,6 +97,13 @@ class TestCancellation:
     def test_back_to_back_cnots(self):
         d = zeno.zeno_cancellation(ZenoConfig(1.0, 0.05))
         assert d <= 1e-12
+
+    @pytest.mark.parametrize("delay", [0.0, 0.05, 0.4])
+    @pytest.mark.parametrize("omega, eps", [(1.0, 0.05), (2.3, 0.013)])
+    def test_matches_per_sample_oracle(self, omega, eps, delay):
+        cfg = ZenoConfig(omega, eps)
+        got = zeno.zeno_cancellation(cfg, inverse_delay=delay)
+        assert abs(got - zeno_cancellation_loop(cfg, delay)) <= 1e-15
 
     def test_delayed_inverse_reported(self):
         d = zeno.zeno_cancellation(ZenoConfig(1.0, 0.05), inverse_delay=0.05)
