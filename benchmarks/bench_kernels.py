@@ -10,13 +10,14 @@ best of three timings of both paths and their max relative deviation.
 ``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
 
 On ``two_point_experiment()``, two more comparisons: the Born
-double-region cross-check over its full Richardson ladder (time
-densities 1, 2, 4, 8) as the pairwise slice sums of ``tests/oracles.py``
-against the nested ladder of ``postulates`` (each slice evolved once,
-transformed on its live support only), and the prepared state on the
-region slices of that ladder (both rectangles at time density 8) by
-kernel quadrature of psi0 (one batched ``propagate`` call per
-rectangle) against the closed form of ``evolved_wavefunction``.
+double-region cross-check as the trapezoid sums of ``tests/oracles.py``
+over the Richardson ladder that the Filon weights replaced (time
+densities 1, 2, 4, 8, then the h^{3/2} extrapolation) against
+``postulates._born_double_region`` (Filon time weights, density 1), each
+value with its relative deviation from the trapezoid sum at density 16;
+and the prepared state on the region slices at time density 8 by kernel
+quadrature of psi0 (one batched ``propagate`` call per rectangle)
+against the closed form of ``evolved_wavefunction``.
 
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
@@ -42,7 +43,7 @@ sys.path.insert(0, "tests")
 from cqi_sim import _kernels, chain, epr, postulates  # noqa: E402
 from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
 from oracles import (  # noqa: E402
-    born_double_region_pairwise,
+    born_double_region_trapezoid,
     covariant_partial_trace_schmidt,
     general_interaction_probe_loop,
     no_communication_loop,
@@ -79,21 +80,25 @@ def compare(label, args):
 
 
 def compare_two_point(densities=(1, 2, 4, 8)):
-    print(f"double-region cross-check, two-point at time densities {densities}")
+    print(f"double-region cross-check, two-point: trapezoid ladder {densities} vs Filon")
     exp = postulates.two_point_experiment()
-    refs, t_pair = timed(
-        lambda: [born_double_region_pairwise(exp, d) for d in densities], repeat=1
-    )
+    ref = born_double_region_trapezoid(exp, 16)
 
     def ladder():
-        fresh = postulates.two_point_experiment()  # no run reads the last run's cache
-        return [postulates._born_double_region_raw(fresh, d) for d in densities]
+        vals = [born_double_region_trapezoid(exp, densities[0])]
+        for density in densities[1:]:
+            vals.append(born_double_region_trapezoid(exp, density))
+            if abs(vals[-1] - vals[-2]) <= 0.3 * exp.xcheck_tol * abs(vals[-1]):
+                break
+        prev, cur = vals[-2:]
+        return cur + (cur - prev) / (2.0**1.5 - 1.0)
 
-    got, t_ladder = timed(ladder)
-    err = max(abs(g - r) / abs(r) for g, r in zip(got, refs))
-    print(f"  pairwise  : {t_pair * 1e3:9.2f} ms")
-    print(f"  ladder    : {t_ladder * 1e3:9.2f} ms   speedup {t_pair / t_ladder:.1f}x"
-          f"   max rel deviation {err:.1e}")
+    p_ladder, t_ladder = timed(ladder)
+    p_filon, t_filon = timed(postulates._born_double_region, exp)
+    print(f"  ladder    : {t_ladder * 1e3:9.2f} ms   rel deviation from density 16"
+          f" {(p_ladder - ref) / ref:+.1e}")
+    print(f"  filon     : {t_filon * 1e3:9.2f} ms   speedup {t_ladder / t_filon:.1f}x"
+          f"   rel deviation from density 16 {(p_filon - ref) / ref:+.1e}")
 
 
 def compare_prepared_state(density=8):
@@ -103,7 +108,8 @@ def compare_prepared_state(density=8):
     src = (exp.x(), np.full(exp.nx, exp.t0), amp, k.mass, k.hbar, k.regularization_eta)
     slices = [postulates._rect_subgrid(exp, rect, density)[:2] for rect in exp.region]
     n_slices = sum(tq.size for _, tq in slices)
-    print(f"prepared state, two-point ladder: {n_slices} slices of {slices[0][0].size} points")
+    print(f"prepared state, two-point at time density {density}: {n_slices} slices of"
+          f" {slices[0][0].size} points")
     ref, t_quad = timed(lambda: [_kernels.propagate(xq, tq, *src) for xq, tq in slices])
     got, t_closed = timed(
         lambda: [postulates.evolved_wavefunction(exp, xq, tq) for xq, tq in slices]

@@ -437,47 +437,53 @@ class BornDetail:
     rel_diff: float
 
 
+def _fine_grid(exp: DetectorExperiment) -> np.ndarray:
+    """x grid of the double-region sum, step about min(dx/2, extent/16)."""
+    dxf = min(exp.dx / 2.0, min(r.x_hi - r.x_lo for r in exp.region) / 16.0)
+    return np.linspace(exp.x_min, exp.x_max, int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1)
+
+
+def _filon_weights(theta: np.ndarray) -> np.ndarray:
+    """Filon-trapezoid weights (first, interior, last slice) per unit step for
+    exp(i theta s), theta >= 0: the first is int_0^1 (1 - s) exp(i theta s) ds
+    = sinc^2(theta/2)/2 + i (theta - sin theta)/theta^2 (a Taylor series below
+    theta = 0.1, free of cancellation), the last its conjugate."""
+    interior = np.sinc(theta / (2.0 * np.pi)) ** 2
+    t2, big = theta**2, np.where(theta < 0.1, 1.0, theta)
+    series = theta / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
+    first = 0.5 * interior + 1j * np.where(theta < 0.1, series, (big - np.sin(big)) / big**2)
+    return np.array([first, interior, first.conj()])
+
+
 def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
     """Double integral of conj(Psi) W Psi over R x R, evaluated spectrally.
 
     Each region slice is restricted to its rectangle (with fractional
     cell coverage at the edges) on a fine FFT grid; the kernel between
     two slices is applied exactly in momentum space, so the coincident-
-    time delta channel needs no regularization.  The kernel phase
-    exp(-i hbar k^2 (t_i - t_j) / 2m) between slices i and j splits per
-    slice: this is the paper's slice independence of the physical inner
-    product, which equals the L2 product on any common slice.  With
-    G_i = exp(i hbar k^2 (t_i - t_ref) / 2m) FFT(slice_i), evolving every
-    slice to the earliest region time t_ref, the pair sum
-    sum_ij w_i w_j <F_i, P(t_i - t_j) F_j> equals ||sum_i w_i G_i||^2.
+    time delta channel needs no regularization.  The kernel phase splits
+    per slice (the paper's slice independence), so the integral is ||S||^2,
+    S(k) = int dt exp(i hbar k^2 (t - t_ref) / 2m) FFT(slice_t)(k) with t_ref
+    the earliest region time.  Per-|k| Filon weights make the t integral
+    exact in that phase for the linear interpolant of the slices (a lone
+    slice keeps its ``_rect_subgrid`` weight).  Per rectangle A = E @
+    (cover psi) on the live fine points idx, E the weighted phases per |k|
+    bin (bins j, nf - j share k^2) by recurrence in t; bin j sums A[j]
+    exp(-2 pi i j idx / nf).
     """
-    total, dxf = _double_region_vector(exp, t_density)
-    pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
-    return float(pref * np.vdot(total, total).real * dxf / total.size)
-
-
-@lru_cache(maxsize=64)
-def _double_region_vector(exp: DetectorExperiment, t_density: int):
-    """(sum_i w_i G_i, fine grid step) at t_density.  An even density adds
-    its odd slices to half the density-(t_density // 2) vector, whose
-    weights its even slices halve.  Per rectangle A = E @ (w cover psi) on
-    the live fine points idx, with E built per |k| bin (bins j and nf - j
-    share k^2) by recurrence in t; bin j sums A[j] exp(-2 pi i j idx / nf).
-    """
-    min_extent = min(r.x_hi - r.x_lo for r in exp.region)
-    dxf = min(exp.dx / 2.0, min_extent / 16.0)
-    nf = int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1
-    xf = np.linspace(exp.x_min, exp.x_max, nf)
-    dxf = float(xf[1] - xf[0])
+    xf = _fine_grid(exp)
+    nf, dxf = xf.size, float(xf[1] - xf[0])
     kb = np.arange(nf // 2 + 1)  # |k| bins
     c = (0.5j * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
     t_ref = min(r.t_lo for r in exp.region)
-    even = t_density % 2 == 0
-    total = 0.5 * _double_region_vector(exp, t_density // 2)[0] if even else np.zeros(nf, complex)
+    total = np.zeros(nf, dtype=complex)
     chunk = max(1, _kernels._CHUNK // (16 * nf))  # slices per (bins, chunk) temporary
     for rect in exp.region:
         _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
-        tq, wt = tq[even :: 1 + even], wt[even :: 1 + even]
+        h = tq[1] - tq[0] if tq.size > 1 else 0.0
+        wk = h * _filon_weights(c.imag * h).T if h else np.full((kb.size, 3), wt[0])
+        role = np.ones(tq.size, dtype=int)
+        role[0], role[-1] = 0, 2
         lo, hi = np.maximum(xf - dxf / 2, rect.x_lo), np.minimum(xf + dxf / 2, rect.x_hi)
         cover = np.clip((hi - lo) / dxf, 0.0, 1.0)
         idx = np.flatnonzero(cover > 0)
@@ -488,31 +494,19 @@ def _double_region_vector(exp: DetectorExperiment, t_density: int):
             e = np.empty((kb.size, ts.size), dtype=complex)
             e[:, :1] = np.exp(c[:, None] * (ts[0] - t_ref))
             e[:, 1:] = step
-            a += np.cumprod(e, axis=1, out=e) @ (
-                (wt[s : s + chunk, None] * cover[idx]) * evolved_wavefunction(exp, xf[idx], ts)
-            )
+            np.cumprod(e, axis=1, out=e)
+            e *= wk[:, role[s : s + chunk]]
+            a += e @ (cover[idx] * evolved_wavefunction(exp, xf[idx], ts))
         dft = np.exp(-2j * np.pi * (np.outer(kb, idx) % nf) / nf)
         total[: kb.size] += np.einsum("jl,jl->j", a, dft)
         total[kb.size :] += np.einsum("jl,jl->j", a, dft.conj())[(nf - 1) // 2 : 0 : -1]
-    return total, dxf
+    pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
+    return float(pref * np.vdot(total, total).real * dxf / nf)
 
 
 def _born_double_region(exp: DetectorExperiment) -> float:
-    """Double-region integral with the time-diagonal cusp extrapolated away.
-
-    The integrand has a |t - t'|^(1/2) cusp on the coincident-time
-    diagonal (integrable, but only O(h^{3/2}) for the trapezoid rule).
-    The time density is doubled until the step change is small (at most
-    to density 8), then the last pair computed is Richardson-extrapolated
-    with exponent 3/2.
-    """
-    vals = [_born_double_region_raw(exp, t_density=1)]
-    for density in (2, 4, 8):
-        vals.append(_born_double_region_raw(exp, density))
-        if abs(vals[-1] - vals[-2]) <= 0.3 * exp.xcheck_tol * abs(vals[-1]):
-            break
-    prev, cur = vals[-2:]
-    return cur + (cur - prev) / (2.0**1.5 - 1.0)
+    """Double-region integral at time density 1, enough with Filon weights."""
+    return _born_double_region_raw(exp, 1)
 
 
 def _born_slice_norm(exp: DetectorExperiment) -> float:
@@ -524,12 +518,20 @@ def _born_slice_norm(exp: DetectorExperiment) -> float:
 
 
 def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
+    """Both Born routes; a difference over ``xcheck_tol`` fails, naming dxf."""
     exp.validate_perturbative()
     if exp.coupling_alpha == 0.0:
         return BornDetail(0.0, 0.0, 0.0)
     p_a = _born_slice_norm(exp)
     p_b = _born_double_region(exp)
     rel = abs(p_a - p_b) / max(abs(p_a), 1e-300)
+    if rel > exp.xcheck_tol:
+        xf = _fine_grid(exp)
+        raise NumericalValidationError(
+            f"Born cross-check failed at refine level {exp.refine_level}: routes differ by "
+            f"{rel:.3g} (tolerance {exp.xcheck_tol}); double-region fine step dxf = "
+            f"{xf[1] - xf[0]:.4g} = min(dx/2 = {exp.dx / 2:.4g}, narrowest rectangle / 16)"
+        )
     return BornDetail(p_a, p_b, rel)
 
 
@@ -543,13 +545,7 @@ def born_probability(exp: DetectorExperiment, xcheck: bool = True) -> float:
     if not xcheck:
         exp.validate_perturbative()
         return _born_slice_norm(exp)
-    detail = born_probability_detail(exp)
-    if detail.rel_diff > exp.xcheck_tol:
-        raise NumericalValidationError(
-            f"Born cross-check failed: routes differ by {detail.rel_diff:.3g} "
-            f"(tolerance {exp.xcheck_tol})"
-        )
-    return detail.p_slice
+    return born_probability_detail(exp).p_slice
 
 
 def _rect_overlap(exp: DetectorExperiment, rect: Rect) -> complex:
@@ -730,6 +726,7 @@ class TwoPointReport:
     cross_born: float  # Born-route interference term (should be ~0)
     ratio_rr_born: float  # normalized ratio, -> 2 for equal real amplitudes
     cqi_born_ratio: float
+    born: BornDetail  # both Born routes: the cross-check margin
 
 
 def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
@@ -759,24 +756,25 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     psi_a, psi_b = centers
     cross_pred = 2.0 * (np.conj(psi_a) * psi_b).real / (abs(psi_a) ** 2 + abs(psi_b) ** 2)
 
-    p_born = born_probability(exp)
+    born = born_probability_detail(exp)
     borns = [
         born_probability(replace(exp, region=(rect,)), xcheck=False)
         for rect in (r_a, r_b)
     ]
-    cross_born = p_born / sum(borns) - 1.0
+    cross_born = born.p_slice / sum(borns) - 1.0
 
     p_cqi = cqi_probability(exp)
     ratio = (1.0 + cross_rr) / (1.0 + cross_born)
     return TwoPointReport(
         p_rr=float(p_rr),
-        p_born=p_born,
+        p_born=born.p_slice,
         p_cqi=p_cqi,
         cross_rr_measured=float(cross_rr),
         cross_rr_predicted=float(cross_pred),
         cross_born=float(cross_born),
         ratio_rr_born=float(ratio),
-        cqi_born_ratio=float(p_cqi / p_born),
+        cqi_born_ratio=float(p_cqi / born.p_slice),
+        born=born,
     )
 
 

@@ -51,25 +51,18 @@ def evolved_by_quadrature(exp, x, times):
     )
 
 
-def born_double_region_pairwise(exp, t_density):
-    """Double-region kernel integral of a detector experiment as the
-    explicit sum over every pair of region slices.
-
-    Each pair (i, j) contributes w_i w_j <F_i, P(t_i - t_j) F_j> with F
-    the FFT of slice i and P the free propagator in momentum space; the
-    O(n^2) reference for the factorized sum in ``postulates``.
-    """
+def _region_slice_ffts(exp, t_density):
+    """Fine grid step and, per rectangle, the times, trapezoid weights and
+    FFTs of its region slices (the slice restricted to the rectangle with
+    fractional cell coverage) at a time density."""
     from cqi_sim.postulates import _rect_subgrid, evolved_wavefunction
 
-    m, hb = exp.kernel.mass, exp.kernel.hbar
     min_extent = min(r.x_hi - r.x_lo for r in exp.region)
     dxf = min(exp.dx / 2.0, min_extent / 16.0)
     nf = int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1
     xf = np.linspace(exp.x_min, exp.x_max, nf)
     dxf = float(xf[1] - xf[0])
-    kvec = 2.0 * np.pi * np.fft.fftfreq(nf, d=dxf)
-
-    times, weights, ffts = [], [], []
+    rects = []
     for rect in exp.region:
         _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
         cover = np.clip(
@@ -79,29 +72,133 @@ def born_double_region_pairwise(exp, t_density):
             1.0,
         )
         live = cover > 0
-        for j, t in enumerate(tq):
+        ffts = []
+        for t in tq:
             vals = np.zeros(nf, dtype=complex)
             vals[live] = cover[live] * evolved_wavefunction(exp, xf[live], float(t))
-            times.append(float(t))
-            weights.append(wt[j])
             ffts.append(np.fft.fft(vals))
+        rects.append((tq, wt, ffts))
+    return dxf, rects
 
+
+def _pairwise_sum(exp, dxf, times, weights, ffts):
+    """sum_ij <w_i F_i, P(t_i - t_j) w_j F_j> * dxf / nf times the
+    coupling prefactor, with P the free propagator in momentum space and
+    each w_i a scalar or a per-k vector."""
+    m, hb = exp.kernel.mass, exp.kernel.hbar
+    nf = ffts[0].size
+    kvec = 2.0 * np.pi * np.fft.fftfreq(nf, d=dxf)
+    wf = [w * f for w, f in zip(weights, ffts)]
     n = len(times)
     phase_cache: dict[float, np.ndarray] = {}
     acc = 0.0
     for i in range(n):
         # diagonal term, then twice the real part of the upper triangle
-        acc += weights[i] ** 2 * np.vdot(ffts[i], ffts[i]).real
+        acc += np.vdot(wf[i], wf[i]).real
         for j in range(i + 1, n):
             dt = round(times[i] - times[j], 12)
             phase = phase_cache.get(dt)
             if phase is None:
                 phase = np.exp(-1j * hb * kvec**2 * dt / (2.0 * m))
                 phase_cache[dt] = phase
-            acc += 2.0 * weights[i] * weights[j] * np.vdot(ffts[i], phase * ffts[j]).real
+            acc += 2.0 * np.vdot(wf[i], phase * wf[j]).real
     acc *= dxf / nf
     pref = (exp.coupling_alpha * exp.potential_v / hb) ** 2
     return float(pref * acc)
+
+
+def born_double_region_pairwise(exp, t_density):
+    """Double-region kernel integral of a detector experiment as the
+    explicit sum over every pair of region slices.
+
+    Each pair (i, j) contributes w_i w_j <F_i, P(t_i - t_j) F_j> with F
+    the FFT of slice i, w the trapezoid time weights and P the free
+    propagator in momentum space; the O(n^2) reference for the
+    factorized sum ``born_double_region_trapezoid``.
+    """
+    dxf, rects = _region_slice_ffts(exp, t_density)
+    times = [float(t) for tq, _, _ in rects for t in tq]
+    weights = [w for _, wt, _ in rects for w in wt]
+    return _pairwise_sum(exp, dxf, times, weights, [f for _, _, ffts in rects for f in ffts])
+
+
+def filon_first_weight(theta):
+    """int_0^1 (1 - s) exp(i theta s) ds = (e^z - 1 - z) / z^2 with z = i theta,
+    by complex expm1 (its Taylor polynomial below |z| = 1e-3)."""
+    z = 1j * np.asarray(theta, dtype=float)
+    small = np.abs(z) < 1e-3
+    zs = np.where(small, 1.0, z)
+    return np.where(small, 0.5 + z / 6 + z**2 / 24 + z**3 / 120, (np.expm1(zs) - zs) / zs**2)
+
+
+def born_double_region_filon_pairwise(exp, t_density):
+    """``born_double_region_pairwise`` with per-k Filon-trapezoid time
+    weights in place of the trapezoid weights.
+
+    With theta = hbar k^2 h / 2m for slice step h, the first slice of a
+    rectangle weighs h f(theta), f = ``filon_first_weight``, the last
+    h conj(f(theta)) and every other h (f + conj f) (its hat function
+    is the two halves); a one-slice rectangle keeps its trapezoid weight.
+    """
+    m, hb = exp.kernel.mass, exp.kernel.hbar
+    dxf, rects = _region_slice_ffts(exp, t_density)
+    kvec = 2.0 * np.pi * np.fft.fftfreq(rects[0][2][0].size, d=dxf)
+    times, weights, ffts = [], [], []
+    for tq, wt, slice_ffts in rects:
+        if tq.size == 1:
+            weights.append(wt[0])
+        else:
+            h = float(tq[1] - tq[0])
+            f = h * filon_first_weight(hb * kvec**2 * h / (2.0 * m))
+            weights += [f] + [f + f.conj()] * (tq.size - 2) + [f.conj()]
+        times += [float(t) for t in tq]
+        ffts += slice_ffts
+    return _pairwise_sum(exp, dxf, times, weights, ffts)
+
+
+def born_double_region_trapezoid(exp, t_density):
+    """Double-region kernel integral with trapezoid time weights, as the
+    squared norm of one spectral vector S = sum_i w_i G_i, G_i the FFT of
+    slice i evolved to the earliest region time.
+
+    Per rectangle A = E @ (w cover psi) on the live fine points idx, with
+    E built per |k| bin (bins j and nf - j share k^2) by recurrence in t;
+    bin j sums A[j] exp(-2 pi i j idx / nf).  Its time error at high k
+    needs dense slices: the reference for the Filon weights of
+    ``postulates._born_double_region_raw`` at high density.
+    """
+    from cqi_sim.postulates import _rect_subgrid, evolved_wavefunction
+
+    min_extent = min(r.x_hi - r.x_lo for r in exp.region)
+    dxf = min(exp.dx / 2.0, min_extent / 16.0)
+    nf = int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1
+    xf = np.linspace(exp.x_min, exp.x_max, nf)
+    dxf = float(xf[1] - xf[0])
+    kb = np.arange(nf // 2 + 1)  # |k| bins
+    c = (0.5j * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
+    t_ref = min(r.t_lo for r in exp.region)
+    total = np.zeros(nf, dtype=complex)
+    chunk = max(1, 4_000_000 // (16 * nf))  # slices per (bins, chunk) temporary
+    for rect in exp.region:
+        _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
+        lo, hi = np.maximum(xf - dxf / 2, rect.x_lo), np.minimum(xf + dxf / 2, rect.x_hi)
+        cover = np.clip((hi - lo) / dxf, 0.0, 1.0)
+        idx = np.flatnonzero(cover > 0)
+        step = np.exp(c[:, None] * (tq[1:2] - tq[0]))
+        a = np.zeros((kb.size, idx.size), dtype=complex)
+        for s in range(0, tq.size, chunk):
+            ts = tq[s : s + chunk]
+            e = np.empty((kb.size, ts.size), dtype=complex)
+            e[:, :1] = np.exp(c[:, None] * (ts[0] - t_ref))
+            e[:, 1:] = step
+            a += np.cumprod(e, axis=1, out=e) @ (
+                (wt[s : s + chunk, None] * cover[idx]) * evolved_wavefunction(exp, xf[idx], ts)
+            )
+        dft = np.exp(-2j * np.pi * (np.outer(kb, idx) % nf) / nf)
+        total[: kb.size] += np.einsum("jl,jl->j", a, dft)
+        total[kb.size :] += np.einsum("jl,jl->j", a, dft.conj())[(nf - 1) // 2 : 0 : -1]
+    pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
+    return float(pref * np.vdot(total, total).real * dxf / nf)
 
 
 def covariant_partial_trace_schmidt(joint, k):

@@ -139,7 +139,12 @@ class TestRunners:
         report = json.loads((tmp_path / "det_out.json").read_text())
         assert abs(report["results"]["cqi_born_ratio"] - 1) <= 1e-3
 
-    def test_two_point_run(self, tmp_path):
+    def test_two_point_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.postulates._born_double_region
+        monkeypatch.setattr(
+            cli.postulates, "_born_double_region", lambda exp: calls.append(exp) or real(exp)
+        )
         cfg = {
             "kind": "two-point",
             "params": {"separation": 2.0},
@@ -150,6 +155,10 @@ class TestRunners:
         report = json.loads((tmp_path / "tp_out.json").read_text())
         assert 1.99 <= report["results"]["ratio_rr_born"] <= 2.01
         assert abs(report["results"]["cqi_born_ratio"] - 1) <= 1e-3
+        (level,) = report["diagnostics"]["levels"]
+        assert 0 < level["born_xcheck_rel"] <= 1e-3
+        assert level["born_double_region"] > 0
+        assert len(calls) == 1  # the margin reuses the cross-check's double region
 
 
 class TestDeterminism:
@@ -227,6 +236,14 @@ class TestMainEntry:
         path = write_config(tmp_path, "det.json", cfg)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "perturbation" in capsys.readouterr().err
+
+    def test_coarse_grid_cross_check_failure_exit_code(self, tmp_path, capsys):
+        cfg = {"kind": "detector-compare", "grid": {"nx": 128}, "output": {"path": "coarse"}}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Born cross-check failed at refine level 0" in err
+        assert "dxf = 0.0625" in err
 
 
 class TestStrictParams:

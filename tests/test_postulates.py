@@ -28,7 +28,9 @@ from cqi_sim.postulates import (
 from cqi_sim.utils import trapezoid_weights
 
 from oracles import (
+    born_double_region_filon_pairwise,
     born_double_region_pairwise,
+    born_double_region_trapezoid,
     covariant_partial_trace_schmidt,
     evolved_by_quadrature,
     evolved_gaussian,
@@ -203,19 +205,10 @@ class TestBornProbability:
         p1 = born_probability(benchmark_experiment(refine=1))
         assert abs(p1 / p0 - 1) < 1e-3
 
-    def test_richardson_extrapolates_when_step_test_unmet(self, monkeypatch):
-        # c + a h^{3/2} with h = 1 / density: every step change exceeds
-        # 0.3 * xcheck_tol, and the 4 -> 8 pair extrapolates to c exactly
-        c, a = 1.0, 0.1
-        densities = []
-
-        def raw(exp, t_density):
-            densities.append(t_density)
-            return c + a * t_density**-1.5
-
-        monkeypatch.setattr(ps, "_born_double_region_raw", raw)
-        assert ps._born_double_region(BENCH) == pytest.approx(c, rel=1e-12)
-        assert densities == [1, 2, 4, 8]
+    def test_coarse_grid_failure_names_fine_step(self):
+        # at nx = 128 the double-region fine step sits at 1/16 of the slab
+        with pytest.raises(NumericalValidationError, match=r"dxf = 0\.0625\b"):
+            born_probability(benchmark_experiment(nx=128))
 
     def test_no_double_region_without_xcheck(self, monkeypatch):
         p_slice = born_probability_detail(BENCH).p_slice
@@ -227,26 +220,64 @@ class TestBornProbability:
         assert born_probability(BENCH, xcheck=False) == p_slice
 
 
+SUM_CASES = [
+    (BENCH, 1),
+    (BENCH, 2),
+    (benchmark_experiment(1), 1),
+    (two_point_experiment(), 1),
+    (two_point_experiment(), 2),
+    (shifted(BENCH, 50.0), 1),
+]
+SUM_IDS = ["bench-1", "bench-2", "bench-refine1-1", "two-point-1", "two-point-2", "shifted-1"]
+LADDER_CASES = [(two_point_experiment(), 4), (BENCH, 4), (BENCH, 8)]
+LADDER_IDS = ["two-point-4", "bench-4", "bench-8"]
+
+
+def gauss_legendre(f, lo, hi, panels=400, nodes=20):
+    """Composite Gauss-Legendre quadrature of f over [lo, hi]."""
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * s
+    return np.sum(half * w * f(pts))
+
+
 class TestDoubleRegion:
-    @pytest.mark.parametrize(
-        "exp, density",
-        [
-            (BENCH, 1),
-            (BENCH, 2),
-            (benchmark_experiment(1), 1),
-            (two_point_experiment(), 1),
-            (two_point_experiment(), 2),
-            (shifted(BENCH, 50.0), 1),
-        ],
-        ids=["bench-1", "bench-2", "bench-refine1-1", "two-point-1", "two-point-2", "shifted-1"],
-    )
+    @pytest.mark.parametrize("exp, density", SUM_CASES, ids=SUM_IDS)
     def test_factorized_sum_matches_pairwise(self, exp, density):
-        got = ps._born_double_region_raw(exp, density)
+        got = born_double_region_trapezoid(exp, density)
         assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "exp, density", SUM_CASES + LADDER_CASES, ids=SUM_IDS + LADDER_IDS
+    )
+    def test_filon_sum_matches_pairwise(self, exp, density):
+        got = ps._born_double_region_raw(exp, density)
+        assert got == pytest.approx(born_double_region_filon_pairwise(exp, density), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "exp",
+        [BENCH, benchmark_experiment(1), two_point_experiment(), two_point_experiment(refine=1)],
+        ids=["bench", "bench-refine1", "two-point", "two-point-refine1"],
+    )
+    def test_filon_density_1_matches_dense_trapezoid(self, exp):
+        ref = born_double_region_trapezoid(exp, 16)
+        assert ps._born_double_region(exp) == pytest.approx(ref, rel=1e-5)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 1e3])
+    def test_filon_weights_match_gauss_legendre(self, theta):
+        def phase(s):
+            return np.exp(1j * theta * s)
+
+        first = gauss_legendre(lambda s: (1 - s) * phase(s), 0.0, 1.0)
+        last = gauss_legendre(lambda s: (1 + s) * phase(s), -1.0, 0.0)
+        got = ps._filon_weights(np.array([theta]))[:, 0]
+        assert_allclose(got, [first, first + last, last], rtol=0, atol=1e-12)
 
 
 class TestDoubleRegionLadder:
-    """Nested Richardson ladder: density 2k reuses density k's slices."""
+    """The trapezoid oracle at ladder densities, and the slices and edge
+    cases of the Filon sum."""
 
     @staticmethod
     def spy_slices(monkeypatch):
@@ -263,21 +294,15 @@ class TestDoubleRegionLadder:
 
     def test_each_slice_evolved_once(self, monkeypatch):
         seen = self.spy_slices(monkeypatch)
-        exp = two_point_experiment()  # fresh: nothing cached for it
+        exp = two_point_experiment()
         ps._born_double_region(exp)
-        # the step test is never met on two-point, so the ladder runs to density 8
-        n8 = sum(ps._rect_subgrid(exp, r, 8)[1].size for r in exp.region)
-        assert n8 == 2 * 257
-        assert len(seen) == n8
-        assert len(set(seen)) == n8
+        # one time density: the 33 slices of each square, each evolved once
+        assert len(seen) == 2 * 33
+        assert len(set(seen)) == 2 * 33
 
-    @pytest.mark.parametrize(
-        "exp, density",
-        [(two_point_experiment(), 4), (BENCH, 4), (BENCH, 8)],
-        ids=["two-point-4", "bench-4", "bench-8"],
-    )
+    @pytest.mark.parametrize("exp, density", LADDER_CASES, ids=LADDER_IDS)
     def test_nested_ladder_matches_pairwise(self, exp, density):
-        got = ps._born_double_region_raw(exp, density)
+        got = born_double_region_trapezoid(exp, density)
         assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
 
     def test_one_slice_rectangle(self, monkeypatch):
@@ -291,7 +316,7 @@ class TestDoubleRegionLadder:
         monkeypatch.setattr(ps, "_rect_subgrid", first_slice)
         exp = benchmark_experiment()
         got = ps._born_double_region_raw(exp, 1)
-        assert got == pytest.approx(born_double_region_pairwise(exp, 1), rel=1e-10)
+        assert got == pytest.approx(born_double_region_filon_pairwise(exp, 1), rel=1e-10)
 
     def test_single_live_point(self, monkeypatch):
         # a rectangle hanging over the grid edge covers only the last fine point
@@ -299,7 +324,7 @@ class TestDoubleRegionLadder:
         exp = benchmark_experiment(packet_center=15.0, region=(Rect(19.99, 20.5, 3.0, 3.2),))
         got = ps._born_double_region_raw(exp, 2)
         assert {x for x, _ in seen} == {(20.0,)}
-        assert got == pytest.approx(born_double_region_pairwise(exp, 2), rel=1e-10)
+        assert got == pytest.approx(born_double_region_filon_pairwise(exp, 2), rel=1e-10)
 
 
 class TestRrProbability:
