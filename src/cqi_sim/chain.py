@@ -16,7 +16,7 @@ import numpy as np
 from . import hilbert
 from .errors import NumericalValidationError
 from .hilbert import DensityOp, Ket, ProbDist
-from .utils import ginibre_unitary, is_unitary
+from .utils import complex_of, ginibre_unitary, is_unitary
 
 UNITARY_TOL = 1e-10
 
@@ -203,11 +203,8 @@ def spec_to_dict(spec: ChainSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> ChainSpec:
-    def _c(pair):
-        return complex(pair[0], pair[1]) if isinstance(pair, (list, tuple)) else complex(pair)
-
-    initial = np.array([_c(z) for z in data["initial"]])
+    initial = np.array([complex_of(z) for z in data["initial"]])
     overlaps = tuple(
-        np.array([[_c(z) for z in row] for row in u]) for u in data.get("overlaps", [])
+        np.array([[complex_of(z) for z in row] for row in u]) for u in data.get("overlaps", [])
     )
     return ChainSpec(initial, overlaps)

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, chain, epr, hilbert, postulates, zeno
 from .errors import ConfigError, InvariantViolation, NumericalValidationError
 from .postulates import Rect
-from .utils import haar_unitary
+from .utils import complex_of, haar_unitary
 
 KINDS = {
     "chain": "sequential measurement chain: observer states, entropies, effective collapse",
@@ -77,19 +77,9 @@ _SCHEMA = {
 }
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-
-# scalar parameters that _detector_overrides reads for both detector kinds
-_DETECTOR_FLOATS = (
-    "packet_center",
-    "packet_width",
-    "packet_momentum",
-    "t0",
-    "coupling_alpha",
-    "potential_v",
-    "readout_time",
-)
-_DETECTOR = {**dict.fromkeys(_DETECTOR_FLOATS, {"type": "number"}), "band": _PAIR}
-
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 0}
 _REGION = {
     "type": "array",
     "minItems": 1,
@@ -101,75 +91,96 @@ _REGION = {
     },
 }
 
-_PARAM_SCHEMAS = {
-    "chain": {
-        "type": "object",
-        "required": ["initial"],
-        "properties": {
-            "initial": {"type": "array", "items": _COMPLEX, "minItems": 2},
-            "overlaps": {"type": "array"},
-            "explore_general_interactions": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "zeno": {
-        "type": "object",
-        "required": ["omega", "epsilon"],
-        "properties": {
-            "omega": {"type": "number", "exclusiveMinimum": 0},
-            "epsilon": {"type": "number", "exclusiveMinimum": 0},
-            "halvings": {"type": "integer", "minimum": 0},
-            "n_ancillas": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "time-reversed-zeno": {
-        "type": "object",
-        "required": ["omega"],
-        "properties": {
-            "omega": {"type": "number", "exclusiveMinimum": 0},
-            "thetas": {"type": "array", "items": {"type": "number"}},
-            "n_thetas": {"type": "integer", "minimum": 1},
-            "theta_max": {"type": "number"},
-        },
-        "additionalProperties": False,
-    },
-    "epr": {
-        "type": "object",
-        "required": ["alpha", "beta"],
-        "properties": {
-            "alpha": _COMPLEX,
-            "beta": _COMPLEX,
-            "n_random_unitaries": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "realism-scenario": {
-        "type": "object",
-        "required": ["alpha", "beta"],
-        "properties": {"alpha": _COMPLEX, "beta": _COMPLEX},
-        "additionalProperties": False,
-    },
-    "detector-compare": {
-        "type": "object",
-        "properties": {**_DETECTOR, "region": _REGION, "id": {"type": "string"}},
-        "additionalProperties": False,
-    },
-    "two-point": {
-        "type": "object",
-        "properties": {
-            **_DETECTOR,
-            "separation": {"type": "number"},
-            "eps_pt": {"type": "number", "exclusiveMinimum": 0},
-            "t1": {"type": "number"},
-        },
-        "additionalProperties": False,
-    },
-}
+
+# --------------------------------------------------------------------------
+# params specs: one frozen dataclass per kind declares its keys, their
+# schemas and their defaults; a field without a default is required
+
+
+def _param(schema: dict, default=MISSING):
+    return field(default=default, metadata={"schema": schema})
+
+
+def _schema(spec) -> dict:
+    """Closed JSON schema of a spec's params; unknown keys are errors."""
+    out = {"type": "object"}
+    required = [f.name for f in fields(spec) if f.default is MISSING]
+    if required:
+        out["required"] = required
+    out["properties"] = {f.name: f.metadata["schema"] for f in fields(spec)}
+    out["additionalProperties"] = False
+    return out
+
+
+@dataclass(frozen=True, kw_only=True)
+class ChainParams:
+    initial: list = _param({"type": "array", "items": _COMPLEX, "minItems": 2})
+    overlaps: list = _param({"type": "array"}, ())
+    explore_general_interactions: bool = _param({"type": "boolean"}, False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ZenoParams:
+    omega: float = _param(_POSITIVE)
+    epsilon: float = _param(_POSITIVE)
+    halvings: int = _param(_COUNT, 4)
+    n_ancillas: int | None = _param(_COUNT, None)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TimeReversedZenoParams:
+    omega: float = _param(_POSITIVE)
+    thetas: list | None = _param({"type": "array", "items": _NUMBER}, None)
+    n_thetas: int = _param({"type": "integer", "minimum": 1}, 50)
+    theta_max: float = _param(_NUMBER, np.pi / 4)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PairParams:
+    """Amplitudes of the measured qubit, alpha|0> + beta|1>."""
+
+    alpha: complex = _param(_COMPLEX)
+    beta: complex = _param(_COMPLEX)
+
+
+@dataclass(frozen=True, kw_only=True)
+class EprParams(PairParams):
+    n_random_unitaries: int = _param(_COUNT, 500)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DetectorParams:
+    """Overrides of the slab experiment's defaults; None keeps the default."""
+
+    packet_center: float | None = _param(_NUMBER, None)
+    packet_width: float | None = _param(_NUMBER, None)
+    packet_momentum: float | None = _param(_NUMBER, None)
+    t0: float | None = _param(_NUMBER, None)
+    coupling_alpha: float | None = _param(_NUMBER, None)
+    potential_v: float | None = _param(_NUMBER, None)
+    readout_time: float | None = _param(_NUMBER, None)
+    band: list | None = _param(_PAIR, None)
+
+
+@dataclass(frozen=True, kw_only=True)
+class DetectorCompareParams(DetectorParams):
+    region: list | None = _param(_REGION, None)
+    id: str | None = _param({"type": "string"}, None)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TwoPointParams(DetectorParams):
+    separation: float | None = _param(_NUMBER, None)
+    eps_pt: float | None = _param(_POSITIVE, None)
+    t1: float | None = _param(_NUMBER, None)
+
+
+# the scalar keys shared by both detector kinds
+_DETECTOR_FLOATS = tuple(f.name for f in fields(DetectorParams) if f.name != "band")
 
 
 def _validate(instance, schema: dict, prefix: str = "") -> None:
-    """Validate against one of the schemas above; the ConfigError names the field.
+    """Validate against one of this module's schemas; the ConfigError names the field.
 
     ``jsonschema.validate`` would also check the constant schema against
     its metaschema on every call (about 4 ms); the tests check it once.
@@ -208,19 +219,12 @@ class ExperimentConfig:
         )
 
     def resolved(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "grid": self.grid,
-            "seed": self.seed,
-            "output": self.output,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def _complex_of(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+    @property
+    def spec(self):
+        """The params as the kind's typed spec, defaults filled in."""
+        return _RUNNERS[self.kind][0](**self.params)
 
 
 def _fmt(v) -> str:
@@ -234,8 +238,8 @@ def _fmt(v) -> str:
 
 
 def _run_chain(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    spec = chain.spec_from_dict({"initial": p["initial"], "overlaps": p.get("overlaps", [])})
+    p = cfg.spec
+    spec = chain.spec_from_dict({"initial": p.initial, "overlaps": p.overlaps})
     result = chain.run_chain(spec)
     rows = []
     for n, (dist, s) in enumerate(zip(result.distributions, result.entropies)):
@@ -254,30 +258,25 @@ def _run_chain(cfg: ExperimentConfig, refine: int):
         diagnostics["second_observer_unmeasured_probs"] = list(
             map(float, chain.unmeasured_comparison(spec).probs)
         )
-    if p.get("explore_general_interactions"):
+    if p.explore_general_interactions:
         diagnostics["general_interaction_probe"] = chain.general_interaction_probe(cfg.seed)
     results = {"entropies_bits": ents, "system_entropy_bits": s_q}
     return ["observer", "outcome", "probability", "entropy_bits"], rows, results, diagnostics
 
 
 def _detector_overrides(cfg: ExperimentConfig) -> dict:
-    p = dict(cfg.params)
+    """Experiment-builder keywords: every set field of the spec but ``id``, and the grid."""
+    spec = cfg.spec
     over = {}
-    for key in _DETECTOR_FLOATS:
-        if key in p:
-            over[key] = float(p[key])
-    if "band" in p:
-        over["band"] = tuple(float(v) for v in p["band"])
-    if "region" in p:
-        over["region"] = tuple(
-            Rect(float(r["x"][0]), float(r["x"][1]), float(r["t"][0]), float(r["t"][1]))
-            for r in p["region"]
-        )
-    for key in ("x_min", "x_max"):
-        if key in cfg.grid:
-            over[key] = float(cfg.grid[key])
-    if "nx" in cfg.grid:
-        over["nx"] = int(cfg.grid["nx"])
+    for key in (f.name for f in fields(spec) if getattr(spec, f.name) is not None):
+        v = getattr(spec, key)
+        if key == "band":
+            over[key] = tuple(float(b) for b in v)
+        elif key == "region":
+            over[key] = tuple(Rect(*(float(a) for a in r["x"] + r["t"])) for r in v)
+        elif key != "id":
+            over[key] = float(v)
+    over.update((key, int(v) if key == "nx" else float(v)) for key, v in cfg.grid.items())
     return over
 
 
@@ -287,7 +286,9 @@ def _born_margin(detail: postulates.BornDetail) -> dict:
 
 def _run_detector_compare(cfg: ExperimentConfig, refine: int):
     over = _detector_overrides(cfg)
-    exp_id = cfg.params.get("id", cfg.output.get("path", cfg.kind))
+    exp_id = cfg.spec.id
+    if exp_id is None:
+        exp_id = cfg.output.get("path", cfg.kind)
     rows = []
     diagnostics = {"levels": []}
     for level in range(refine + 1):
@@ -308,13 +309,6 @@ def _run_detector_compare(cfg: ExperimentConfig, refine: int):
                 "physical_norm_route": cqi.p_physical_norm,
             }
         )
-    last = rows[-1]
-    results = {
-        "p_born": last[3],
-        "p_rr": last[4],
-        "p_cqi": last[5],
-        "cqi_born_ratio": last[6],
-    }
     cols = [
         "experiment",
         "refine",
@@ -325,74 +319,52 @@ def _run_detector_compare(cfg: ExperimentConfig, refine: int):
         "cqi_born_ratio",
         "cqi_born_absdev",
     ]
+    last = dict(zip(cols, rows[-1]))
+    results = {key: last[key] for key in ("p_born", "p_rr", "p_cqi", "cqi_born_ratio")}
     return cols, rows, results, diagnostics
+
+
+# the TwoPointReport fields of the table, in column order
+_TWO_POINT_COLS = (
+    "p_rr",
+    "p_born",
+    "p_cqi",
+    "ratio_rr_born",
+    "cross_rr_measured",
+    "cross_rr_predicted",
+    "cross_born",
+    "cqi_born_ratio",
+)
 
 
 def _run_two_point(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    kwargs = {}
-    for key in ("separation", "eps_pt", "t1"):
-        if key in p:
-            kwargs[key] = float(p[key])
     over = _detector_overrides(cfg)
-    over.pop("region", None)
     rows = []
     diagnostics = {"levels": []}
     for level in range(refine + 1):
-        exp = postulates.two_point_experiment(refine=level, **kwargs, **over)
-        rep = postulates.two_point_report(exp)
-        rows.append(
-            [
-                level,
-                rep.p_rr,
-                rep.p_born,
-                rep.p_cqi,
-                rep.ratio_rr_born,
-                rep.cross_rr_measured,
-                rep.cross_rr_predicted,
-                rep.cross_born,
-                rep.cqi_born_ratio,
-            ]
-        )
+        rep = postulates.two_point_report(postulates.two_point_experiment(refine=level, **over))
+        rows.append([level, *(getattr(rep, col) for col in _TWO_POINT_COLS)])
         diagnostics["levels"].append(
             {"refine": level, "cross_born": rep.cross_born, **_born_margin(rep.born)}
         )
-    last = rows[-1]
-    results = {
-        "ratio_rr_born": last[4],
-        "cross_rr_measured": last[5],
-        "cross_rr_predicted": last[6],
-        "cqi_born_ratio": last[8],
-    }
-    cols = [
-        "refine",
-        "p_rr",
-        "p_born",
-        "p_cqi",
-        "ratio_rr_born",
-        "cross_rr_measured",
-        "cross_rr_predicted",
-        "cross_born",
-        "cqi_born_ratio",
-    ]
-    return cols, rows, results, diagnostics
+    keys = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")
+    results = {key: getattr(rep, key) for key in keys}
+    return ["refine", *_TWO_POINT_COLS], rows, results, diagnostics
 
 
 def _run_zeno(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    omega = float(p["omega"])
-    eps0 = float(p["epsilon"])
-    halvings = int(p.get("halvings", 4))
+    p = cfg.spec
+    omega = float(p.omega)
+    eps0 = float(p.epsilon)
     rows = []
-    for k in range(halvings + 1):
+    for k in range(int(p.halvings) + 1):
         eps = eps0 / 2**k
         z = zeno.ZenoConfig(omega=omega, epsilon=eps)
         p_plain, p_zeno = zeno.zeno_pair(z)
         rows.append([eps, p_plain, p_zeno, p_zeno / p_plain if p_plain else 0.0])
     cancel = zeno.zeno_cancellation(zeno.ZenoConfig(omega=omega, epsilon=eps0))
     diagnostics = {"cancellation_trace_distance": cancel}
-    if "n_ancillas" in p:
-        ns = range(int(p["n_ancillas"]) + 1)
+    if p.n_ancillas is not None:
         diagnostics["iterated"] = [
             {
                 "n_ancillas": n,
@@ -400,21 +372,20 @@ def _run_zeno(cfg: ExperimentConfig, refine: int):
                     zeno.ZenoConfig(omega=omega, epsilon=eps0, n_ancillas=n)
                 ),
             }
-            for n in ns
+            for n in range(int(p.n_ancillas) + 1)
         ]
     results = {"ratio_at_epsilon": rows[0][3]}
     return ["epsilon", "p_without", "p_with", "ratio"], rows, results, diagnostics
 
 
 def _run_time_reversed_zeno(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    omega = float(p["omega"])
-    if "thetas" in p:
-        thetas = [float(v) for v in p["thetas"]]
+    p = cfg.spec
+    omega = float(p.omega)
+    if p.thetas is not None:
+        thetas = [float(v) for v in p.thetas]
     else:
-        n = int(p.get("n_thetas", 50))
-        tmax = float(p.get("theta_max", np.pi / 4))
-        thetas = list(np.linspace(-tmax, tmax, n))
+        tmax = float(p.theta_max)
+        thetas = list(np.linspace(-tmax, tmax, int(p.n_thetas)))
     rows = []
     for th in thetas:
         res = zeno.time_reversed_zeno(zeno.ZenoConfig(omega=omega, epsilon=1e-3, theta=th))
@@ -425,99 +396,46 @@ def _run_time_reversed_zeno(cfg: ExperimentConfig, refine: int):
 
 
 def _run_epr(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    alpha = _complex_of(p["alpha"])
-    beta = _complex_of(p["beta"])
+    p = cfg.spec
+    alpha = complex_of(p.alpha)
+    beta = complex_of(p.beta)
     config = epr.EprConfig(alpha, beta)
     rho_a, rho_b, rho_ab = epr.epr_reduced(config)
-    s_a = hilbert.von_neumann_entropy(rho_a)
-    s_b = hilbert.von_neumann_entropy(rho_b)
-    s_ab = hilbert.von_neumann_entropy(rho_ab)
-    cond = hilbert.conditional_entropy(rho_ab)
-    mut = hilbert.mutual_information(rho_ab)
-    n_rand = int(p.get("n_random_unitaries", 500))
+    n_rand = int(p.n_random_unitaries)
     us = haar_unitary(np.random.default_rng(cfg.seed), 2, (n_rand,))
     worst = float(np.max(epr.no_communication_check(epr.EprConfig(alpha, beta, us)), initial=0.0))
     rows = [
-        ["entropy_alice_bits", s_a],
-        ["entropy_bob_bits", s_b],
-        ["entropy_joint_bits", s_ab],
-        ["conditional_entropy_bits", cond],
-        ["mutual_information_bits", mut],
+        ["entropy_alice_bits", hilbert.von_neumann_entropy(rho_a)],
+        ["entropy_bob_bits", hilbert.von_neumann_entropy(rho_b)],
+        ["entropy_joint_bits", hilbert.von_neumann_entropy(rho_ab)],
+        ["conditional_entropy_bits", hilbert.conditional_entropy(rho_ab)],
+        ["mutual_information_bits", hilbert.mutual_information(rho_ab)],
         ["max_no_communication_distance", worst],
     ]
     results = {name: val for name, val in rows}
     return ["quantity", "value"], rows, results, {"n_random_unitaries": n_rand}
 
 
-def realism_scenario(alpha: complex, beta: complex) -> dict:
-    """Observer-observed sequence from one global state, on three slices.
-
-    Bob measures the system at t1 while Alice waits; Alice learns the
-    outcome at t2.  On the t1 slice Alice's reduced state is still pure
-    while Bob's is already the outcome mixture; on the t2 slice both are
-    mixed but perfectly correlated (zero conditional entropy).
-    """
-    a, b = complex(alpha), complex(beta)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-        raise NumericalValidationError("alpha, beta must satisfy |a|^2+|b|^2 = 1")
-    ready = np.zeros(2, dtype=complex)
-    ready[0] = 1.0
-    q = np.array([a, b])
-
-    # t0: nothing measured yet
-    psi_t0 = hilbert.Ket(np.kron(np.kron(q, ready), ready), (2, 2, 2))  # (Q, B, A)
-    # t1: Bob's copy interaction
-    v = np.zeros((2, 2, 2), dtype=complex)
-    v[0, 0, 0] = a
-    v[1, 1, 0] = b
-    psi_t1 = hilbert.Ket(v.reshape(-1), (2, 2, 2))
-    # t2: Alice correlates with Bob
-    v = np.zeros((2, 2, 2), dtype=complex)
-    v[0, 0, 0] = a
-    v[1, 1, 1] = b
-    psi_t2 = hilbert.Ket(v.reshape(-1), (2, 2, 2))
-
-    report = {"slices": []}
-    for label, ket in (("t0", psi_t0), ("t1", psi_t1), ("t2", psi_t2)):
-        rho_b = hilbert.reduced_state(ket, {1})
-        rho_a = hilbert.reduced_state(ket, {2})
-        rho_ab = hilbert.reduced_state(ket, {1, 2})
-        report["slices"].append(
-            {
-                "slice": label,
-                "entropy_alice_bits": hilbert.von_neumann_entropy(rho_a),
-                "entropy_bob_bits": hilbert.von_neumann_entropy(rho_b),
-                "conditional_entropy_bits": hilbert.conditional_entropy(rho_ab, 0),
-            }
-        )
-    t1 = report["slices"][1]
-    t2 = report["slices"][2]
-    if t1["entropy_alice_bits"] > 1e-9:
-        raise InvariantViolation("Alice's state is not pure before she interacts")
-    if abs(t2["conditional_entropy_bits"]) > 1e-9:
-        raise InvariantViolation("outcomes at t2 are not perfectly correlated")
-    return report
-
-
 def _run_realism(cfg: ExperimentConfig, refine: int):
-    p = cfg.params
-    report = realism_scenario(_complex_of(p["alpha"]), _complex_of(p["beta"]))
+    p = cfg.spec
+    report = epr.realism_scenario(complex_of(p.alpha), complex_of(p.beta))
     cols = ["slice", "entropy_alice_bits", "entropy_bob_bits", "conditional_entropy_bits"]
     rows = [[s[c] for c in cols] for s in report["slices"]]
     results = {"slices": report["slices"]}
     return cols, rows, results, {}
 
 
+# kind -> (params spec, driver)
 _RUNNERS = {
-    "chain": _run_chain,
-    "detector-compare": _run_detector_compare,
-    "two-point": _run_two_point,
-    "zeno": _run_zeno,
-    "time-reversed-zeno": _run_time_reversed_zeno,
-    "epr": _run_epr,
-    "realism-scenario": _run_realism,
+    "chain": (ChainParams, _run_chain),
+    "detector-compare": (DetectorCompareParams, _run_detector_compare),
+    "two-point": (TwoPointParams, _run_two_point),
+    "zeno": (ZenoParams, _run_zeno),
+    "time-reversed-zeno": (TimeReversedZenoParams, _run_time_reversed_zeno),
+    "epr": (EprParams, _run_epr),
+    "realism-scenario": (PairParams, _run_realism),
 }
+_PARAM_SCHEMAS = {kind: _schema(spec) for kind, (spec, _) in _RUNNERS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -574,7 +492,7 @@ def run(config_path: str | Path, refine: int = 0, out_dir: str | Path = ".") -> 
         raise ConfigError(f"--refine {refine}: must be nonnegative")
     if refine and cfg.kind not in ("detector-compare", "two-point"):
         raise ConfigError(f"--refine {refine}: kind {cfg.kind!r} has no grid to refine")
-    columns, rows, results, diagnostics = _RUNNERS[cfg.kind](cfg, refine)
+    columns, rows, results, diagnostics = _RUNNERS[cfg.kind][1](cfg, refine)
     return _write_outputs(cfg, Path(out_dir), columns, rows, results, diagnostics)
 
 

@@ -13,11 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import NumericalValidationError
+from .errors import InvariantViolation, NumericalValidationError
 from .hilbert import DensityOp, Ket
 from .utils import is_unitary
 
-__all__ = ["EprConfig", "epr_final_state", "epr_reduced", "no_communication_check"]
+__all__ = [
+    "EprConfig",
+    "epr_final_state",
+    "epr_reduced",
+    "no_communication_check",
+    "realism_scenario",
+]
 
 # factor order of the global state
 Q1, A, Q2, B = 0, 1, 2, 3
@@ -89,3 +95,53 @@ def no_communication_check(cfg: EprConfig) -> float | np.ndarray:
     rho_b_rotated = a @ np.swapaxes(a.conj(), -1, -2)
     hilbert.check_density(rho_b_rotated)
     return hilbert.trace_distance(hilbert.reduced_state(ket, {B}), rho_b_rotated)
+
+
+def realism_scenario(alpha: complex, beta: complex) -> dict:
+    """Observer-observed sequence from one global state, on three slices.
+
+    Bob measures the system at t1 while Alice waits; Alice learns the
+    outcome at t2.  On the t1 slice Alice's reduced state is still pure
+    while Bob's is already the outcome mixture; on the t2 slice both are
+    mixed but perfectly correlated (zero conditional entropy).
+    """
+    a, b = complex(alpha), complex(beta)
+    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+        raise NumericalValidationError("alpha, beta must satisfy |a|^2+|b|^2 = 1")
+    ready = np.zeros(2, dtype=complex)
+    ready[0] = 1.0
+    q = np.array([a, b])
+
+    # t0: nothing measured yet
+    psi_t0 = Ket(np.kron(np.kron(q, ready), ready), (2, 2, 2))  # (Q, B, A)
+    # t1: Bob's copy interaction
+    v = np.zeros((2, 2, 2), dtype=complex)
+    v[0, 0, 0] = a
+    v[1, 1, 0] = b
+    psi_t1 = Ket(v.reshape(-1), (2, 2, 2))
+    # t2: Alice correlates with Bob
+    v = np.zeros((2, 2, 2), dtype=complex)
+    v[0, 0, 0] = a
+    v[1, 1, 1] = b
+    psi_t2 = Ket(v.reshape(-1), (2, 2, 2))
+
+    report = {"slices": []}
+    for label, ket in (("t0", psi_t0), ("t1", psi_t1), ("t2", psi_t2)):
+        rho_b = hilbert.reduced_state(ket, {1})
+        rho_a = hilbert.reduced_state(ket, {2})
+        rho_ab = hilbert.reduced_state(ket, {1, 2})
+        report["slices"].append(
+            {
+                "slice": label,
+                "entropy_alice_bits": hilbert.von_neumann_entropy(rho_a),
+                "entropy_bob_bits": hilbert.von_neumann_entropy(rho_b),
+                "conditional_entropy_bits": hilbert.conditional_entropy(rho_ab, 0),
+            }
+        )
+    t1 = report["slices"][1]
+    t2 = report["slices"][2]
+    if t1["entropy_alice_bits"] > 1e-9:
+        raise InvariantViolation("Alice's state is not pure before she interacts")
+    if abs(t2["conditional_entropy_bits"]) > 1e-9:
+        raise InvariantViolation("outcomes at t2 are not perfectly correlated")
+    return report

@@ -361,9 +361,7 @@ def _t_density_for(exp: DetectorExperiment, t: float) -> int:
     return min(density, 8)
 
 
-def first_order_amplitude(
-    exp: DetectorExperiment, x: np.ndarray, t: float, t_density: int | None = None
-) -> np.ndarray:
+def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.ndarray:
     """|1>-branch amplitude (alpha / i hbar) * int_R W V Psi at (x, t).
 
     Double trapezoid quadrature over the interaction rectangles; linear
@@ -375,9 +373,7 @@ def first_order_amplitude(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if exp.coupling_alpha == 0.0:
         return np.zeros(x.size, dtype=complex)
-    if t_density is None:
-        t_density = _t_density_for(exp, t)
-    xs, ts, amps = _region_sources(exp, t_density)
+    xs, ts, amps = _region_sources(exp, _t_density_for(exp, t))
     out = _kernels.propagate(
         x,
         float(t),

@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def complex_of(v) -> complex:
+    """A complex number from a JSON number or a [re, im] pair."""
+    return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+
+
 def ginibre_unitary(g: np.ndarray) -> np.ndarray:
     """Haar-random unitaries by QR of the Ginibre matrices g[..., 0, :, :] + 1j g[..., 1, :, :]."""
     q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])

@@ -83,28 +83,10 @@ def zeno_pair(cfg: ZenoConfig) -> tuple[float, float]:
     an intermediate entangling CNOT at t = epsilon.
 
     Both values come from explicit evolution of the full state vector
-    followed by a partial trace onto the observer.
+    followed by a partial trace onto the observer: they are the iterated
+    case with n = 0 and n = 1 ancillas.
     """
-    w, eps = cfg.omega, cfg.epsilon
-    u = free_evolution_matrix(eps, w)
-
-    # no intermediate ancilla: evolve 2*eps, then observer CNOT
-    q = free_evolution_matrix(2 * eps, w)[:, 0]
-    qb = np.zeros((2, 2), dtype=complex)
-    qb[:, 0] = q
-    qb = _cnot_from_q(qb, 1)
-    rho_b = hilbert.reduced_state(Ket(qb.reshape(-1), (2, 2)), {1})
-    p_plain = float(rho_b.matrix[1, 1].real)
-
-    # intermediate ancilla CNOT at eps, observer CNOT at 2*eps
-    qab = np.zeros((2, 2, 2), dtype=complex)
-    qab[:, 0, 0] = u[:, 0]
-    qab = _cnot_from_q(qab, 1)
-    qab = _evolve_factor0(qab, u)
-    qab = _cnot_from_q(qab, 2)
-    rho_b = hilbert.reduced_state(Ket(qab.reshape(-1), (2, 2, 2)), {2})
-    p_zeno = float(rho_b.matrix[1, 1].real)
-    return p_plain, p_zeno
+    return _transition(cfg.omega, cfg.epsilon, 0), _transition(cfg.omega, cfg.epsilon, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +168,12 @@ def iterated_zeno(cfg: ZenoConfig) -> float:
         raise NumericalValidationError(
             f"n_ancillas = {n} exceeds the dense-simulation guard ({MAX_ANCILLAS})"
         )
-    w = cfg.omega
-    t_tot = 2 * cfg.epsilon
-    seg = free_evolution_matrix(t_tot / (n + 1), w)
+    return _transition(cfg.omega, cfg.epsilon, n)
+
+
+def _transition(omega: float, epsilon: float, n: int) -> float:
+    """Observer's transition probability after 2*epsilon with n ancilla CNOTs on the way."""
+    seg = free_evolution_matrix(2 * epsilon / (n + 1), omega)
     state = np.zeros((2,) * (n + 2), dtype=complex)
     state[(0,) * (n + 2)] = 1.0
     for k in range(n):

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqi_sim import cli
 from cqi_sim.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name, data):
@@ -338,3 +342,188 @@ def test_epr_without_random_unitaries(tmp_path):
     report = json.loads((tmp_path / "epr_none.json").read_text())
     assert report["results"]["max_no_communication_distance"] == 0.0
     assert report["diagnostics"]["n_random_unitaries"] == 0
+
+
+# --------------------------------------------------------------------------
+# the params specs: generated schemas, defaults, committed configs
+
+# The schemas as they were written out by hand before the specs generated
+# them; the generated ones must stay equal to these.
+KIND_NAMES = [
+    "chain",
+    "detector-compare",
+    "epr",
+    "realism-scenario",
+    "time-reversed-zeno",
+    "two-point",
+    "zeno",
+]
+
+_COMPLEX = {
+    "oneOf": [
+        {"type": "number"},
+        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    ]
+}
+
+_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": KIND_NAMES},
+        "seed": {"type": "integer"},
+        "params": {"type": "object"},
+        "grid": {
+            "type": "object",
+            "properties": {
+                "x_min": {"type": "number"},
+                "x_max": {"type": "number"},
+                "nx": {"type": "integer", "minimum": 2},
+            },
+            "additionalProperties": False,
+        },
+        "output": {
+            "type": "object",
+            "properties": {
+                "path": {"type": "string"},
+                "format": {"enum": ["csv", "json"]},
+            },
+            "additionalProperties": False,
+        },
+    },
+}
+
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+
+_DETECTOR_FLOATS = (
+    "packet_center",
+    "packet_width",
+    "packet_momentum",
+    "t0",
+    "coupling_alpha",
+    "potential_v",
+    "readout_time",
+)
+_DETECTOR = {**dict.fromkeys(_DETECTOR_FLOATS, {"type": "number"}), "band": _PAIR}
+
+_REGION = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "required": ["x", "t"],
+        "properties": {"x": _PAIR, "t": _PAIR},
+        "additionalProperties": False,
+    },
+}
+
+_PARAM_SCHEMAS = {
+    "chain": {
+        "type": "object",
+        "required": ["initial"],
+        "properties": {
+            "initial": {"type": "array", "items": _COMPLEX, "minItems": 2},
+            "overlaps": {"type": "array"},
+            "explore_general_interactions": {"type": "boolean"},
+        },
+        "additionalProperties": False,
+    },
+    "zeno": {
+        "type": "object",
+        "required": ["omega", "epsilon"],
+        "properties": {
+            "omega": {"type": "number", "exclusiveMinimum": 0},
+            "epsilon": {"type": "number", "exclusiveMinimum": 0},
+            "halvings": {"type": "integer", "minimum": 0},
+            "n_ancillas": {"type": "integer", "minimum": 0},
+        },
+        "additionalProperties": False,
+    },
+    "time-reversed-zeno": {
+        "type": "object",
+        "required": ["omega"],
+        "properties": {
+            "omega": {"type": "number", "exclusiveMinimum": 0},
+            "thetas": {"type": "array", "items": {"type": "number"}},
+            "n_thetas": {"type": "integer", "minimum": 1},
+            "theta_max": {"type": "number"},
+        },
+        "additionalProperties": False,
+    },
+    "epr": {
+        "type": "object",
+        "required": ["alpha", "beta"],
+        "properties": {
+            "alpha": _COMPLEX,
+            "beta": _COMPLEX,
+            "n_random_unitaries": {"type": "integer", "minimum": 0},
+        },
+        "additionalProperties": False,
+    },
+    "realism-scenario": {
+        "type": "object",
+        "required": ["alpha", "beta"],
+        "properties": {"alpha": _COMPLEX, "beta": _COMPLEX},
+        "additionalProperties": False,
+    },
+    "detector-compare": {
+        "type": "object",
+        "properties": {**_DETECTOR, "region": _REGION, "id": {"type": "string"}},
+        "additionalProperties": False,
+    },
+    "two-point": {
+        "type": "object",
+        "properties": {
+            **_DETECTOR,
+            "separation": {"type": "number"},
+            "eps_pt": {"type": "number", "exclusiveMinimum": 0},
+            "t1": {"type": "number"},
+        },
+        "additionalProperties": False,
+    },
+}
+
+
+def test_generated_schemas_equal_the_written_ones():
+    assert cli._SCHEMA == _SCHEMA
+    assert cli._PARAM_SCHEMAS == _PARAM_SCHEMAS
+    for kind, schema in _PARAM_SCHEMAS.items():
+        # same keyword order too, so best_match picks the same error on ties
+        assert list(cli._PARAM_SCHEMAS[kind]) == list(schema), kind
+
+
+def test_spec_defaults():
+    # the values the drivers used when a key is absent
+    zeno_spec = cli.ZenoParams(omega=1.0, epsilon=0.05)
+    assert zeno_spec.halvings == 4 and zeno_spec.n_ancillas is None
+    trz = cli.TimeReversedZenoParams(omega=1.0)
+    assert trz.n_thetas == 50 and trz.theta_max == np.pi / 4 and trz.thetas is None
+    assert cli.EprParams(alpha=0.6, beta=0.8).n_random_unitaries == 500
+    chain_spec = cli.ChainParams(initial=[0.6, 0.8])
+    assert chain_spec.explore_general_interactions is False
+    assert len(chain_spec.overlaps) == 0
+    for spec in (cli.DetectorCompareParams(), cli.TwoPointParams()):
+        assert all(getattr(spec, f.name) is None for f in dataclasses.fields(spec))
+    for kind in ("detector-compare", "two-point"):
+        assert cli._detector_overrides(cli.ExperimentConfig.from_dict({"kind": kind})) == {}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_committed_configs_build_specs(path):
+    cfg = cli.load_config(path)
+    spec = cfg.spec
+    assert isinstance(spec, cli._RUNNERS[cfg.kind][0])
+    for key, value in cfg.params.items():
+        assert getattr(spec, key) == value
+
+
+def test_realism_unnormalized_amplitudes_exit_2(tmp_path, capsys):
+    cfg = {
+        "kind": "realism-scenario",
+        "params": {"alpha": 0.6, "beta": 0.6},
+        "output": {"path": "r"},
+    }
+    path = write_config(tmp_path, "r.json", cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "|a|^2+|b|^2 = 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

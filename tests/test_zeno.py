@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,12 @@ from cqi_sim import zeno
 from cqi_sim.errors import NumericalValidationError
 from cqi_sim.zeno import ZenoConfig
 
-from oracles import iterated_zeno_markov, qubit_evolution_expm, zeno_cancellation_loop
+from oracles import (
+    iterated_zeno_markov,
+    qubit_evolution_expm,
+    zeno_cancellation_loop,
+    zeno_pair_explicit,
+)
 
 
 class TestFreeQubit:
@@ -120,6 +127,18 @@ class TestIteratedZeno:
         cfg = ZenoConfig(1.0, 0.05, n_ancillas=1)
         _, p_zeno = zeno.zeno_pair(ZenoConfig(1.0, 0.05))
         assert zeno.iterated_zeno(cfg) == pytest.approx(p_zeno, abs=1e-14)
+
+    def test_pair_is_iterated_n0_n1_bit_for_bit(self):
+        # 37 x 41 = 1517 (omega, epsilon) pairs; omega * epsilon reaches 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for omega in np.linspace(0.1, 3.0, 37):
+                for eps in np.geomspace(1e-4, 0.1, 41):
+                    pair = zeno.zeno_pair(ZenoConfig(omega, eps))
+                    iterated = tuple(
+                        zeno.iterated_zeno(ZenoConfig(omega, eps, n_ancillas=n)) for n in (0, 1)
+                    )
+                    assert pair == iterated == zeno_pair_explicit(omega, eps), (omega, eps)
 
     def test_against_markov_oracle(self):
         # total angle 0.4, seven intermediate ancillas
