@@ -16,8 +16,8 @@ densities 1, 2, 4, 8, then the h^{3/2} extrapolation) against
 ``postulates._born_double_region`` (Filon time weights, density 1), each
 value with its relative deviation from the trapezoid sum at density 16;
 and the prepared state on the region slices at time density 8 by kernel
-quadrature of psi0 (one batched ``propagate`` call per rectangle)
-against the closed form of ``evolved_wavefunction``.
+quadrature of psi0 (one ``propagate`` call per region slice) against the
+closed form of ``evolved_wavefunction``.
 
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
@@ -110,7 +110,9 @@ def compare_prepared_state(density=8):
     n_slices = sum(tq.size for _, tq in slices)
     print(f"prepared state, two-point at time density {density}: {n_slices} slices of"
           f" {slices[0][0].size} points")
-    ref, t_quad = timed(lambda: [_kernels.propagate(xq, tq, *src) for xq, tq in slices])
+    ref, t_quad = timed(
+        lambda: [np.stack([_kernels.propagate(xq, t, *src) for t in tq]) for xq, tq in slices]
+    )
     got, t_closed = timed(
         lambda: [postulates.evolved_wavefunction(exp, xq, tq) for xq, tq in slices]
     )

@@ -14,8 +14,8 @@ at one time onto uniform outputs as a chirp-z transform, by Bluestein's
 FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE
 Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
 All other sources take the dense O(n * m) sum ``propagate_numpy``,
-which the tests keep as the reference.  ``propagate`` also takes a
-vector of output times, so that one call evolves a slice to many times.
+which the tests keep as the reference.  The double quadrature
+``double_quad`` is a vdot against that same dense sum.
 """
 
 from __future__ import annotations
@@ -29,39 +29,29 @@ _CHUNK = 4_000_000  # elements per (outputs x sources) temporary of a dense sum
 
 
 def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-    """out[j] = sum_i W(x_out[j], t_out; x_src[i], t_src[i]) * amp[i].
+    """out[j] = sum_i W(x_out[j], t_out[j]; x_src[i], t_src[i]) * amp[i].
 
-    ``amp`` carries the quadrature weights of the source points.
+    ``t_out`` is one time or one time per output point; ``amp`` carries
+    the quadrature weights of the source points.
     """
     out = np.zeros(x_out.size, dtype=np.complex128)
     if x_src.size == 0:
         return out
+    t_out = np.asarray(t_out)[..., None]
     # chunk the source axis to bound the (n_out, chunk) temporaries
     chunk = max(1, int(_CHUNK // max(x_out.size, 1)))
     for s in range(0, x_src.size, chunk):
         dt = t_out - t_src[s : s + chunk]
-        denom = eta + 1j * dt
-        pref = np.sqrt(mass / (_TWO_PI * hbar * denom))
+        pref = np.sqrt(mass / (_TWO_PI * hbar * (eta + 1j * dt)))
         dx = x_out[:, None] - x_src[None, s : s + chunk]
-        phase = np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
-        out += phase @ (pref * amp[s : s + chunk])
+        w = pref * np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
+        out += w @ amp[s : s + chunk]
     return out
 
 
-def double_quad_numpy(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
+def double_quad(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
     """sum_ij conj(amp_a[i]) W(p_a[i]; p_b[j]) amp_b[j] (weights folded in)."""
-    acc = 0.0 + 0.0j
-    if x_a.size == 0 or x_b.size == 0:
-        return acc
-    chunk = max(1, int(_CHUNK // max(x_b.size, 1)))
-    for s in range(0, x_a.size, chunk):
-        dt = t_a[s : s + chunk, None] - t_b[None, :]
-        denom = eta + 1j * dt
-        pref = np.sqrt(mass / (_TWO_PI * hbar * denom))
-        dx = x_a[s : s + chunk, None] - x_b[None, :]
-        w = pref * np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
-        acc += np.conj(amp_a[s : s + chunk]) @ w @ amp_b
-    return acc
+    return np.vdot(amp_a, propagate_numpy(x_a, t_a, x_b, t_b, amp_b, mass, hbar, eta))
 
 
 def _uniform_runs(x, starts) -> np.ndarray:
@@ -91,8 +81,8 @@ def _fast_len(n: int) -> int:
 
 def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     """Sum of the eta = 0 kernel over the uniform source runs [s, e) onto
-    the uniform outputs at each time of the 1-D ``t_out``, one row per
-    time; every (output time, run) pair is one row of a batched 2-D FFT.
+    the uniform outputs at the time ``t_out``; each run is one row of a
+    batched 2-D FFT.
 
     With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
     k (X_j - Y_i)^2 = [k Y_i^2 - 2 k x0 Y_i - r i^2]
@@ -106,19 +96,17 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     q = np.where(q < m, q, q - size)  # lag held by each FFT bin
     j, i = np.arange(m), np.arange(n)
     x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
-    out = np.zeros((t_out.size, m), dtype=np.complex128)
-    rows = [(k, s, e) for k in range(t_out.size) for s, e in runs]
+    out = np.zeros(m, dtype=np.complex128)
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
-    for b in range(0, len(rows), batch):
-        part = rows[b : b + batch]
+    for b in range(0, len(runs), batch):
+        part = runs[b : b + batch]
         y = np.zeros((len(part), n))
         a = np.zeros((len(part), n), dtype=np.complex128)
-        for row, (_, s, e) in enumerate(part):
+        for row, (s, e) in enumerate(part):
             y[row, : e - s] = x_src[s:e]
             a[row, : e - s] = amp[s:e]
-        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for _, s, e in part])
-        kt = np.array([k for k, _, _ in part])  # output time of each row
-        dt = t_out[kt] - t_src[[s for _, s, _ in part]]
+        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for s, e in part])
+        dt = t_out - t_src[[s for s, _ in part]]
         kap = (mass / (2.0 * hbar)) / dt[:, None]
         r = kap * d_out * d[:, None]
         a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
@@ -128,22 +116,15 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
         conv *= np.fft.fft(h, axis=1)
         conv = np.fft.ifft(conv, axis=1)
         post = np.exp(1j * (kap * (x_out * x_out - 2.0 * d_out * y[:, :1] * j) - r * j * j))
-        rows_out = post * conv[:, :m]
-        # each output time sums its rows alone, as a scalar t_out always did
-        first = np.flatnonzero(np.diff(kt, prepend=-1))
-        for lo, hi in zip(first, [*first[1:], len(part)]):
-            out[kt[lo]] += np.sum(rows_out[lo:hi], axis=0)
+        out += np.sum(post * conv[:, :m], axis=0)
     return out
 
 
 def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-    """Same sum as ``propagate_numpy``, at a scalar output time or, for a
-    1-D ``t_out``, at each of its times: then the result has shape
-    (len(t_out), len(x_out)).  When eta == 0 and x_out is uniform, each
-    run of at least two uniformly spaced sources at one time takes the
-    chirp-z transform; every other source takes the dense sum, once per
-    output time."""
-    times = np.atleast_1d(np.asarray(t_out, dtype=float))
+    """Same sum as ``propagate_numpy`` at the scalar output time ``t_out``.
+    When eta == 0 and x_out is uniform, each run of at least two uniformly
+    spaced sources at one time takes the chirp-z transform; every other
+    source takes the dense sum."""
     runs = []
     dense = np.ones(x_src.size, dtype=bool)
     uniform_out = min(x_out.size, x_src.size) >= 2 and _uniform_runs(x_out, np.array([0]))[0]
@@ -153,18 +134,10 @@ def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
         ends = np.append(starts[1:], x_src.size)
         dense = ~np.repeat(ok, ends - starts)
         runs = list(zip(starts[ok].tolist(), ends[ok].tolist()))
-    out = np.zeros((times.size, x_out.size), dtype=np.complex128)
-    if dense.any():
-        for k, t in enumerate(times):
-            out[k] = propagate_numpy(
-                x_out, t, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta
-            )
+    out = propagate_numpy(x_out, t_out, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta)
     if runs:
-        out += _chirp_runs(x_out, times, x_src, t_src, amp, runs, mass, hbar)
-    return out if np.ndim(t_out) else out[0]
-
-
-double_quad = double_quad_numpy
+        out += _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar)
+    return out
 
 
 def backend() -> str:

@@ -74,7 +74,10 @@ _SCHEMA = {
             "additionalProperties": False,
         },
     },
+    "additionalProperties": False,
 }
+# the kinds whose experiments sit on an x grid: only they take "grid" and --refine
+_GRID_KINDS = ("detector-compare", "two-point")
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _NUMBER = {"type": "number"}
@@ -198,6 +201,17 @@ def _validate(instance, schema: dict, prefix: str = "") -> None:
     raise ConfigError(f"{'.'.join(path) or '(top level)'}: {err.message}")
 
 
+def _check_grid(kind: str, grid: dict) -> None:
+    """A grid only for the grid kinds, with x_max above x_min (a side the
+    config leaves out takes the experiment's default)."""
+    if kind not in _GRID_KINDS:
+        raise ConfigError(f"grid: kind {kind!r} has no grid")
+    x_min = grid.get("x_min", postulates.DetectorExperiment.x_min)
+    x_max = grid.get("x_max", postulates.DetectorExperiment.x_max)
+    if x_max <= x_min:
+        raise ConfigError(f"grid.x_max: {x_max} must exceed x_min {x_min}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -210,6 +224,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         _validate(data, _SCHEMA)
         _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
+        if "grid" in data:
+            _check_grid(data["kind"], data["grid"])
         return cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),
@@ -490,7 +506,7 @@ def run(config_path: str | Path, refine: int = 0, out_dir: str | Path = ".") -> 
     cfg = load_config(config_path)
     if refine < 0:
         raise ConfigError(f"--refine {refine}: must be nonnegative")
-    if refine and cfg.kind not in ("detector-compare", "two-point"):
+    if refine and cfg.kind not in _GRID_KINDS:
         raise ConfigError(f"--refine {refine}: kind {cfg.kind!r} has no grid to refine")
     columns, rows, results, diagnostics = _RUNNERS[cfg.kind][1](cfg, refine)
     return _write_outputs(cfg, Path(out_dir), columns, rows, results, diagnostics)

@@ -125,15 +125,15 @@ class GridFunction:
         xx, tt = np.meshgrid(grid.x, grid.t, indexing="ij")
         return cls(grid, f(xx, tt))
 
-    def support_slices(self, eps: float = SUPPORT_EPS) -> np.ndarray:
-        """Indices of time slices holding any amplitude above eps."""
-        return np.flatnonzero(np.max(np.abs(self.values), axis=0) > eps)
+    def support_slices(self) -> np.ndarray:
+        """Indices of time slices holding any amplitude above SUPPORT_EPS."""
+        return np.flatnonzero(np.max(np.abs(self.values), axis=0) > SUPPORT_EPS)
 
     @property
     def single_slice(self) -> bool:
         return self.support_slices().size == 1
 
-    def time_weights(self, eps: float = SUPPORT_EPS) -> np.ndarray:
+    def time_weights(self) -> np.ndarray:
         """Quadrature weight per time slice.
 
         A single-slice support is delta-normalized in time (weight 1);
@@ -141,7 +141,7 @@ class GridFunction:
         weights dt * [1/2, 1, ..., 1, 1/2].
         """
         w = np.zeros(self.grid.nt)
-        sup = self.support_slices(eps)
+        sup = self.support_slices()
         if sup.size == 0:
             return w
         if sup.size == 1:
@@ -156,17 +156,15 @@ class GridFunction:
     def x_weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid.nx, self.grid.dx)
 
-    def support_points(
-        self, eps: float = SUPPORT_EPS
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def support_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (x, t, value, weight) arrays over the support."""
-        tw = self.time_weights(eps)
+        tw = self.time_weights()
         cols = np.flatnonzero(tw > 0)
         xs, ts, vals, ws = [], [], [], []
         xw = self.x_weights()
         for j in cols:
             v = self.values[:, j]
-            mask = np.abs(v) > eps
+            mask = np.abs(v) > SUPPORT_EPS
             if not np.any(mask):
                 continue
             xs.append(self.grid.x[mask])
@@ -181,20 +179,6 @@ class GridFunction:
             np.concatenate(vals),
             np.concatenate(ws),
         )
-
-    def to_csv(self, path) -> None:
-        """Write rows (x, t, Re, Im) for the full grid."""
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "t", "re", "im"])
-            for j, t in enumerate(self.grid.t):
-                for i, x in enumerate(self.grid.x):
-                    v = self.values[i, j]
-                    writer.writerow(
-                        ["%.17g" % x, "%.17g" % t, "%.17g" % v.real, "%.17g" % v.imag]
-                    )
 
 
 def propagate_point(
@@ -216,38 +200,26 @@ def propagate_point(
     return complex(out[0])
 
 
-def project(
-    psi: GridFunction,
-    k: PropagatorKernel,
-    t_out: float,
-    x_out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate the projected (physical) state on the slice t = t_out.
+def project(psi: GridFunction, k: PropagatorKernel, t_out: float) -> np.ndarray:
+    """Evaluate the projected (physical) state on the grid's x sampling at
+    the slice t = t_out.
 
     Trapezoid quadrature of the kernel against the support of ``psi``;
     source slices lying exactly on t_out contribute through the delta
-    channel (their weighted values are added directly, which requires
-    x_out to coincide with the grid's x sampling).
+    channel (their weighted values are added directly).
     """
     grid = psi.grid
-    if x_out is None:
-        x_out = grid.x
-    x_out = np.asarray(x_out, dtype=float)
     xs, ts, vals, ws = psi.support_points()
     on_slice = np.isclose(ts, t_out, rtol=0.0, atol=1e-12 * max(1.0, abs(t_out)))
-    out = np.zeros(x_out.size, dtype=complex)
+    out = np.zeros(grid.nx, dtype=complex)
     if np.any(on_slice):
-        if x_out.size != grid.nx or not np.allclose(x_out, grid.x):
-            raise NumericalValidationError(
-                "delta-channel projection needs x_out equal to the grid x sampling"
-            )
         tw = psi.time_weights()
         j = int(np.argmin(np.abs(grid.t - t_out)))
         out += psi.values[:, j] * tw[j]
     off = ~on_slice
     if np.any(off):
         out += _kernels.propagate(
-            x_out,
+            grid.x,
             float(t_out),
             xs[off],
             ts[off],
@@ -289,15 +261,14 @@ def physical_inner_product(
     k: PropagatorKernel,
     method: str = "slice",
     eta: float | None = None,
-    t_ref: float | None = None,
 ) -> complex:
     """<psi | P | phi>: double kernel quadrature over both supports.
 
     method "slice" (default) exploits the identity that the product
     equals the ordinary L2 product of the two projections on any common
-    reference slice (unitarity of the kernel); the collapse to
-    ``t_ref`` (default: latest support time) is done spectrally, which
-    stays accurate at arbitrarily small time offsets.  method "direct"
+    reference slice (unitarity of the kernel); the collapse to the
+    latest support time is done spectrally, which stays accurate at
+    arbitrarily small time offsets.  method "direct"
     performs the raw double quadrature with the kernel itself, which
     needs a positive ``eta`` whenever the supports share time slices.
     Two single-slice states on a common slice reduce to the plain L2
@@ -317,8 +288,7 @@ def physical_inner_product(
         return complex(np.sum(xw * np.conj(psi.values[:, jp]) * phi.values[:, jq]))
 
     if method == "slice":
-        if t_ref is None:
-            t_ref = float(max(sup_psi.max(), sup_phi.max()))
+        t_ref = float(max(sup_psi.max(), sup_phi.max()))
         a = collapse_to_slice(psi, k, t_ref)
         b = collapse_to_slice(phi, k, t_ref)
         return complex(np.sum(xw * np.conj(a) * b))
@@ -341,9 +311,9 @@ def physical_inner_product(
     raise ValueError(f"unknown method {method!r}")
 
 
-def physical_norm(phi: GridFunction, k: PropagatorKernel, **kw) -> float:
+def physical_norm(phi: GridFunction, k: PropagatorKernel) -> float:
     """sqrt of the physical norm squared of a kinematical state."""
-    val = physical_inner_product(phi, phi, k, **kw)
+    val = physical_inner_product(phi, phi, k)
     return float(np.sqrt(max(val.real, 0.0)))
 
 
@@ -353,32 +323,23 @@ def spectral_evolve(
     k: PropagatorKernel,
     t_total: float | np.ndarray,
     n_steps: int = 1,
-    potential: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Split-step Fourier integration of the Schroedinger equation.
+    """Free evolution of x-sampled states by the exact Fourier propagator.
 
     ``values_x`` is (..., nx) with x last; ``t_total`` is a scalar or
-    broadcasts against ``values_x.shape[:-1]``, and each input row is
-    transformed forward once.  For the free particle a single step is
-    exact up to the grid's momentum cutoff; with a potential a symmetric
-    Strang splitting is used.  Periodic boundary conditions apply, so
-    states must stay away from the grid edges.  This integrator is
-    independent of the kernel quadrature path and serves as its
-    cross-check.
+    broadcasts against ``values_x.shape[:-1]``.  Each of the ``n_steps``
+    equal steps transforms every row forward and back once; a single
+    step is already exact up to the grid's momentum cutoff.  Periodic
+    boundary conditions apply, so states must stay away from the grid
+    edges.  This integrator is independent of the kernel quadrature path
+    and serves as its cross-check.
     """
     psi = np.asarray(values_x, dtype=complex).copy()
     kvec = 2.0 * np.pi * np.fft.fftfreq(psi.shape[-1], d=dx)
     dt = np.asarray(t_total, dtype=float)[..., None] / n_steps
     exp_kin = np.exp(-1j * k.hbar * kvec**2 * dt / (2.0 * k.mass))
-    if potential is None:
-        for _ in range(n_steps):
-            psi = np.fft.ifft(exp_kin * np.fft.fft(psi))
-        return psi
-    exp_v_half = np.exp(-0.5j * potential * dt / k.hbar)
     for _ in range(n_steps):
-        psi = exp_v_half * psi
         psi = np.fft.ifft(exp_kin * np.fft.fft(psi))
-        psi = exp_v_half * psi
     return psi
 
 

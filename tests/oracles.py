@@ -32,6 +32,21 @@ def evolved_gaussian(x, t, center, width, momentum=0.0, mass=1.0, hbar=1.0):
     )
 
 
+def double_quad_pairs(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
+    """sum_ij conj(amp_a[i]) W(x_a[i], t_a[i]; x_b[j], t_b[j]) amp_b[j] as
+    an explicit loop over row blocks of the (a, b) pair matrix; the
+    reference for the vdot form of ``_kernels.double_quad``."""
+    acc = 0.0 + 0.0j
+    chunk = max(1, 4_000_000 // max(x_b.size, 1))
+    for s in range(0, x_a.size, chunk):
+        dt = t_a[s : s + chunk, None] - t_b[None, :]
+        pref = np.sqrt(mass / (2.0 * np.pi * hbar * (eta + 1j * dt)))
+        dx = x_a[s : s + chunk, None] - x_b[None, :]
+        w = pref * np.exp((1j * mass / (2.0 * hbar)) * dx * dx / (dt - 1j * eta))
+        acc += np.conj(amp_a[s : s + chunk]) @ w @ amp_b
+    return acc
+
+
 def evolved_by_quadrature(exp, x, times):
     """Prepared packet of a detector experiment at each of ``times``, by
     the dense trapezoid sum of the kernel over psi0 on the x grid (psi0

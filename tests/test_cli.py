@@ -300,6 +300,41 @@ class TestStrictParams:
             cli.load_config(path)
 
 
+class TestTopLevelAndGrid:
+    MISSPELLED = {
+        "kind": "zeno",
+        "sed": 7,
+        "outptu": {"path": "z"},
+        "params": {"omega": 1.0, "epsilon": 0.05},
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_top_level_keys_exit_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, "typo.json", self.MISSPELLED)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert "outptu, sed: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "zeno.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [({"x_min": 5, "x_max": -5}, "-5"), ({"x_min": 30}, "20.0"), ({"x_max": -20.0}, "-20.0")],
+    )
+    def test_empty_x_range_names_x_max(self, tmp_path, capsys, grid, shown):
+        cfg = {"kind": "detector-compare", "grid": grid, "output": {"path": "det"}}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.x_max" in err and shown in err
+        assert not (tmp_path / "det.csv").exists()
+
+    def test_grid_rejected_without_grid_kind(self, tmp_path, capsys):
+        cfg = dict(ZENO_CFG, grid={"nx": 64})
+        path = write_config(tmp_path, "z.json", cfg)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "grid: kind 'zeno' has no grid" in capsys.readouterr().err
+
+
 class TestRefineRejected:
     CONFIGS = {
         "chain": {"initial": [0.6, 0.8]},
@@ -391,6 +426,7 @@ _SCHEMA = {
             "additionalProperties": False,
         },
     },
+    "additionalProperties": False,
 }
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}

@@ -69,15 +69,6 @@ class TestGridFunction:
         with pytest.raises(NumericalValidationError):
             gf.support_points()
 
-    def test_csv_export(self, tmp_path):
-        g = Grid(-1, 1, 3, 0, 1, 2)
-        gf = GridFunction(g, np.ones((3, 2)) * (1 + 2j))
-        path = tmp_path / "state.csv"
-        gf.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,t,re,im"
-        assert len(lines) == 1 + 6
-
 
 class TestPropagatePoint:
     def test_equal_time_rejected(self):
@@ -285,11 +276,3 @@ class TestSpectralEvolve:
         out = spectral_evolve(psi, g.dx, K, 1.7)
         expect = evolved_gaussian(g.x, 1.7, -3, 1.2, momentum=0.7)
         assert l2_diff(out, expect, g.dx) < 1e-10
-
-    def test_potential_step_strang(self):
-        # harmonic well ground state stays put under Strang splitting
-        g = Grid(-10, 10, 256, 0, 1, 2)
-        v = 0.5 * g.x**2
-        psi = np.exp(-g.x**2 / 2) / np.pi**0.25
-        out = spectral_evolve(psi, g.dx, K, 1.0, n_steps=400, potential=v)
-        assert l2_diff(np.abs(out), np.abs(psi), g.dx) < 1e-4
