@@ -7,6 +7,10 @@ shapes of the detector pipeline: the Born readout (3905 outputs x 60
 uniform source slices of 66 points) and one evolved-wavefunction call
 (61 outputs x one prepared slice of 1024 points).  Each line reports the
 best of three timings of both paths and their max relative deviation.
+The readout's convolution chirp exp(i r q^2) (60 runs x 3905 lags) is
+timed as one complex ``np.exp`` per element against the recurrence of
+``_kernels._chirp``, with their max deviation; at these arguments (up to
+2300 rad) that is mostly the rounding of the exp arguments.
 ``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
 
 On ``two_point_experiment()``, two more comparisons: the Born
@@ -77,6 +81,20 @@ def compare(label, args):
     print(f"  dense sum : {t_dense * 1e3:9.2f} ms")
     print(f"  chirp-z   : {t_czt * 1e3:9.2f} ms   speedup {t_dense / t_czt:.1f}x"
           f"   max rel deviation {err:.1e}")
+
+
+def compare_chirp(x_out, t_out, x_src, t_src):
+    """The convolution chirp exp(i r q^2) of ``compare``'s readout call, one
+    row per source slice, r = D d / (2 (t_out - t)) at m = hbar = 1."""
+    r = 0.5 / (t_out - np.unique(t_src)[:, None]) * (x_out[1] - x_out[0]) * (x_src[1] - x_src[0])
+    lags = x_out.size
+    print(f"chirp, readout convolution: {r.size} runs x {lags} lags")
+    q = np.arange(lags)
+    ref, t_exp = timed(lambda: np.exp(1j * r * (q * q)))
+    got, t_rec = timed(_kernels._chirp, 0.0, 0.0, r, lags)
+    print(f"  np.exp    : {t_exp * 1e3:9.2f} ms")
+    print(f"  recurrence: {t_rec * 1e3:9.2f} ms   speedup {t_exp / t_rec:.1f}x"
+          f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
 
 
 def compare_two_point(densities=(1, 2, 4, 8)):
@@ -163,8 +181,9 @@ def compare_finite_suite(n_unitaries=500, n_cases=50):
 def main():
     rng = np.random.default_rng(0)
     x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
-    compare("readout", (np.linspace(-38.0, 38.0, 3905), 4.2, x_src, t_src, amp,
-                        1.0, 1.0, 0.0))
+    x_out = np.linspace(-38.0, 38.0, 3905)
+    compare("readout", (x_out, 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0))
+    compare_chirp(x_out, 4.2, x_src, t_src)
     x_src = np.linspace(-20.0, 20.0, 1024)
     amp = (rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)) * 1e-3
     compare("single slice", (np.linspace(-0.5, 0.5, 61), 3.1, x_src, np.zeros(x_src.size),

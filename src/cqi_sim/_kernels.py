@@ -16,6 +16,16 @@ Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
 All other sources take the dense O(n * m) sum ``propagate_numpy``,
 which the tests keep as the reference.  The double quadrature
 ``double_quad`` is a vdot against that same dense sum.
+
+Every chirp of that transform is exp(i (alpha + beta j + gamma j^2)) per
+row, and ``_chirp`` builds it by a two-level recurrence instead of one
+complex exp per element: with j = p q + s and q about sqrt(n), block p
+is block p-1 times two unit factors, exp(i q (beta + gamma q (2p - 1)))
+and exp(2 i gamma q s).  Each block adds a few roundings, so after the
+about sqrt(n) blocks the error is O(sqrt(n) u), u = 1.1e-16: at most
+about 2.5e-13 at n = 2^17, 2.2e-14 measured there against np.exp at
+exact (dyadic) arguments.  An exact exp errs already by about
+u |alpha + beta j + gamma j^2| from rounding its argument.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 4_000_000  # elements per (outputs x sources) temporary of a dense sum
+_MIN_SLAB = 256  # least elements per _chirp block: below it numpy's call overhead dominates
 
 
 def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
@@ -79,44 +90,71 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _chirp(alpha, beta, gamma, n):
+    """exp(i (alpha + beta j + gamma j^2)) for j = 0 .. n-1, one row per
+    entry of the (rows, 1) coefficient columns (a scalar broadcasts).
+
+    With j = p q + s, 0 <= s < q, block 0 is an exact exp and block p is
+    block p-1 times exp(i q (beta + gamma q (2p - 1))) exp(2 i gamma q s):
+    about 2q + n/q exps and 2n complex products per row, the products one
+    in-place multiply of a (rows, q) slab per block.  q = ceil(sqrt(n)),
+    raised to give each slab at least _MIN_SLAB elements.
+    """
+    rows = np.broadcast(alpha, beta, gamma).shape[0]
+    q = min(n, max(math.isqrt(n - 1) + 1, -(-_MIN_SLAB // rows)))
+    blocks = -(-n // q)
+    s = np.arange(q)
+    out = np.empty((blocks, rows, q), dtype=np.complex128)
+    out[0] = np.exp(1j * (alpha + (beta + gamma * s) * s))
+    if blocks > 1:
+        step = np.exp((2j * q) * gamma * s)
+        jump = np.exp((1j * q) * (beta + (gamma * q) * np.arange(1, 2 * blocks - 1, 2)))
+        for p in range(1, blocks):
+            np.multiply(out[p - 1], step, out=out[p])
+            out[p] *= jump[:, p - 1 : p]
+    return out.transpose(1, 0, 2).reshape(rows, -1)[:, :n]
+
+
 def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     """Sum of the eta = 0 kernel over the uniform source runs [s, e) onto
     the uniform outputs at the time ``t_out``; each run is one row of a
     batched 2-D FFT.
 
     With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
-    k (X_j - Y_i)^2 = [k Y_i^2 - 2 k x0 Y_i - r i^2]
-                    + [k X_j^2 - 2 k D y0 j - r j^2] + r (j - i)^2
+    k (X_j - Y_i)^2 = [k y0 (y0 - 2 x0) + 2 k d (y0 - x0) i + (k d^2 - r) i^2]
+                    + [k x0^2 + 2 k D (x0 - y0) j + (k D^2 - r) j^2] + r (j - i)^2
     with r = k D d: a pre-chirp on the sources, a post-chirp on the outputs
     and a linear convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1.
     """
     m, n = x_out.size, max(e - s for s, e in runs)
     size = _fast_len(m + n - 1)
-    q = np.arange(size)
-    q = np.where(q < m, q, q - size)  # lag held by each FFT bin
-    j, i = np.arange(m), np.arange(n)
+    lags = max(m, size - m + 1)  # h_q for |q| < lags fills every FFT bin
     x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
     out = np.zeros(m, dtype=np.complex128)
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
     for b in range(0, len(runs), batch):
         part = runs[b : b + batch]
-        y = np.zeros((len(part), n))
         a = np.zeros((len(part), n), dtype=np.complex128)
         for row, (s, e) in enumerate(part):
-            y[row, : e - s] = x_src[s:e]
             a[row, : e - s] = amp[s:e]
-        d = np.array([(x_src[e - 1] - x_src[s]) / (e - s - 1) for s, e in part])
-        dt = t_out - t_src[[s for s, _ in part]]
+        first, end = np.array(part).T
+        y0 = x_src[first][:, None]
+        d = ((x_src[end - 1] - x_src[first]) / (end - first - 1))[:, None]
+        dt = t_out - t_src[first]
         kap = (mass / (2.0 * hbar)) / dt[:, None]
-        r = kap * d_out * d[:, None]
+        r = kap * d_out * d
         a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
-        a *= np.exp(1j * (kap * y * (y - 2.0 * x0) - r * i * i))
-        h = np.exp(1j * r * (q * q))
+        a *= _chirp(kap * y0 * (y0 - 2.0 * x0), 2.0 * kap * d * (y0 - x0), kap * d * d - r, n)
+        c = _chirp(0.0, 0.0, r, lags)
+        h = np.empty((len(part), size), dtype=np.complex128)
+        h[:, :m] = c[:, :m]
+        h[:, m:] = c[:, size - m : 0 : -1]  # bin size - q holds lag -q
         conv = np.fft.fft(a, size, axis=1)
         conv *= np.fft.fft(h, axis=1)
         conv = np.fft.ifft(conv, axis=1)
-        post = np.exp(1j * (kap * (x_out * x_out - 2.0 * d_out * y[:, :1] * j) - r * j * j))
-        out += np.sum(post * conv[:, :m], axis=0)
+        post = _chirp(kap * x0 * x0, 2.0 * kap * d_out * (x0 - y0), kap * d_out * d_out - r, m)
+        post *= conv[:, :m]
+        out += post.sum(axis=0)
     return out
 
 

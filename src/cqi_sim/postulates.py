@@ -463,37 +463,35 @@ def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
     the earliest region time.  Per-|k| Filon weights make the t integral
     exact in that phase for the linear interpolant of the slices (a lone
     slice keeps its ``_rect_subgrid`` weight).  Per rectangle A = E @
-    (cover psi) on the live fine points idx, E the weighted phases per |k|
-    bin (bins j, nf - j share k^2) by recurrence in t; bin j sums A[j]
-    exp(-2 pi i j idx / nf).
+    (cover psi) on the live fine points idx, E the weighted phases
+    exp(i omega_k (t - t_ref)) per |k| bin (bins j, nf - j share k^2) from
+    ``_kernels._chirp``; bin j sums A[j] exp(-2 pi i j idx / nf), read from
+    a table of the nf-th roots of unity.
     """
     xf = _fine_grid(exp)
     nf, dxf = xf.size, float(xf[1] - xf[0])
     kb = np.arange(nf // 2 + 1)  # |k| bins
-    c = (0.5j * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
+    omega = (0.5 * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
     t_ref = min(r.t_lo for r in exp.region)
+    roots = np.exp(-2j * np.pi * np.arange(nf) / nf)
     total = np.zeros(nf, dtype=complex)
     chunk = max(1, _kernels._CHUNK // (16 * nf))  # slices per (bins, chunk) temporary
     for rect in exp.region:
         _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
         h = tq[1] - tq[0] if tq.size > 1 else 0.0
-        wk = h * _filon_weights(c.imag * h).T if h else np.full((kb.size, 3), wt[0])
+        wk = h * _filon_weights(omega * h).T if h else np.full((kb.size, 3), wt[0])
         role = np.ones(tq.size, dtype=int)
         role[0], role[-1] = 0, 2
         lo, hi = np.maximum(xf - dxf / 2, rect.x_lo), np.minimum(xf + dxf / 2, rect.x_hi)
         cover = np.clip((hi - lo) / dxf, 0.0, 1.0)
         idx = np.flatnonzero(cover > 0)
-        step = np.exp(c[:, None] * (tq[1:2] - tq[0]))
         a = np.zeros((kb.size, idx.size), dtype=complex)
         for s in range(0, tq.size, chunk):
             ts = tq[s : s + chunk]
-            e = np.empty((kb.size, ts.size), dtype=complex)
-            e[:, :1] = np.exp(c[:, None] * (ts[0] - t_ref))
-            e[:, 1:] = step
-            np.cumprod(e, axis=1, out=e)
+            e = _kernels._chirp(omega[:, None] * (ts[0] - t_ref), omega[:, None] * h, 0.0, ts.size)
             e *= wk[:, role[s : s + chunk]]
             a += e @ (cover[idx] * evolved_wavefunction(exp, xf[idx], ts))
-        dft = np.exp(-2j * np.pi * (np.outer(kb, idx) % nf) / nf)
+        dft = roots[np.outer(kb, idx) % nf]
         total[: kb.size] += np.einsum("jl,jl->j", a, dft)
         total[kb.size :] += np.einsum("jl,jl->j", a, dft.conj())[(nf - 1) // 2 : 0 : -1]
     pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2

@@ -143,6 +143,35 @@ def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
     assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_chirp_z_at_pipeline_size(chirp_calls):
+    # the refine-1 readout call: 66 slices of 106 points onto 1952 outputs,
+    # large enough that every chirp takes several recurrence blocks
+    rng = np.random.default_rng(3)
+    x_src = np.tile(np.linspace(-0.5, 0.5, 106), 66)
+    t_src = np.repeat(np.linspace(3.0, 3.2, 66), 106)
+    amp = rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)
+    args = (np.linspace(-38.136, 38.136, 1952), 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0)
+    ref = _kernels.propagate_numpy(*args)
+    assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert chirp_calls == [[(106 * i, 106 * (i + 1)) for i in range(66)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 1000, 4097, 2**17])
+def test_chirp_matches_exact_exp(n):
+    # dyadic coefficients keep alpha + beta j + gamma j^2 exact in float64,
+    # so np.exp of it is a true reference; |beta j|, |gamma j^2| <= 128
+    rows = 64 if n <= 4097 else 8
+    rng = np.random.default_rng(n)
+    k = rng.integers(-(2**10), 2**10, size=(3, rows, 1)).astype(float)
+    bits = n.bit_length()
+    alpha, beta, gamma = k[0] / 2**10, k[1] / 2 ** (bits + 3), k[2] / 2 ** (2 * bits + 3)
+    j = np.arange(n)
+    ref = np.exp(1j * (alpha + beta * j + gamma * j * j))
+    got = _kernels._chirp(alpha, beta, gamma, n)
+    assert got.shape == (rows, n)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
 def test_chirp_z_matches_scipy_czt(chirp_calls):
     from scipy.signal import czt  # test-only dependency
 
