@@ -19,12 +19,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, chain, epr, hilbert, postulates, zeno
@@ -80,6 +81,7 @@ _SCHEMA = {
 _GRID_KINDS = ("detector-compare", "two-point")
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX}}  # rows of entries
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _COUNT = {"type": "integer", "minimum": 0}
@@ -118,7 +120,7 @@ def _schema(spec) -> dict:
 @dataclass(frozen=True, kw_only=True)
 class ChainParams:
     initial: list = _param({"type": "array", "items": _COMPLEX, "minItems": 2})
-    overlaps: list = _param({"type": "array"}, ())
+    overlaps: list = _param({"type": "array", "items": _MATRIX}, ())
     explore_general_interactions: bool = _param({"type": "boolean"}, False)
 
 
@@ -182,23 +184,97 @@ class TwoPointParams(DetectorParams):
 _DETECTOR_FLOATS = tuple(f.name for f in fields(DetectorParams) if f.name != "band")
 
 
+def _is(x, kind: str) -> bool:
+    """JSON Schema's type test, but numbers must be finite: a bool is no
+    number, 2.0 is an integer, NaN, ±Infinity and an int beyond the float
+    range are neither."""
+    if kind not in ("number", "integer"):
+        return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[kind])
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    if isinstance(x, int):
+        return abs(x) <= sys.float_info.max
+    return math.isfinite(x) and (kind == "number" or x.is_integer())
+
+
+_BOUNDS = {  # keyword -> the test an instance of the keyword's type must pass
+    "enum": lambda x, v: x in v,
+    "minItems": lambda x, v: len(x) >= v,
+    "maxItems": lambda x, v: len(x) <= v,
+    "minimum": lambda x, v: x >= v,
+    "exclusiveMinimum": lambda x, v: x > v,
+}
+_Error = namedtuple("_Error", "path keyword message context mismatch")
+
+
+def _errors(x, schema: dict, path: tuple = ()):
+    """Yield an _Error per keyword of ``schema`` that ``x`` fails, in
+    jsonschema's order.  ``context`` holds a failed oneOf's branch errors,
+    additionalProperties' message is the sorted unknown keys, and
+    ``mismatch`` is true unless ``x`` matches the failing schema's type."""
+    kind = schema.get("type")
+    if kind is not None and not _is(x, kind):
+        what = f"a finite {kind}" if kind in ("number", "integer") else f"of type {kind!r}"
+        yield _Error(path, "type", f"{x!r} is not {what}", [], True)
+        return
+    for key, value in schema.items():
+        if key == "properties":
+            for name, sub in value.items():
+                if name in x:
+                    yield from _errors(x[name], sub, path + (name,))
+        elif key == "items":
+            for i, item in enumerate(x):
+                yield from _errors(item, value, path + (i,))
+        elif key == "required":
+            for name in value:
+                if name not in x:
+                    yield _Error(path, key, f"{name!r} is a required property", [], kind is None)
+        elif key == "additionalProperties":
+            if extra := set(x).difference(schema.get("properties", {})):
+                yield _Error(path, key, sorted(extra), [], kind is None)
+        elif key == "oneOf":
+            branches = [list(_errors(x, sub, path)) for sub in value]
+            if sum(not b for b in branches) != 1:
+                context = sum(branches, []) if all(branches) else []
+                msg = f"{x!r} is not valid under exactly one of {value}"
+                yield _Error(path, key, msg, context, kind is None)
+        elif key in _BOUNDS and not _BOUNDS[key](x, value):
+            yield _Error(path, key, f"{x!r} fails {key} {value!r}", [], kind is None)
+
+
+def _best_error(instance, schema: dict):
+    """The _Error that ``jsonschema.exceptions.best_match`` names, or None."""
+
+    def rank(e):  # best_match's relevance: shallow, later sibling, not oneOf, mismatch
+        return -len(e.path), e.path, e.keyword != "oneOf", e.mismatch
+
+    err = max(_errors(instance, schema), key=rank, default=None)
+    while err is not None and err.context:  # into the most specific branch error, unless two tie
+        best, *rest = sorted(err.context, key=rank)[:2]
+        if rest and rank(best) == rank(rest[0]):
+            break
+        err = best
+    return err
+
+
 def _validate(instance, schema: dict, prefix: str = "") -> None:
     """Validate against one of this module's schemas; the ConfigError names the field.
 
-    ``jsonschema.validate`` would also check the constant schema against
-    its metaschema on every call (about 4 ms); the tests check it once.
+    Covers the JSON Schema 2020-12 keywords these schemas use, each but enum
+    (of strings) and oneOf beside the type it constrains: type, enum,
+    required, properties, additionalProperties (false), items (one schema),
+    minItems, maxItems, minimum, exclusiveMinimum, oneOf.  Stricter than JSON
+    Schema in one rule: numbers must be finite, as RFC 8259 requires of JSON,
+    and an integer must lie within the float range.
     """
-    err = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    )
+    err = _best_error(instance, schema)
     if err is None:
         return
-    path = [prefix] if prefix else []
-    path += [str(p) for p in err.absolute_path]
-    if err.validator == "additionalProperties":
-        extra = sorted(set(err.instance) - set(err.schema.get("properties", {})))
-        raise ConfigError(", ".join(".".join(path + [key]) for key in extra) + ": unknown field")
-    raise ConfigError(f"{'.'.join(path) or '(top level)'}: {err.message}")
+    names = [prefix] * bool(prefix) + [str(p) for p in err.path]
+    if err.keyword == "additionalProperties":
+        unknown = (".".join(names + [key]) for key in err.message)
+        raise ConfigError(", ".join(unknown) + ": unknown field")
+    raise ConfigError(f"{'.'.join(names) or '(top level)'}: {err.message}")
 
 
 def _check_grid(kind: str, grid: dict) -> None:
@@ -402,10 +478,10 @@ def _run_time_reversed_zeno(cfg: ExperimentConfig, refine: int):
     else:
         tmax = float(p.theta_max)
         thetas = list(np.linspace(-tmax, tmax, int(p.n_thetas)))
-    rows = []
-    for th in thetas:
-        res = zeno.time_reversed_zeno(zeno.ZenoConfig(omega=omega, epsilon=1e-3, theta=th))
-        rows.append([th, res.delta_t])
+    res = zeno.time_reversed_zeno(
+        zeno.ZenoConfig(omega=omega, epsilon=1e-3, theta=np.array(thetas))
+    )
+    rows = [[th, dt] for th, dt in zip(thetas, res.delta_t.tolist())]
     worst = max([abs(dt - th / omega) for th, dt in rows], default=0.0)
     results = {"max_shift_error": worst}
     return ["theta", "delta_t"], rows, results, {"max_shift_error": worst}

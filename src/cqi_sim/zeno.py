@@ -36,7 +36,7 @@ MAX_ANCILLAS = 20
 class ZenoConfig:
     omega: float
     epsilon: float
-    theta: float = 0.0
+    theta: float | np.ndarray = 0.0  # an array batches time_reversed_zeno
     n_ancillas: int = 0
 
     def __post_init__(self):
@@ -92,8 +92,8 @@ def zeno_pair(cfg: ZenoConfig) -> tuple[float, float]:
 @dataclass(frozen=True, eq=False)
 class TrajectoryResult:
     times: np.ndarray
-    q_states: np.ndarray  # (len(times), 2) system amplitudes after the CNOT
-    delta_t: float
+    q_states: np.ndarray  # (*theta, len(times), 2) system amplitudes after the CNOT
+    delta_t: float | np.ndarray  # one per theta
 
 
 def time_reversed_zeno(cfg: ZenoConfig, n_samples: int = 33) -> TrajectoryResult:
@@ -108,26 +108,28 @@ def time_reversed_zeno(cfg: ZenoConfig, n_samples: int = 33) -> TrajectoryResult
     theta).
 
     The shift is recovered from the trajectory by exact algebraic
-    inversion at two sample times, not by fitting.
+    inversion at two sample times, not by fitting.  ``cfg.theta`` may be
+    an array: each theta is then evolved and checked on its own, with
+    the same arithmetic as a scalar theta, and ``delta_t`` is an array.
     """
-    w, th = cfg.omega, cfg.theta
-    pair = np.zeros((2, 2), dtype=complex)
+    w, th = cfg.omega, np.asarray(cfg.theta, dtype=float)
+    pair = np.zeros((2, 2) + th.shape, dtype=complex)  # (system, ancilla, *theta)
     pair[0, 0] = np.cos(th)
     pair[1, 1] = 1j * np.sin(th)
     pair = _cnot_from_q(pair, 1)
-    anc = pair[:, 0].copy()
-    if np.linalg.norm(pair[:, 1]) > 1e-12:
+    if np.any(np.linalg.norm(pair[:, 1], axis=0) > 1e-12):
         raise NumericalValidationError("CNOT failed to disentangle the ancilla")
+    anc = np.moveaxis(pair[:, 0], 0, -1)  # (*theta, 2)
 
     times = np.linspace(0.0, np.pi / w, n_samples)
-    states = free_evolution_matrix(times, w) @ anc
+    states = (free_evolution_matrix(times, w) @ anc[..., None, :, None])[..., 0]
 
-    phase = np.arctan2(states[:, 1].imag, states[:, 0].real) - w * times
-    d1, d2 = float(phase[0]), float(phase[n_samples // 4])
+    phase = np.arctan2(states[..., 1].imag, states[..., 0].real) - w * times
+    d1, d2 = phase[..., 0], phase[..., n_samples // 4]
     d2 = d2 - 2 * np.pi * np.round((d2 - d1) / (2 * np.pi))
-    if abs(d1 - d2) > 1e-10:
+    if np.any(np.abs(d1 - d2) > 1e-10):
         raise NumericalValidationError("trajectory is not a shifted free evolution")
-    return TrajectoryResult(times, states, float(d1 / w))
+    return TrajectoryResult(times, states, d1 / w if th.ndim else float(d1 / w))
 
 
 def zeno_cancellation(cfg: ZenoConfig, inverse_delay: float = 0.0, n_samples: int = 17) -> float:

@@ -343,6 +343,32 @@ def zeno_cancellation_loop(cfg, inverse_delay=0.0, n_samples=17):
     return worst
 
 
+def time_reversed_zeno_loop(omega, thetas, epsilon=1e-3):
+    """``zeno.time_reversed_zeno`` on an array of thetas, one scalar call
+    per theta: the (delta_t list, q_states stack) the batched call must
+    reproduce bit for bit."""
+    from cqi_sim import zeno
+
+    results = [
+        zeno.time_reversed_zeno(zeno.ZenoConfig(omega=omega, epsilon=epsilon, theta=float(th)))
+        for th in thetas
+    ]
+    return [r.delta_t for r in results], np.array([r.q_states for r in results])
+
+
+def jsonschema_best_match(instance, schema):
+    """(absolute path, keyword) of the error that jsonschema's ``best_match``
+    picks for ``instance`` under ``schema``, or None if it is valid; the
+    reference for ``cli._best_error``.  Like the CLI it skips the metaschema
+    check, which ``test_schemas_match_metaschema`` makes once."""
+    import jsonschema
+
+    err = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    )
+    return None if err is None else (tuple(err.absolute_path), err.validator)
+
+
 def chain_distribution_exhaustive(initial, overlaps, observer):
     """Outcome distribution of one observer by brute-force index summation.
 

@@ -361,7 +361,8 @@ class TestRefineRejected:
 
 
 def test_schemas_match_metaschema():
-    jsonschema = pytest.importorskip("jsonschema")
+    import jsonschema  # a test dependency: the oracle of the in-tree validator
+
     for schema in [cli._SCHEMA, *cli._PARAM_SCHEMAS.values()]:
         jsonschema.Draft202012Validator.check_schema(schema)
 
@@ -459,7 +460,10 @@ _PARAM_SCHEMAS = {
         "required": ["initial"],
         "properties": {
             "initial": {"type": "array", "items": _COMPLEX, "minItems": 2},
-            "overlaps": {"type": "array"},
+            "overlaps": {
+                "type": "array",
+                "items": {"type": "array", "items": {"type": "array", "items": _COMPLEX}},
+            },
             "explore_general_interactions": {"type": "boolean"},
         },
         "additionalProperties": False,

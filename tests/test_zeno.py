@@ -11,6 +11,7 @@ from cqi_sim.zeno import ZenoConfig
 from oracles import (
     iterated_zeno_markov,
     qubit_evolution_expm,
+    time_reversed_zeno_loop,
     zeno_cancellation_loop,
     zeno_pair_explicit,
 )
@@ -98,6 +99,33 @@ class TestTimeReversedZeno:
         for t, q in zip(res.times, res.q_states):
             expect = zeno.free_qubit(t + theta / omega, omega).amplitudes
             assert_allclose(q, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.3])
+    def test_batch_matches_scalar_loop_bit_for_bit(self, omega):
+        rng = np.random.default_rng(7)
+        thetas = np.concatenate(
+            [np.linspace(-np.pi / 4, np.pi / 4, 50), [0.0, -0.0, -0.2, 0.3], rng.uniform(-1.5, 1.5, 200)]
+        )
+        res = zeno.time_reversed_zeno(ZenoConfig(omega, 1e-3, theta=thetas))
+        delta_t, q_states = time_reversed_zeno_loop(omega, thetas)
+        assert all(type(d) is float for d in delta_t) and q_states.shape == (len(thetas), 33, 2)
+        assert res.delta_t.tobytes() == np.array(delta_t).tobytes()
+        assert res.q_states.tobytes() == q_states.tobytes()
+        grid = zeno.time_reversed_zeno(ZenoConfig(omega, 1e-3, theta=thetas[:12].reshape(3, 4)))
+        assert grid.delta_t.shape == (3, 4) and grid.q_states.shape == (3, 4, 33, 2)
+        assert grid.delta_t.tobytes() == res.delta_t[:12].tobytes()
+
+    def test_batch_checks_each_theta_disentangles(self, monkeypatch):
+        monkeypatch.setattr(zeno, "_cnot_from_q", lambda state, target_axis: state)
+        zeno.time_reversed_zeno(ZenoConfig(1.0, 0.01, theta=np.array([0.0, 0.0])))  # no entanglement
+        with pytest.raises(NumericalValidationError, match="disentangle"):
+            zeno.time_reversed_zeno(ZenoConfig(1.0, 0.01, theta=np.array([0.0, 0.3, 0.0])))
+
+    def test_batch_checks_shifted_free_evolution(self, monkeypatch):
+        real = zeno.free_evolution_matrix
+        monkeypatch.setattr(zeno, "free_evolution_matrix", lambda t, omega: real(t, 2 * omega))
+        with pytest.raises(NumericalValidationError, match="shifted free evolution"):
+            zeno.time_reversed_zeno(ZenoConfig(1.0, 0.01, theta=np.array([0.1, 0.2])))
 
 
 class TestCancellation:
