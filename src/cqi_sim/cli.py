@@ -373,7 +373,11 @@ def _detector_overrides(cfg: ExperimentConfig) -> dict:
 
 
 def _born_margin(detail: postulates.BornDetail) -> dict:
-    return {"born_xcheck_rel": detail.rel_diff, "born_double_region": detail.p_double_region}
+    return {
+        "born_xcheck_rel": detail.rel_diff,
+        "born_double_region": detail.p_double_region,
+        "readout_edge_rel": detail.readout_edge_rel,
+    }
 
 
 def _run_detector_compare(cfg: ExperimentConfig, refine: int):

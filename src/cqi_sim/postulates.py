@@ -431,6 +431,8 @@ class BornDetail:
     p_slice: float  # |1>-branch norm on the readout slice
     p_double_region: float  # kernel double integral over R x R
     rel_diff: float
+    p_slice_rects: tuple[float, ...]  # each rectangle's branch alone, same grid and density
+    readout_edge_rel: float  # larger |phi| at the readout grid's ends over max |phi|
 
 
 def _fine_grid(exp: DetectorExperiment) -> np.ndarray:
@@ -503,20 +505,49 @@ def _born_double_region(exp: DetectorExperiment) -> float:
     return _born_double_region_raw(exp, 1)
 
 
+def _readout_branches(exp: DetectorExperiment) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid weights of the readout slice and each rectangle's
+    |1>-branch amplitude on it, one kernel sum per rectangle.
+
+    Every rectangle is summed on the union's readout grid at the union's
+    time density, so by linearity the rows add to
+    ``first_order_amplitude(exp, _readout_grid(exp), exp.readout_time)``;
+    a lone rectangle makes exactly that call.
+    """
+    xr, t = _readout_grid(exp), float(exp.readout_time)
+    density = _t_density_for(exp, t)
+    k = exp.kernel
+    kern = (k.mass, k.hbar, k.regularization_eta)
+    phis = np.array(
+        [
+            _kernels.propagate(xr, t, *_region_sources(replace(exp, region=(r,)), density), *kern)
+            for r in exp.region
+        ]
+    )
+    w = trapezoid_weights(xr.size, float(xr[1] - xr[0]))
+    return w, phis * (exp.coupling_alpha / (1j * k.hbar))
+
+
 def _born_slice_norm(exp: DetectorExperiment) -> float:
     """Norm of the first-order |1>-branch on the readout slice."""
-    xr = _readout_grid(exp)
-    phi = first_order_amplitude(exp, xr, exp.readout_time)
-    w = trapezoid_weights(xr.size, float(xr[1] - xr[0]))
-    return float(np.sum(w * np.abs(phi) ** 2))
+    w, phis = _readout_branches(exp)
+    return float(np.sum(w * np.abs(phis.sum(axis=0)) ** 2))
 
 
 def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
-    """Both Born routes; a difference over ``xcheck_tol`` fails, naming dxf."""
+    """Both Born routes; a difference over ``xcheck_tol`` fails, naming dxf.
+
+    The slice route also gives each rectangle's norm alone (same grid and
+    time density as the union) and the readout-edge margin.
+    """
     exp.validate_perturbative()
     if exp.coupling_alpha == 0.0:
-        return BornDetail(0.0, 0.0, 0.0)
-    p_a = _born_slice_norm(exp)
+        return BornDetail(0.0, 0.0, 0.0, (0.0,) * len(exp.region), 0.0)
+    w, phis = _readout_branches(exp)
+    amp = np.abs(phis.sum(axis=0))
+    p_a = float(np.sum(w * amp**2))
+    p_rects = tuple(float(np.sum(w * np.abs(phi) ** 2)) for phi in phis)
+    edge = float(max(amp[0], amp[-1]) / max(amp.max(), 1e-300))
     p_b = _born_double_region(exp)
     rel = abs(p_a - p_b) / max(abs(p_a), 1e-300)
     if rel > exp.xcheck_tol:
@@ -526,7 +557,7 @@ def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
             f"{rel:.3g} (tolerance {exp.xcheck_tol}); double-region fine step dxf = "
             f"{xf[1] - xf[0]:.4g} = min(dx/2 = {exp.dx / 2:.4g}, narrowest rectangle / 16)"
         )
-    return BornDetail(p_a, p_b, rel)
+    return BornDetail(p_a, p_b, rel, p_rects, edge)
 
 
 def born_probability(exp: DetectorExperiment, xcheck: bool = True) -> float:
@@ -717,7 +748,7 @@ class TwoPointReport:
     p_cqi: float
     cross_rr_measured: float  # interference term relative to the incoherent sum
     cross_rr_predicted: float  # same, from point values of Psi
-    cross_born: float  # Born-route interference term (should be ~0)
+    cross_born: float  # Born interference term (~0): three norms, one grid and time density
     ratio_rr_born: float  # normalized ratio, -> 2 for equal real amplitudes
     cqi_born_ratio: float
     born: BornDetail  # both Born routes: the cross-check margin
@@ -731,6 +762,8 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     kernel (the squares are far enough apart that the kernel between
     them is negligible).  Both rules are normalized by their own
     incoherent two-square sums, which removes all apparatus prefactors.
+    The Born union and single-square norms come from one kernel sum per
+    square, all on the union's readout grid and time density.
     """
     if len(exp.region) != 2:
         raise NumericalValidationError("two_point_report needs exactly two rectangles")
@@ -751,11 +784,7 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     cross_pred = 2.0 * (np.conj(psi_a) * psi_b).real / (abs(psi_a) ** 2 + abs(psi_b) ** 2)
 
     born = born_probability_detail(exp)
-    borns = [
-        born_probability(replace(exp, region=(rect,)), xcheck=False)
-        for rect in (r_a, r_b)
-    ]
-    cross_born = born.p_slice / sum(borns) - 1.0
+    cross_born = born.p_slice / sum(born.p_slice_rects) - 1.0
 
     p_cqi = cqi_probability(exp)
     ratio = (1.0 + cross_rr) / (1.0 + cross_born)

@@ -164,6 +164,18 @@ class TestRunners:
         assert level["born_double_region"] > 0
         assert len(calls) == 1  # the margin reuses the cross-check's double region
 
+    @pytest.mark.parametrize("kind", ["detector-compare", "two-point"])
+    def test_levels_report_readout_edge(self, tmp_path, kind):
+        path = write_config(tmp_path, "c.json", {"kind": kind, "output": {"path": "o"}})
+        cli.run(path, refine=1, out_dir=tmp_path)
+        report = json.loads((tmp_path / "o.json").read_text())
+        levels = report["diagnostics"]["levels"]
+        assert [lv["refine"] for lv in levels] == [0, 1]
+        assert all(0 < lv["readout_edge_rel"] < 1e-3 for lv in levels)
+        lines = (tmp_path / "o.csv").read_text().splitlines()
+        header = next(line for line in lines if not line.startswith("#"))
+        assert "readout_edge_rel" not in header
+
 
 class TestDeterminism:
     def test_identical_payloads(self, tmp_path):

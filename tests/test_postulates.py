@@ -219,6 +219,35 @@ class TestBornProbability:
         monkeypatch.setattr(ps, "_born_double_region", fail)
         assert born_probability(BENCH, xcheck=False) == p_slice
 
+    def test_lone_rectangle_makes_the_union_kernel_call(self, monkeypatch):
+        calls = []
+        real = ps._kernels.propagate
+        monkeypatch.setattr(ps._kernels, "propagate", lambda *a: calls.append(a) or real(*a))
+        w, phis = ps._readout_branches(BENCH)
+        t = BENCH.readout_time
+        ((x, t_out, *sources, mass, hbar, eta),) = calls
+        assert_array_equal(x, ps._readout_grid(BENCH))
+        assert t_out == t
+        for got, want in zip(sources, ps._region_sources(BENCH, ps._t_density_for(BENCH, t))):
+            assert_array_equal(got, want)
+        k = BENCH.kernel
+        assert (mass, hbar, eta) == (k.mass, k.hbar, k.regularization_eta)
+        assert_array_equal(phis[0], first_order_amplitude(BENCH, x, t))
+        assert_array_equal(w, trapezoid_weights(x.size, x[1] - x[0]))
+
+    @pytest.mark.parametrize("exp", [BENCH, two_point_experiment()], ids=["slab", "two-point"])
+    def test_readout_edge_margin(self, exp):
+        xr = ps._readout_grid(exp)
+        amp = np.abs(first_order_amplitude(exp, xr, exp.readout_time))
+        detail = born_probability_detail(exp)
+        want = max(amp[0], amp[-1]) / amp.max()
+        assert detail.readout_edge_rel == pytest.approx(want, rel=1e-12)
+        assert 0 < detail.readout_edge_rel < 1e-3
+
+    def test_zero_coupling_detail(self):
+        detail = born_probability_detail(two_point_experiment(coupling_alpha=0.0))
+        assert (detail.p_slice, detail.p_slice_rects, detail.readout_edge_rel) == (0, (0, 0), 0)
+
 
 SUM_CASES = [
     (BENCH, 1),
@@ -586,6 +615,44 @@ class TestTwoPoint:
     def test_needs_two_rectangles(self):
         with pytest.raises(NumericalValidationError):
             two_point_report(BENCH)
+
+    @pytest.mark.parametrize("separation", [2.0, 4.0])
+    def test_rect_branches_add_to_union_amplitude(self, separation):
+        exp = two_point_experiment(separation=separation)
+        _, phis = ps._readout_branches(exp)
+        union = first_order_amplitude(exp, ps._readout_grid(exp), exp.readout_time)
+        assert phis.shape == (2, union.size)
+        scale = np.max(np.abs(union))
+        assert np.max(np.abs(phis.sum(axis=0) - union)) <= 1e-13 * scale
+
+    def test_union_time_density_differs_from_a_lone_square(self):
+        # why each square is summed at the union's density: alone it would
+        # take a coarser one, and the branches would not add to the union's
+        exp = two_point_experiment(separation=4.0)
+        t = exp.readout_time
+        assert ps._t_density_for(exp, t) == 3
+        for rect in exp.region:
+            assert ps._t_density_for(replace(exp, region=(rect,)), t) == 2
+
+    def test_cross_born_from_branches(self):
+        exp = two_point_experiment()
+        w, (phi_a, phi_b) = ps._readout_branches(exp)
+        n_a, n_b = np.sum(w * np.abs(phi_a) ** 2), np.sum(w * np.abs(phi_b) ** 2)
+        cross = 2.0 * np.sum(w * np.conj(phi_a) * phi_b).real / (n_a + n_b)
+        assert abs(two_point_report(exp).cross_born - cross) <= 1e-12
+
+    def test_p_born_is_slice_norm(self):
+        exp = two_point_experiment()
+        assert two_point_report(exp).p_born == pytest.approx(ps._born_slice_norm(exp), rel=1e-14)
+
+    def test_one_kernel_sum_per_rectangle(self, monkeypatch):
+        # two readout sums (one per square) and the band seed; the union's
+        # readout is their sum, not a third readout
+        calls = []
+        real = ps._kernels.propagate
+        monkeypatch.setattr(ps._kernels, "propagate", lambda *a: calls.append(a) or real(*a))
+        two_point_report(two_point_experiment())
+        assert len(calls) == 3
 
 
 class TestShrinkingRegion:
