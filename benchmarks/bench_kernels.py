@@ -23,6 +23,11 @@ and the prepared state on the region slices at time density 8 by kernel
 quadrature of psi0 (one ``propagate`` call per region slice) against the
 closed form of ``evolved_wavefunction``.
 
+The double-region sum ``postulates._born_double_region_raw`` (density 1)
+is timed on ``two_point_experiment()`` and on ``benchmark_experiment``
+at refine 1 and 3, with its relative deviation from the pairwise
+Filon oracle of ``tests/oracles.py`` (about 1.5 s at refine 3).
+
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
 decomposition with per-slice collapse of ``tests/oracles.py`` against
@@ -47,6 +52,7 @@ sys.path.insert(0, "tests")
 from cqi_sim import _kernels, chain, epr, postulates  # noqa: E402
 from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
 from oracles import (  # noqa: E402
+    born_double_region_filon_pairwise,
     born_double_region_trapezoid,
     covariant_partial_trace_schmidt,
     general_interaction_probe_loop,
@@ -117,6 +123,22 @@ def compare_two_point(densities=(1, 2, 4, 8)):
           f" {(p_ladder - ref) / ref:+.1e}")
     print(f"  filon     : {t_filon * 1e3:9.2f} ms   speedup {t_ladder / t_filon:.1f}x"
           f"   rel deviation from density 16 {(p_filon - ref) / ref:+.1e}")
+
+
+def time_double_region():
+    cases = [
+        ("two-point, refine 0", postulates.two_point_experiment()),
+        ("slab, refine 1", postulates.benchmark_experiment(1)),
+        ("slab, refine 3", postulates.benchmark_experiment(3)),
+    ]
+    print("double-region sum, Filon at density 1, against the pairwise oracle")
+    for label, exp in cases:
+        nf = postulates._fine_grid(exp).size
+        n = sum(postulates._rect_subgrid(exp, rect)[1].size for rect in exp.region)
+        got, t_sum = timed(postulates._born_double_region_raw, exp, 1)
+        ref = born_double_region_filon_pairwise(exp, 1)
+        print(f"  {label:<19}: {t_sum * 1e3:9.2f} ms   {n} slices x {nf // 2 + 1} |k| bins"
+              f"   rel deviation {(got - ref) / ref:+.1e}")
 
 
 def compare_prepared_state(density=8):
@@ -201,6 +223,7 @@ def main():
     print(f"  dense sum : {t_dq:.3f} s")
 
     compare_two_point()
+    time_double_region()
     compare_prepared_state()
     compare_partial_trace()
     compare_finite_suite()

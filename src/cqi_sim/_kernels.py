@@ -134,10 +134,10 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
     for b in range(0, len(runs), batch):
         part = runs[b : b + batch]
-        a = np.zeros((len(part), n), dtype=np.complex128)
-        for row, (s, e) in enumerate(part):
-            a[row, : e - s] = amp[s:e]
         first, end = np.array(part).T
+        j = np.arange(n)  # row r holds amp[first[r] : end[r]], zero-padded to n
+        src = np.minimum(first[:, None] + j, amp.size - 1)
+        a = np.where(j < (end - first)[:, None], amp[src], 0j)
         y0 = x_src[first][:, None]
         d = ((x_src[end - 1] - x_src[first]) / (end - first - 1))[:, None]
         dt = t_out - t_src[first]

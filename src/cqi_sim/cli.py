@@ -288,6 +288,27 @@ def _check_grid(kind: str, grid: dict) -> None:
         raise ConfigError(f"grid.x_max: {x_max} must exceed x_min {x_min}")
 
 
+def _check_region(kind: str, params: dict, grid: dict) -> None:
+    """Every region rectangle inside the x grid: the Born double-region sum
+    sees only the part on the grid, so a rectangle that leaves it would fail
+    the cross-check by a misleading margin.  The field named is the one that
+    placed the rectangle."""
+    x_min = grid.get("x_min", postulates.DetectorExperiment.x_min)
+    x_max = grid.get("x_max", postulates.DetectorExperiment.x_max)
+    if kind == "two-point":
+        geometry = {k: params[k] for k in ("packet_center", "separation", "eps_pt") if k in params}
+        rects = postulates.two_point_experiment(**geometry, **grid).region
+        spans = [("params.separation", (r.x_lo, r.x_hi)) for r in rects]
+    elif "region" in params:
+        spans = [(f"params.region.{i}.x", r["x"]) for i, r in enumerate(params["region"])]
+    else:  # the default slab
+        rects = postulates.benchmark_experiment().region
+        spans = [("params.region", (r.x_lo, r.x_hi)) for r in rects]
+    for name, x in spans:
+        if min(x) < x_min or max(x) > x_max:
+            raise ConfigError(f"{name}: region x {list(x)} leaves the x grid [{x_min}, {x_max}]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -302,6 +323,8 @@ class ExperimentConfig:
         _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
         if "grid" in data:
             _check_grid(data["kind"], data["grid"])
+        if data["kind"] in _GRID_KINDS:
+            _check_region(data["kind"], data.get("params", {}), data.get("grid", {}))
         return cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),

@@ -462,13 +462,13 @@ def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
     time delta channel needs no regularization.  The kernel phase splits
     per slice (the paper's slice independence), so the integral is ||S||^2,
     S(k) = int dt exp(i hbar k^2 (t - t_ref) / 2m) FFT(slice_t)(k) with t_ref
-    the earliest region time.  Per-|k| Filon weights make the t integral
-    exact in that phase for the linear interpolant of the slices (a lone
-    slice keeps its ``_rect_subgrid`` weight).  Per rectangle A = E @
-    (cover psi) on the live fine points idx, E the weighted phases
-    exp(i omega_k (t - t_ref)) per |k| bin (bins j, nf - j share k^2) from
-    ``_kernels._chirp``; bin j sums A[j] exp(-2 pi i j idx / nf), read from
-    a table of the nf-th roots of unity.
+    the earliest region time, and per-|k| Filon weights make the t integral
+    exact for the linear interpolant of the slices (a lone slice keeps its
+    ``_rect_subgrid`` weight).  The rectangles of one slice grid share the
+    weighted phases E[t, j] (bins j and nf - j share k^2), each row the last
+    times exp(i omega_j h), exact every 16 slices.  A rectangle adds A =
+    (cover psi)^T @ E on its live points i0 + l; bin j sums A[l, j]
+    exp(-2 pi i j (i0 + l) / nf) by Horner's rule, exact every 16 points.
     """
     xf = _fine_grid(exp)
     nf, dxf = xf.size, float(xf[1] - xf[0])
@@ -476,28 +476,43 @@ def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
     omega = (0.5 * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
     t_ref = min(r.t_lo for r in exp.region)
     roots = np.exp(-2j * np.pi * np.arange(nf) / nf)
-    total = np.zeros(nf, dtype=complex)
-    chunk = max(1, _kernels._CHUNK // (16 * nf))  # slices per (bins, chunk) temporary
+    z = roots[np.outer([1, -1], kb) % nf]  # bins j and nf - j
+    spec = np.zeros((2, kb.size), dtype=complex)
+    chunk = max(1, _kernels._CHUNK // (16 * nf))  # slices per (chunk, bins) temporary
+    grids = {}  # slice grid -> [(tq, lone-slice weight), (i0, cover) per rectangle]
     for rect in exp.region:
         _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
-        h = tq[1] - tq[0] if tq.size > 1 else 0.0
-        wk = h * _filon_weights(omega * h).T if h else np.full((kb.size, 3), wt[0])
-        role = np.ones(tq.size, dtype=int)
-        role[0], role[-1] = 0, 2
         lo, hi = np.maximum(xf - dxf / 2, rect.x_lo), np.minimum(xf + dxf / 2, rect.x_hi)
         cover = np.clip((hi - lo) / dxf, 0.0, 1.0)
-        idx = np.flatnonzero(cover > 0)
-        a = np.zeros((kb.size, idx.size), dtype=complex)
+        idx = np.flatnonzero(cover > 0)  # contiguous, empty off the grid
+        if idx.size:
+            grids.setdefault((tq[0], tq[-1], tq.size), [(tq, wt[0])]).append((idx[0], cover[idx]))
+    for (tq, wt0), *rects in grids.values():
+        h = tq[1] - tq[0] if tq.size > 1 else 0.0
+        w = h * _filon_weights(omega * h) if h else np.full((3, kb.size), wt0)
+        step = np.exp(1j * omega * h)
+        amps = [np.zeros((cover.size, kb.size), dtype=complex) for _, cover in rects]
         for s in range(0, tq.size, chunk):
             ts = tq[s : s + chunk]
-            e = _kernels._chirp(omega[:, None] * (ts[0] - t_ref), omega[:, None] * h, 0.0, ts.size)
-            e *= wk[:, role[s : s + chunk]]
-            a += e @ (cover[idx] * evolved_wavefunction(exp, xf[idx], ts))
-        dft = roots[np.outer(kb, idx) % nf]
-        total[: kb.size] += np.einsum("jl,jl->j", a, dft)
-        total[kb.size :] += np.einsum("jl,jl->j", a, dft.conj())[(nf - 1) // 2 : 0 : -1]
+            e = np.empty((ts.size, kb.size), dtype=complex)
+            for i in range(ts.size):
+                exact = i == 0 or (s + i) % 16 == 0
+                e[i] = np.exp(1j * omega * (ts[i] - t_ref)) if exact else e[i - 1] * step
+            e[max(0, 1 - s) : tq.size - 1 - s] *= w[1]
+            for j, wj in {0: w[0], tq.size - 1: w[2]}.items():  # a lone slice is its own last
+                if s <= j < s + ts.size:
+                    e[j - s] *= wj
+            for (i0, cover), a in zip(rects, amps):
+                a += (cover * evolved_wavefunction(exp, xf[i0 : i0 + cover.size], ts)).T @ e
+        for (i0, _), a in zip(rects, amps):
+            for b in range(0, len(a), 16):
+                acc = np.zeros((2, kb.size), dtype=complex)
+                for row in a[b : b + 16][::-1]:
+                    acc = acc * z + row
+                spec += acc * roots[np.outer([1, -1], (i0 + b) * kb) % nf]
+    spec[1, (nf + 1) // 2 :] = spec[1, 0] = 0  # bins 0 and nf / 2 once
     pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
-    return float(pref * np.vdot(total, total).real * dxf / nf)
+    return float(pref * np.vdot(spec, spec).real * dxf / nf)
 
 
 def _born_double_region(exp: DetectorExperiment) -> float:

@@ -347,6 +347,67 @@ class TestTopLevelAndGrid:
         assert "grid: kind 'zeno' has no grid" in capsys.readouterr().err
 
 
+class TestRegionOnGrid:
+    """A region rectangle that leaves the x grid exits 1 naming the field
+    that placed it, instead of failing the Born cross-check (exit 2)."""
+
+    @staticmethod
+    def config(name, **params):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        cfg["params"].update(params)
+        return cfg
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("detector-compare", {"region": [{"x": [25, 26], "t": [3.0, 3.2]}]}, "region.0.x"),
+            ("detector-compare", {"region": [{"x": [19.5, 20.5], "t": [3.0, 3.2]}]}, "region.0.x"),
+            (
+                "detector-compare",
+                {"region": [{"x": [-0.5, 0.5], "t": [3, 3.2]}, {"x": [-21, -19], "t": [3, 3.2]}]},
+                "region.1.x",
+            ),
+            ("two-point", {"separation": 15.5}, "separation"),
+            ("two-point", {"separation": -15.5}, "separation"),
+            ("two-point", {"packet_center": 18.0}, "separation"),
+        ],
+        ids=["outside", "over-edge", "second", "two-point", "negative", "center"],
+    )
+    def test_off_grid_exit_1(self, tmp_path, capsys, command, name, params, field):
+        path = write_config(tmp_path, "cfg.json", self.config(name, **params))
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert f"params.{field}: region x" in err and "leaves the x grid" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_default_region_off_a_narrow_grid(self, tmp_path, capsys):
+        cfg = {"kind": "detector-compare", "grid": {"x_min": 0.0}, "output": {"path": "det"}}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "params.region: region x [-0.5, 0.5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("separation", [-15.5, -14.9, 0.0, 14.9, 15.3, 15.5])
+    @pytest.mark.parametrize("grid", [{}, {"nx": 64, "x_min": -21.0}])
+    def test_two_point_check_matches_the_experiment(self, tmp_path, separation, grid):
+        # the check accepts exactly the configs whose built squares lie on the grid
+        cfg = dict(self.config("two-point", separation=separation), grid=grid)
+        spec = cli.ExperimentConfig(kind="two-point", params=cfg["params"], grid=grid)
+        exp = cli.postulates.two_point_experiment(**cli._detector_overrides(spec))
+        inside = all(exp.x_min <= r.x_lo and r.x_hi <= exp.x_max for r in exp.region)
+        path = write_config(tmp_path, "tp.json", cfg)
+        if inside:
+            cli.load_config(path)
+        else:
+            with pytest.raises(ConfigError, match=r"params\.separation"):
+                cli.load_config(path)
+
+    def test_edge_touching_region_accepted(self, tmp_path):
+        cfg = self.config("detector-compare", region=[{"x": [19.0, 20.0], "t": [3.0, 3.2]}])
+        cli.load_config(write_config(tmp_path, "det.json", cfg))
+
+
 class TestRefineRejected:
     CONFIGS = {
         "chain": {"initial": [0.6, 0.8]},

@@ -356,6 +356,66 @@ class TestDoubleRegionLadder:
         assert got == pytest.approx(born_double_region_filon_pairwise(exp, 2), rel=1e-10)
 
 
+TWO_GRIDS = benchmark_experiment(
+    region=(Rect(-0.5, 0.5, 3.0, 3.2), Rect(1.0, 1.5, 3.3, 3.6)), band=(3.7, 3.95)
+)
+
+
+class TestDoubleRegionTables:
+    """The slice-major layout of the Filon sum: one weighted phase table per
+    slice grid, built in chunks with exact restarts every 16 slices."""
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        """Count the Filon weight evaluations: one per table built."""
+        calls = []
+        real = ps._filon_weights
+        monkeypatch.setattr(ps, "_filon_weights", lambda theta: calls.append(1) or real(theta))
+        return calls
+
+    @pytest.mark.parametrize(
+        "exp, density, chunk",
+        [(BENCH, 2, 1), (BENCH, 2, 5), (BENCH, 2, 7), (two_point_experiment(), 1, 5)],
+        ids=["bench-2-chunk1", "bench-2-chunk5", "bench-2-chunk7", "two-point-chunk5"],
+    )
+    def test_small_chunks_match_pairwise(self, monkeypatch, exp, density, chunk):
+        # chunk 1 puts every slice alone; with 5 or 7 the chunk edges fall
+        # between the restarts at multiples of 16, and the first and last
+        # slices share their chunks with interior ones
+        nf = ps._fine_grid(exp).size
+        monkeypatch.setattr(ps._kernels, "_CHUNK", chunk * 16 * nf)
+        seen = TestDoubleRegionLadder.spy_slices(monkeypatch)
+        calls = []
+        real = ps.evolved_wavefunction
+        monkeypatch.setattr(ps, "evolved_wavefunction", lambda *a: calls.append(1) or real(*a))
+        got = ps._born_double_region_raw(exp, density)
+        n = ps._rect_subgrid(exp, exp.region[0], density)[1].size
+        assert len(calls) == len(exp.region) * -(-n // chunk)
+        assert len(seen) == len(exp.region) * n
+        assert got == pytest.approx(born_double_region_filon_pairwise(exp, density), rel=1e-10)
+
+    def test_two_slice_grids_build_two_tables(self, monkeypatch):
+        tables = self.count_tables(monkeypatch)
+        got = ps._born_double_region_raw(TWO_GRIDS, 1)
+        assert len(tables) == 2
+        assert got == pytest.approx(born_double_region_filon_pairwise(TWO_GRIDS, 1), rel=1e-10)
+
+    def test_two_point_squares_share_one_table(self, monkeypatch):
+        tables = self.count_tables(monkeypatch)
+        ps._born_double_region_raw(two_point_experiment(), 1)
+        assert len(tables) == 1
+
+    def test_rectangle_without_live_point_adds_zero(self, monkeypatch):
+        on_grid = benchmark_experiment(region=TWO_GRIDS.region[:1], band=TWO_GRIDS.band)
+        off = replace(on_grid, region=(*on_grid.region, Rect(25.0, 26.0, 3.3, 3.6)))
+        want = ps._born_double_region_raw(on_grid, 1)
+        seen = TestDoubleRegionLadder.spy_slices(monkeypatch)
+        tables = self.count_tables(monkeypatch)
+        assert ps._born_double_region_raw(off, 1) == want
+        assert len(tables) == 1  # no table for a grid without live points
+        assert seen and all(len(x) > 0 for x, _ in seen)
+
+
 class TestRrProbability:
     def test_alpha_independent(self):
         p1 = rr_probability(BENCH)
