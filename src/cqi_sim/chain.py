@@ -25,7 +25,6 @@ __all__ = [
     "ChainResult",
     "run_chain",
     "unmeasured_comparison",
-    "entropy_sequence",
     "system_entropy",
     "inefficient_detector",
     "general_interaction_probe",
@@ -122,11 +121,6 @@ def unmeasured_comparison(spec: ChainSpec) -> ProbDist:
     return ProbDist(np.abs(amps) ** 2)
 
 
-def entropy_sequence(result: ChainResult) -> list[float]:
-    """Observer entropies in measurement order (bits)."""
-    return list(result.entropies)
-
-
 def system_entropy(result: ChainResult) -> float:
     """Entropy of the measured system itself after the full chain."""
     return hilbert.von_neumann_entropy(hilbert.reduced_state(result.global_state, {0}))
@@ -178,9 +172,7 @@ def general_interaction_probe(seed: int, n_cases: int = 50, d: int = 2) -> dict:
     v = (u[:, 0] @ v.reshape(n_cases, d * d, d)).reshape(v.shape)  # joint unitary on (Q, O1)
     v = v.swapaxes(2, 3)  # bring (Q, O2) together
     v = (u[:, 1] @ v.reshape(n_cases, d * d, d)).reshape(v.shape).swapaxes(2, 3)
-    # reduce onto O1 and O2 as hilbert.reduced_state does: rows O, columns (Q, other O)
-    a = np.stack([v.transpose(0, 2, 1, 3), v.transpose(0, 3, 1, 2)]).reshape(2, n_cases, d, d * d)
-    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    rho = np.stack([hilbert.reduced_matrix(v, {k}, 3) for k in (1, 2)])  # O1, O2 per case
     hilbert.check_density(rho)
     s1, s2 = hilbert.von_neumann_entropy(rho)
     monotone = int(np.count_nonzero(s2 >= s1 - 1e-9))

@@ -309,6 +309,14 @@ def _check_region(kind: str, params: dict, grid: dict) -> None:
             raise ConfigError(f"{name}: region x {list(x)} leaves the x grid [{x_min}, {x_max}]")
 
 
+def _check_overlaps(params: dict) -> None:
+    """Every chain overlap a d x d matrix, d the number of initial amplitudes."""
+    d = len(params["initial"])
+    for n, u in enumerate(params.get("overlaps", [])):
+        if (rows := [len(row) for row in u]) != [d] * d:
+            raise ConfigError(f"params.overlaps.{n}: row lengths {rows}, expected {d} rows of {d}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -325,6 +333,8 @@ class ExperimentConfig:
             _check_grid(data["kind"], data["grid"])
         if data["kind"] in _GRID_KINDS:
             _check_region(data["kind"], data.get("params", {}), data.get("grid", {}))
+        if data["kind"] == "chain":
+            _check_overlaps(data["params"])
         return cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),
@@ -358,7 +368,7 @@ def _run_chain(cfg: ExperimentConfig, refine: int):
     result = chain.run_chain(spec)
     rows = []
     for n, (dist, s) in enumerate(zip(result.distributions, result.entropies)):
-        for outcome, prob in zip(dist.labels, dist.probs):
+        for outcome, prob in enumerate(dist.probs):
             rows.append([n + 1, outcome, prob, s])
     s_q = chain.system_entropy(result)
     ents = list(result.entropies)

@@ -45,15 +45,6 @@ class EprConfig:
             object.__setattr__(self, "alice_unitary", u)
 
 
-def _measure(state: np.ndarray, source: int, observer: int) -> np.ndarray:
-    """CNOT with ``source`` as control and ``observer`` as target."""
-    out = state.copy()
-    sel = [slice(None)] * state.ndim
-    sel[source] = 1
-    out[tuple(sel)] = np.flip(state, axis=observer)[tuple(sel)]
-    return out
-
-
 def epr_final_state(cfg: EprConfig, order: tuple[int, int] = (0, 1)) -> Ket:
     """Global state after both local measurements, factors (Q1, A, Q2, B).
 
@@ -65,7 +56,7 @@ def epr_final_state(cfg: EprConfig, order: tuple[int, int] = (0, 1)) -> Ket:
     state[1, 0, 1, 0] = cfg.beta
     steps = [(Q1, A), (Q2, B)]
     for who in order:
-        state = _measure(state, *steps[who])
+        state = hilbert.cnot(state, *steps[who])
     if cfg.alice_unitary is not None:
         state = np.einsum("ij,qjrb->qirb", cfg.alice_unitary, state)  # U on factor A
     return Ket(state.reshape(-1), (2, 2, 2, 2))
@@ -91,8 +82,7 @@ def no_communication_check(cfg: EprConfig) -> float | np.ndarray:
         raise NumericalValidationError("no_communication_check needs alice_unitary")
     ket = epr_final_state(EprConfig(cfg.alpha, cfg.beta))
     rotated = np.einsum("...ij,qjrb->...qirb", cfg.alice_unitary, ket.amplitudes.reshape((2,) * 4))
-    a = np.moveaxis(rotated, -1, -4).reshape(rotated.shape[:-4] + (2, 8))  # (B, Q1, A, Q2)
-    rho_b_rotated = a @ np.swapaxes(a.conj(), -1, -2)
+    rho_b_rotated = hilbert.reduced_matrix(rotated, {B}, 4)
     hilbert.check_density(rho_b_rotated)
     return hilbert.trace_distance(hilbert.reduced_state(ket, {B}), rho_b_rotated)
 
@@ -108,25 +98,14 @@ def realism_scenario(alpha: complex, beta: complex) -> dict:
     a, b = complex(alpha), complex(beta)
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
         raise NumericalValidationError("alpha, beta must satisfy |a|^2+|b|^2 = 1")
-    ready = np.zeros(2, dtype=complex)
-    ready[0] = 1.0
-    q = np.array([a, b])
-
-    # t0: nothing measured yet
-    psi_t0 = Ket(np.kron(np.kron(q, ready), ready), (2, 2, 2))  # (Q, B, A)
-    # t1: Bob's copy interaction
-    v = np.zeros((2, 2, 2), dtype=complex)
-    v[0, 0, 0] = a
-    v[1, 1, 0] = b
-    psi_t1 = Ket(v.reshape(-1), (2, 2, 2))
-    # t2: Alice correlates with Bob
-    v = np.zeros((2, 2, 2), dtype=complex)
-    v[0, 0, 0] = a
-    v[1, 1, 1] = b
-    psi_t2 = Ket(v.reshape(-1), (2, 2, 2))
+    v = np.zeros((2, 2, 2), dtype=complex)  # (Q, B, A); t0: nothing measured yet
+    v[:, 0, 0] = a, b
+    v1 = hilbert.cnot(v, 0, 1)  # t1: Bob's copy interaction
+    v2 = hilbert.cnot(v1, 1, 2)  # t2: Alice correlates with Bob
 
     report = {"slices": []}
-    for label, ket in (("t0", psi_t0), ("t1", psi_t1), ("t2", psi_t2)):
+    for label, amps in (("t0", v), ("t1", v1), ("t2", v2)):
+        ket = Ket(amps, (2, 2, 2))
         rho_b = hilbert.reduced_state(ket, {1})
         rho_a = hilbert.reduced_state(ket, {2})
         rho_ab = hilbert.reduced_state(ket, {1, 2})

@@ -8,7 +8,7 @@ Entropies are reported in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
-RECON_TOL = 1e-10
 
 __all__ = [
     "Ket",
@@ -29,6 +28,8 @@ __all__ = [
     "tensor",
     "density",
     "partial_trace",
+    "cnot",
+    "reduced_matrix",
     "reduced_state",
     "schmidt_decompose",
     "von_neumann_entropy",
@@ -64,14 +65,6 @@ class Ket:
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "factor_dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -86,15 +79,15 @@ class Ket:
             raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {tol}")
 
 
-def check_density(m: np.ndarray, herm_tol=HERM_TOL, trace_tol=TRACE_TOL, psd_tol=PSD_TOL) -> None:
+def check_density(m: np.ndarray) -> None:
     """Raise ValueError unless each matrix of the (..., d, d) stack m is a density matrix."""
-    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) > herm_tol:
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) > HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag)) > trace_tol
+    bad = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag)) > TRACE_TOL
     if np.any(bad):
         raise ValueError(f"trace {tr[bad][0]} deviates from 1 beyond tolerance")
-    if np.min(np.linalg.eigvalsh(m), initial=np.inf) < -psd_tol:
+    if np.min(np.linalg.eigvalsh(m), initial=np.inf) < -PSD_TOL:
         raise ValueError("matrix has an eigenvalue below -psd_tol")
 
 
@@ -104,9 +97,6 @@ class DensityOp:
 
     matrix: np.ndarray
     factor_dims: tuple[int, ...]
-    herm_tol: float = field(default=HERM_TOL, repr=False)
-    trace_tol: float = field(default=TRACE_TOL, repr=False)
-    psd_tol: float = field(default=PSD_TOL, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -114,21 +104,16 @@ class DensityOp:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} incompatible with dims {dims}")
-        check_density(m, self.herm_tol, self.trace_tol, self.psd_tol)
+        check_density(m)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ProbDist:
-    """Classical outcome distribution with labels."""
+    """Classical outcome distribution over the outcomes 0, 1, ..., n - 1."""
 
     probs: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).reshape(-1)
@@ -136,11 +121,7 @@ class ProbDist:
             raise ValueError("probabilities must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        labels = tuple(self.labels) if self.labels else tuple(range(p.size))
-        if len(labels) != p.size:
-            raise ValueError("label count does not match probability count")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, 1.0)))
-        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +179,37 @@ def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     return DensityOp(m.reshape(d_keep, d_keep), tuple(dims[k] for k in keep))
 
 
+def cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Copy interaction on amplitudes with one axis per qubit factor (any
+    further axes are a batch): flip ``target`` where ``control`` is 1."""
+    out = state.copy()
+    sel = [slice(None)] * state.ndim
+    sel[control] = 1
+    out[tuple(sel)] = np.flip(state, axis=target)[tuple(sel)]
+    return out
+
+
+def reduced_matrix(amps: np.ndarray, keep: Iterable[int], n_factors: int) -> np.ndarray:
+    """Reduced density matrices (..., d_keep, d_keep) of a stack of pure states.
+
+    The last ``n_factors`` axes of ``amps`` are the tensor factors, any
+    leading axes a batch; the kept factors are taken in ascending order.
+    """
+    lead, dims = amps.ndim - n_factors, amps.shape[amps.ndim - n_factors :]
+    keep = _resolve_keep(dims, keep)
+    rest = [i for i in range(n_factors) if i not in keep]
+    a = amps.transpose(list(range(lead)) + [lead + i for i in keep + rest])
+    d_keep = math.prod(dims[k] for k in keep)
+    a = a.reshape(amps.shape[:lead] + (d_keep, math.prod(dims) // d_keep))
+    return a @ a.conj().swapaxes(-1, -2)
+
+
 def reduced_state(psi: Ket, keep: Iterable[int]) -> DensityOp:
     """Reduced density operator of a pure state, without forming the full matrix."""
     dims = psi.factor_dims
     keep = _resolve_keep(dims, keep)
-    rest = [i for i in range(len(dims)) if i not in keep]
-    a = psi.amplitudes.reshape(dims).transpose(keep + rest)
-    d_keep = math.prod(dims[k] for k in keep)
-    a = a.reshape(d_keep, -1)
-    return DensityOp(a @ a.conj().T, tuple(dims[k] for k in keep))
+    m = reduced_matrix(psi.amplitudes.reshape(dims), keep, len(dims))
+    return DensityOp(m, tuple(dims[k] for k in keep))
 
 
 def schmidt_decompose(
@@ -279,12 +282,12 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
-def preferred_basis(rho: DensityOp, degeneracy_tol: float = DEGENERACY_TOL) -> PreferredBasis:
+def preferred_basis(rho: DensityOp) -> PreferredBasis:
     """Unique diagonal orthogonal representation of a density operator.
 
     Eigenvalues are sorted descending and become the outcome
     probabilities.  Exact or near degeneracy (gap below
-    ``degeneracy_tol``) is flagged rather than treated as an error; the
+    ``DEGENERACY_TOL``) is flagged rather than treated as an error; the
     eigenvectors are then fixed by a deterministic phase and ordering
     convention so repeated runs agree.
     """
@@ -293,7 +296,7 @@ def preferred_basis(rho: DensityOp, degeneracy_tol: float = DEGENERACY_TOL) -> P
     lam = lam[order]
     vec = vec[:, order]
     gaps = np.abs(np.diff(lam))
-    degenerate = bool(np.any(gaps < degeneracy_tol))
+    degenerate = bool(np.any(gaps < DEGENERACY_TOL))
     for k in range(vec.shape[1]):
         vec[:, k] = _fix_phase(vec[:, k])
     if degenerate:
@@ -301,7 +304,7 @@ def preferred_basis(rho: DensityOp, degeneracy_tol: float = DEGENERACY_TOL) -> P
         k = 0
         while k < lam.size:
             j = k
-            while j + 1 < lam.size and lam[j + 1] > lam[k] - degeneracy_tol:
+            while j + 1 < lam.size and lam[j + 1] > lam[k] - DEGENERACY_TOL:
                 j += 1
             if j > k:
                 block = vec[:, k : j + 1]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .errors import NumericalValidationError
 from .hilbert import DensityOp
 from .utils import trapezoid_weights
 
-PERT_TOL = 0.05
-XCHECK_TOL = 1e-3
 OFFDIAG_TOL = 1e-8
 
 __all__ = [
@@ -169,23 +168,29 @@ class DetectorExperiment:
     nx: int = 512
     band_slices: int = 9
     kernel: PropagatorKernel = PropagatorKernel()
-    pert_tol: float = PERT_TOL
-    xcheck_tol: float = XCHECK_TOL
     refine_level: int = 0
+    pert_tol: ClassVar[float] = 0.05
+    xcheck_tol: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if self.coupling_alpha < 0:
             raise NumericalValidationError("coupling_alpha must be nonnegative")
         if not self.region:
             raise NumericalValidationError("at least one interaction rectangle required")
-        t_hi = max(r.t_hi for r in self.region)
-        t_lo = min(r.t_lo for r in self.region)
-        if t_lo <= self.t0:
+        span = self.span
+        if span.t_lo <= self.t0:
             raise NumericalValidationError("region must start after the preparation slice")
-        if self.readout_time <= t_hi:
+        if self.readout_time <= span.t_hi:
             raise NumericalValidationError("readout_time must lie after the region")
-        if self.band[0] <= t_hi or self.band[1] <= self.band[0]:
+        if self.band[0] <= span.t_hi or self.band[1] <= self.band[0]:
             raise NumericalValidationError("band must be a future, interaction-free interval")
+
+    @property
+    def span(self) -> Rect:
+        """Bounding rectangle of the region."""
+        r = self.region
+        x_lo, x_hi = min(q.x_lo for q in r), max(q.x_hi for q in r)
+        return Rect(x_lo, x_hi, min(q.t_lo for q in r), max(q.t_hi for q in r))
 
     @property
     def dx(self) -> float:
@@ -204,39 +209,37 @@ class DetectorExperiment:
             refine_level=self.refine_level + k,
         )
 
-    def perturbation_ratio(self) -> float:
-        """Crude second-to-first-order amplitude ratio for the coupling."""
-        t_extent = sum(r.t_hi - r.t_lo for r in self.region)
-        return (
-            0.5
-            * self.coupling_alpha
-            * abs(self.potential_v)
-            * t_extent
-            / self.kernel.hbar
-        )
-
     def validate_perturbative(self) -> None:
-        r = self.perturbation_ratio()
+        """Fail unless the crude second-to-first-order amplitude ratio of the
+        coupling is within ``pert_tol``."""
+        t_extent = sum(r.t_hi - r.t_lo for r in self.region)
+        r = 0.5 * self.coupling_alpha * abs(self.potential_v) * t_extent / self.kernel.hbar
         if r > self.pert_tol:
             raise NumericalValidationError(
                 f"perturbation ratio {r:.3g} exceeds tolerance {self.pert_tol}"
             )
 
 
+# packet and coupling shared by the slab and the two-point experiments
+_DETECTOR_DEFAULTS = dict(
+    packet_center=-5.0,
+    packet_width=1.0,
+    packet_momentum=0.0,
+    t0=0.0,
+    coupling_alpha=0.02,
+    potential_v=1.0,
+)
+
+
 def benchmark_experiment(refine: int = 0, **overrides) -> DetectorExperiment:
     """Default slab experiment: a spreading packet probed by a thin slab."""
-    params = dict(
-        packet_center=-5.0,
-        packet_width=1.0,
-        packet_momentum=0.0,
-        t0=0.0,
-        region=(Rect(-0.5, 0.5, 3.0, 3.2),),
-        coupling_alpha=0.02,
-        potential_v=1.0,
-        readout_time=4.2,
-        band=(3.5, 3.9),
-    )
-    params.update(overrides)
+    params = {
+        **_DETECTOR_DEFAULTS,
+        "region": (Rect(-0.5, 0.5, 3.0, 3.2),),
+        "readout_time": 4.2,
+        "band": (3.5, 3.9),
+        **overrides,
+    }
     exp = DetectorExperiment(**params)
     return exp.refined(refine) if refine else exp
 
@@ -251,18 +254,11 @@ def two_point_experiment(
     """Region made of two small squares placed symmetrically about the
     packet center, so the evolved wavefunction takes equal values on
     both (the maximal-interference configuration)."""
-    base = dict(
-        packet_center=-5.0,
-        packet_width=1.0,
-        packet_momentum=0.0,
-        t0=0.0,
-        coupling_alpha=0.02,
-        potential_v=1.0,
-    )
-    base.update(overrides)
+    base = dict(_DETECTOR_DEFAULTS, **overrides)
     center = base["packet_center"]
-    nx = base.get("nx", 512)
-    x_min, x_max = base.get("x_min", -20.0), base.get("x_max", 20.0)
+    nx = base.get("nx", DetectorExperiment.nx)
+    x_min = base.get("x_min", DetectorExperiment.x_min)
+    x_max = base.get("x_max", DetectorExperiment.x_max)
     if eps_pt is None:
         eps_pt = 2.0 * (x_max - x_min) / (nx - 1)
     a = center - separation
@@ -347,11 +343,9 @@ def _t_density_for(exp: DetectorExperiment, t: float) -> int:
     readouts (small dT) therefore need denser source slices.
     """
     m, hb = exp.kernel.mass, exp.kernel.hbar
-    t_hi = max(r.t_hi for r in exp.region)
-    t_lo = min(r.t_lo for r in exp.region)
-    d_t = max(t - t_hi, 1e-12)
-    x_extent = max(r.x_hi for r in exp.region) - min(r.x_lo for r in exp.region)
-    reach = 1.5 * hb * _physical_k(exp) * (t - t_lo) / m + x_extent + 2.0
+    span = exp.span
+    d_t = max(t - span.t_hi, 1e-12)
+    reach = 1.5 * hb * _physical_k(exp) * (t - span.t_lo) / m + (span.x_hi - span.x_lo) + 2.0
     rate = m * reach**2 / (2.0 * hb * d_t**2)
     density = 1
     for rect in exp.region:
@@ -367,8 +361,7 @@ def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> n
     Double trapezoid quadrature over the interaction rectangles; linear
     in the region, so disjoint rectangles simply add.
     """
-    t_hi = max(r.t_hi for r in exp.region)
-    if t <= t_hi:
+    if t <= exp.span.t_hi:
         raise NumericalValidationError("readout must lie after the interaction region")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if exp.coupling_alpha == 0.0:
@@ -393,17 +386,14 @@ def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> n
 
 def _physical_k(exp: DetectorExperiment) -> float:
     """Wavenumber scale actually populated by the |1>-branch."""
-    m, hb = exp.kernel.mass, exp.kernel.hbar
+    m, hb, span = exp.kernel.mass, exp.kernel.hbar, exp.span
     tau_min = min(r.t_hi - r.t_lo for r in exp.region)
     k_time = math.sqrt(2.0 * math.pi * m / (hb * tau_min))
     # chirp of the spreading packet across the region, plus its envelope
-    t_mid = 0.5 * (min(r.t_lo for r in exp.region) + max(r.t_hi for r in exp.region))
+    t_mid = 0.5 * (span.t_lo + span.t_hi)
     a2 = exp.packet_width**2
     chirp = (t_mid - exp.t0) * m / hb / ((t_mid - exp.t0) ** 2 + (m * a2 / hb) ** 2)
-    x_far = max(
-        max(abs(r.x_lo - exp.packet_center), abs(r.x_hi - exp.packet_center))
-        for r in exp.region
-    )
+    x_far = max(abs(span.x_lo - exp.packet_center), abs(span.x_hi - exp.packet_center))
     k_packet = abs(exp.packet_momentum) + chirp * x_far + 4.0 / exp.packet_width
     return k_packet + k_time
 
@@ -412,11 +402,9 @@ def _readout_grid(exp: DetectorExperiment) -> np.ndarray:
     """x sampling for the Born readout slice, wide and fine enough for
     the transported branch amplitude."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
-    k_phys = _physical_k(exp)
-    dt_max = exp.readout_time - min(r.t_lo for r in exp.region)
-    pad = 2.5 * hb * k_phys * dt_max / m + 4.0
-    lo = min(r.x_lo for r in exp.region) - pad
-    hi = max(r.x_hi for r in exp.region) + pad
+    k_phys, span = _physical_k(exp), exp.span
+    pad = 2.5 * hb * k_phys * (exp.readout_time - span.t_lo) / m + 4.0
+    lo, hi = span.x_lo - pad, span.x_hi + pad
     dxr = min(np.pi / (5.0 * k_phys), exp.dx)
     n = int(np.ceil((hi - lo) / dxr)) + 1
     return np.linspace(lo, hi, n)
@@ -474,7 +462,7 @@ def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
     nf, dxf = xf.size, float(xf[1] - xf[0])
     kb = np.arange(nf // 2 + 1)  # |k| bins
     omega = (0.5 * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
-    t_ref = min(r.t_lo for r in exp.region)
+    t_ref = exp.span.t_lo
     roots = np.exp(-2j * np.pi * np.arange(nf) / nf)
     z = roots[np.outer([1, -1], kb) % nf]  # bins j and nf - j
     spec = np.zeros((2, kb.size), dtype=complex)
@@ -575,16 +563,12 @@ def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
     return BornDetail(p_a, p_b, rel, p_rects, edge)
 
 
-def born_probability(exp: DetectorExperiment, xcheck: bool = True) -> float:
+def born_probability(exp: DetectorExperiment) -> float:
     """Detector activation probability by the Born route.
 
-    Computed as the readout-slice norm of the first-order branch and,
-    with ``xcheck``, cross-checked against the independent double-region
-    kernel integral.
+    Computed as the readout-slice norm of the first-order branch and
+    cross-checked against the independent double-region kernel integral.
     """
-    if not xcheck:
-        exp.validate_perturbative()
-        return _born_slice_norm(exp)
     return born_probability_detail(exp).p_slice
 
 
@@ -706,8 +690,7 @@ def cqi_probability_detail(
     exp.validate_perturbative()
     if band is None:
         band = exp.band
-    t_hi = max(r.t_hi for r in exp.region)
-    if band[0] <= t_hi:
+    if band[0] <= exp.span.t_hi:
         raise NumericalValidationError("readout band must lie after the region")
     grid, psi_vals, phi_vals = _branch_functions(exp, band)
 
@@ -841,7 +824,8 @@ def shrinking_region_sweep(
         shrunk = replace(
             exp, region=(Rect(rect.x_lo, rect.x_hi, rect.t_lo, rect.t_lo + tau),)
         )
-        p_b = born_probability(shrunk, xcheck=False)
+        shrunk.validate_perturbative()
+        p_b = _born_slice_norm(shrunk)
         p_r = rr_probability(shrunk)
         meas = shrunk.region[0].measure
         rows.append(

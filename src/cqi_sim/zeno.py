@@ -68,16 +68,6 @@ def _evolve_factor0(state: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u @ state.reshape(2, -1)).reshape(shape)
 
 
-def _cnot_from_q(state: np.ndarray, target_axis: int) -> np.ndarray:
-    """CNOT with the system (axis 0) as control and ``target_axis`` as target."""
-    out = state.copy()
-    flipped = np.flip(state, axis=target_axis)
-    sel = [slice(None)] * state.ndim
-    sel[0] = 1
-    out[tuple(sel)] = flipped[tuple(sel)]
-    return out
-
-
 def zeno_pair(cfg: ZenoConfig) -> tuple[float, float]:
     """Transition probability seen by the final observer, without and with
     an intermediate entangling CNOT at t = epsilon.
@@ -96,7 +86,7 @@ class TrajectoryResult:
     delta_t: float | np.ndarray  # one per theta
 
 
-def time_reversed_zeno(cfg: ZenoConfig, n_samples: int = 33) -> TrajectoryResult:
+def time_reversed_zeno(cfg: ZenoConfig) -> TrajectoryResult:
     """Disentangle a qubit from its ancilla and measure the evolution shift.
 
     The input is the entangled pair trajectory that an entangling CNOT
@@ -116,23 +106,23 @@ def time_reversed_zeno(cfg: ZenoConfig, n_samples: int = 33) -> TrajectoryResult
     pair = np.zeros((2, 2) + th.shape, dtype=complex)  # (system, ancilla, *theta)
     pair[0, 0] = np.cos(th)
     pair[1, 1] = 1j * np.sin(th)
-    pair = _cnot_from_q(pair, 1)
+    pair = hilbert.cnot(pair, 0, 1)
     if np.any(np.linalg.norm(pair[:, 1], axis=0) > 1e-12):
         raise NumericalValidationError("CNOT failed to disentangle the ancilla")
     anc = np.moveaxis(pair[:, 0], 0, -1)  # (*theta, 2)
 
-    times = np.linspace(0.0, np.pi / w, n_samples)
+    times = np.linspace(0.0, np.pi / w, 33)
     states = (free_evolution_matrix(times, w) @ anc[..., None, :, None])[..., 0]
 
     phase = np.arctan2(states[..., 1].imag, states[..., 0].real) - w * times
-    d1, d2 = phase[..., 0], phase[..., n_samples // 4]
+    d1, d2 = phase[..., 0], phase[..., times.size // 4]
     d2 = d2 - 2 * np.pi * np.round((d2 - d1) / (2 * np.pi))
     if np.any(np.abs(d1 - d2) > 1e-10):
         raise NumericalValidationError("trajectory is not a shifted free evolution")
     return TrajectoryResult(times, states, d1 / w if th.ndim else float(d1 / w))
 
 
-def zeno_cancellation(cfg: ZenoConfig, inverse_delay: float = 0.0, n_samples: int = 17) -> float:
+def zeno_cancellation(cfg: ZenoConfig, inverse_delay: float = 0.0) -> float:
     """Entangling CNOT followed by its inverse: distance from free evolution.
 
     With the inverse applied on the same slice the pair of CNOTs is the
@@ -143,14 +133,13 @@ def zeno_cancellation(cfg: ZenoConfig, inverse_delay: float = 0.0, n_samples: in
     w, eps = cfg.omega, cfg.epsilon
     qa = np.zeros((2, 2), dtype=complex)
     qa[:, 0] = free_evolution_matrix(eps, w)[:, 0]
-    qa = _cnot_from_q(qa, 1)
+    qa = hilbert.cnot(qa, 0, 1)
     if inverse_delay:
         qa = _evolve_factor0(qa, free_evolution_matrix(inverse_delay, w))
-    qa = _cnot_from_q(qa, 1)
+    qa = hilbert.cnot(qa, 0, 1)
 
-    times = np.linspace(0.0, np.pi / w, n_samples)
-    evolved = free_evolution_matrix(times, w) @ qa  # (sample, Q, A)
-    rho_q = evolved @ np.swapaxes(evolved.conj(), -1, -2)
+    times = np.linspace(0.0, np.pi / w, 17)
+    rho_q = hilbert.reduced_matrix(free_evolution_matrix(times, w) @ qa, {0}, 2)  # per sample
     q = free_evolution_matrix(eps + inverse_delay + times, w)[..., 0]
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     free = q[..., :, None] * q.conj()[..., None, :]
@@ -180,8 +169,8 @@ def _transition(omega: float, epsilon: float, n: int) -> float:
     state[(0,) * (n + 2)] = 1.0
     for k in range(n):
         state = _evolve_factor0(state, seg)
-        state = _cnot_from_q(state, 1 + k)
+        state = hilbert.cnot(state, 0, 1 + k)
     state = _evolve_factor0(state, seg)
-    state = _cnot_from_q(state, n + 1)
+    state = hilbert.cnot(state, 0, n + 1)
     rho_b = hilbert.reduced_state(Ket(state.reshape(-1), (2,) * (n + 2)), {n + 1})
     return float(rho_b.matrix[1, 1].real)

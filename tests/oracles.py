@@ -392,19 +392,20 @@ def zeno_pair_explicit(omega, epsilon):
     evolution for 2*epsilon, or an ancilla CNOT at epsilon in between,
     then the observer CNOT and a partial trace onto the observer."""
     from cqi_sim import hilbert
-    from cqi_sim.zeno import _cnot_from_q, _evolve_factor0, free_evolution_matrix
+    from cqi_sim.hilbert import cnot
+    from cqi_sim.zeno import _evolve_factor0, free_evolution_matrix
 
     u = free_evolution_matrix(epsilon, omega)
     qb = np.zeros((2, 2), dtype=complex)
     qb[:, 0] = free_evolution_matrix(2 * epsilon, omega)[:, 0]
-    qb = _cnot_from_q(qb, 1)
+    qb = cnot(qb, 0, 1)
     p_plain = hilbert.reduced_state(hilbert.Ket(qb.reshape(-1), (2, 2)), {1}).matrix[1, 1]
 
     qab = np.zeros((2, 2, 2), dtype=complex)
     qab[:, 0, 0] = u[:, 0]
-    qab = _cnot_from_q(qab, 1)
+    qab = cnot(qab, 0, 1)
     qab = _evolve_factor0(qab, u)
-    qab = _cnot_from_q(qab, 2)
+    qab = cnot(qab, 0, 2)
     p_zeno = hilbert.reduced_state(hilbert.Ket(qab.reshape(-1), (2, 2, 2)), {2}).matrix[1, 1]
     return float(p_plain.real), float(p_zeno.real)
 

@@ -106,12 +106,12 @@ class TestEffectiveCollapse:
 class TestEntropyArrow:
     def test_identity_chain_constant(self):
         spec = ChainSpec(np.array([0.6, 0.8]), (np.eye(2), np.eye(2)))
-        ents = chain.entropy_sequence(run_chain(spec))
+        ents = list(run_chain(spec).entropies)
         assert_allclose(ents, [ents[0]] * 3, atol=1e-12)
 
     def test_mutually_unbiased_stage(self):
         spec = ChainSpec(np.array([0.6, 0.8]), (HADAMARD,))
-        ents = chain.entropy_sequence(run_chain(spec))
+        ents = list(run_chain(spec).entropies)
         h = -0.36 * np.log2(0.36) - 0.64 * np.log2(0.64)
         assert_allclose(ents, [h, 1.0], atol=1e-12)
         assert ents[0] <= ents[1] + 1e-9

@@ -408,6 +408,28 @@ class TestRegionOnGrid:
         cli.load_config(write_config(tmp_path, "det.json", cfg))
 
 
+class TestChainOverlapShape:
+    """A chain overlap that is ragged or not d x d (d = len(initial)) exits
+    1 naming its entry, from validate and from run alike."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "overlaps, field",
+        [
+            ([[[1, 0], [0]]], "params.overlaps.0"),
+            ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "params.overlaps.0"),
+            ([[[1, 0], [0, 1]], [[1, 0]]], "params.overlaps.1"),
+        ],
+    )
+    def test_wrong_shape_exit_1(self, tmp_path, capsys, command, overlaps, field):
+        cfg = {"kind": "chain", "params": {"initial": [0.6, 0.8], "overlaps": overlaps}}
+        path = write_config(tmp_path, "chain.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert f"config error: {field}: row lengths" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRefineRejected:
     CONFIGS = {
         "chain": {"initial": [0.6, 0.8]},

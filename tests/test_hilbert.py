@@ -128,6 +128,44 @@ class TestPartialTrace:
         )
 
 
+class TestCnot:
+    @staticmethod
+    def permutation(control, target, n=3):
+        """The CNOT on n qubits as a permutation matrix of basis indices,
+        factor 0 the most significant bit."""
+        m = np.zeros((2**n, 2**n))
+        for i in range(2**n):
+            bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
+            bits[target] ^= bits[control]
+            m[sum(b << (n - 1 - k) for k, b in enumerate(bits)), i] = 1.0
+        return m
+
+    @pytest.mark.parametrize("control, target", [(c, t) for c in range(3) for t in range(3) if c != t])
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_matches_permutation_matrix(self, control, target, batch):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((8, *batch)) + 1j * rng.standard_normal((8, *batch))
+        got = hilbert.cnot(v.reshape((2, 2, 2) + batch), control, target)
+        assert np.array_equal(got.reshape(v.shape), self.permutation(control, target) @ v)
+
+
+class TestReducedMatrix:
+    def test_stack_matches_reduced_state_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        dims = (2, 3, 2)
+        amps = np.array([random_ket(rng, dims) for _ in range(5)]).reshape((5,) + dims)
+        for keep in ([2, 0], [1], [2, 1]):
+            got = hilbert.reduced_matrix(amps, keep, 3)
+            d_keep = int(np.prod([dims[k] for k in keep]))
+            assert got.shape == (5, d_keep, d_keep)
+            for a, m in zip(amps, got):
+                assert m.tobytes() == reduced_state(Ket(a, dims), keep).matrix.tobytes()
+
+    def test_empty_stack(self):
+        got = hilbert.reduced_matrix(np.zeros((0, 2, 2), dtype=complex), [1], 2)
+        assert got.shape == (0, 2, 2)
+
+
 class TestSchmidt:
     def test_product_state_rank_one(self):
         out = schmidt_decompose(tensor(rand_ket([2]), rand_ket([3])), {0})

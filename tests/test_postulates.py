@@ -217,7 +217,8 @@ class TestBornProbability:
             raise AssertionError("double-region cross-check computed")
 
         monkeypatch.setattr(ps, "_born_double_region", fail)
-        assert born_probability(BENCH, xcheck=False) == p_slice
+        assert ps._born_slice_norm(BENCH) == p_slice
+        ps.shrinking_region_sweep(BENCH, steps=2)
 
     def test_lone_rectangle_makes_the_union_kernel_call(self, monkeypatch):
         calls = []

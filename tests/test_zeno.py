@@ -116,7 +116,7 @@ class TestTimeReversedZeno:
         assert grid.delta_t.tobytes() == res.delta_t[:12].tobytes()
 
     def test_batch_checks_each_theta_disentangles(self, monkeypatch):
-        monkeypatch.setattr(zeno, "_cnot_from_q", lambda state, target_axis: state)
+        monkeypatch.setattr(zeno.hilbert, "cnot", lambda state, control, target: state)
         zeno.time_reversed_zeno(ZenoConfig(1.0, 0.01, theta=np.array([0.0, 0.0])))  # no entanglement
         with pytest.raises(NumericalValidationError, match="disentangle"):
             zeno.time_reversed_zeno(ZenoConfig(1.0, 0.01, theta=np.array([0.0, 0.3, 0.0])))
@@ -196,5 +196,5 @@ def test_global_purity_through_pipeline():
     state[(0,) * (n + 2)] = 1.0
     for k in range(n):
         state = zeno._evolve_factor0(state, seg)
-        state = zeno._cnot_from_q(state, 1 + k)
+        state = hilbert.cnot(state, 0, 1 + k)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
