@@ -13,20 +13,16 @@ timed as one complex ``np.exp`` per element against the recurrence of
 2300 rad) that is mostly the rounding of the exp arguments.
 ``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
 
-On ``two_point_experiment()``, two more comparisons: the Born
-double-region cross-check as the trapezoid sums of ``tests/oracles.py``
-over the Richardson ladder that the Filon weights replaced (time
-densities 1, 2, 4, 8, then the h^{3/2} extrapolation) against
-``postulates._born_double_region`` (Filon time weights, density 1), each
-value with its relative deviation from the trapezoid sum at density 16;
-and the prepared state on the region slices at time density 8 by kernel
-quadrature of psi0 (one ``propagate`` call per region slice) against the
-closed form of ``evolved_wavefunction``.
+The Born double-region sum ``postulates._born_double_region_raw``
+(Filon-Simpson, density 1) is timed on ``two_point_experiment()`` and on
+``benchmark_experiment`` at refine 1 and 2, with its (x nodes x t nodes)
+per rectangle, its wavenumber count and its relative deviation from the
+composite Gauss-Legendre oracle of ``tests/oracles.py`` on the same
+wavenumbers (about 0.5 s at refine 2).
 
-The double-region sum ``postulates._born_double_region_raw`` (density 1)
-is timed on ``two_point_experiment()`` and on ``benchmark_experiment``
-at refine 1 and 3, with its relative deviation from the pairwise
-Filon oracle of ``tests/oracles.py`` (about 1.5 s at refine 3).
+On ``two_point_experiment()``, the prepared state on the region slices
+at time density 8 by kernel quadrature of psi0 (one ``propagate`` call
+per region slice) against the closed form of ``evolved_wavefunction``.
 
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
@@ -52,8 +48,7 @@ sys.path.insert(0, "tests")
 from cqi_sim import _kernels, chain, epr, postulates  # noqa: E402
 from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
 from oracles import (  # noqa: E402
-    born_double_region_filon_pairwise,
-    born_double_region_trapezoid,
+    born_double_region_gauss,
     covariant_partial_trace_schmidt,
     general_interaction_probe_loop,
     no_communication_loop,
@@ -103,41 +98,25 @@ def compare_chirp(x_out, t_out, x_src, t_src):
           f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
 
 
-def compare_two_point(densities=(1, 2, 4, 8)):
-    print(f"double-region cross-check, two-point: trapezoid ladder {densities} vs Filon")
-    exp = postulates.two_point_experiment()
-    ref = born_double_region_trapezoid(exp, 16)
-
-    def ladder():
-        vals = [born_double_region_trapezoid(exp, densities[0])]
-        for density in densities[1:]:
-            vals.append(born_double_region_trapezoid(exp, density))
-            if abs(vals[-1] - vals[-2]) <= 0.3 * exp.xcheck_tol * abs(vals[-1]):
-                break
-        prev, cur = vals[-2:]
-        return cur + (cur - prev) / (2.0**1.5 - 1.0)
-
-    p_ladder, t_ladder = timed(ladder)
-    p_filon, t_filon = timed(postulates._born_double_region, exp)
-    print(f"  ladder    : {t_ladder * 1e3:9.2f} ms   rel deviation from density 16"
-          f" {(p_ladder - ref) / ref:+.1e}")
-    print(f"  filon     : {t_filon * 1e3:9.2f} ms   speedup {t_ladder / t_filon:.1f}x"
-          f"   rel deviation from density 16 {(p_filon - ref) / ref:+.1e}")
-
-
 def time_double_region():
     cases = [
         ("two-point, refine 0", postulates.two_point_experiment()),
         ("slab, refine 1", postulates.benchmark_experiment(1)),
-        ("slab, refine 3", postulates.benchmark_experiment(3)),
+        ("slab, refine 2", postulates.benchmark_experiment(2)),
     ]
-    print("double-region sum, Filon at density 1, against the pairwise oracle")
+    print("double-region sum, Filon-Simpson at density 1, against the Gauss-Legendre oracle")
     for label, exp in cases:
-        nf = postulates._fine_grid(exp).size
-        n = sum(postulates._rect_subgrid(exp, rect)[1].size for rect in exp.region)
+        k, length = postulates._spectral_k(exp)
+        kp, hb_m = postulates._packet_k(exp), exp.kernel.hbar / exp.kernel.mass
+        nodes = [
+            (postulates._filon_nodes(r.x_lo, r.x_hi, kp).size,
+             postulates._filon_nodes(r.t_lo, r.t_hi, 0.5 * hb_m * kp**2).size)
+            for r in exp.region
+        ]
         got, t_sum = timed(postulates._born_double_region_raw, exp, 1)
-        ref = born_double_region_filon_pairwise(exp, 1)
-        print(f"  {label:<19}: {t_sum * 1e3:9.2f} ms   {n} slices x {nf // 2 + 1} |k| bins"
+        ref = born_double_region_gauss(exp, k, length)
+        shape = " + ".join(f"{nx} x {nt}" for nx, nt in nodes)
+        print(f"  {label:<19}: {t_sum * 1e3:9.2f} ms   nodes {shape}, {k.size} k"
               f"   rel deviation {(got - ref) / ref:+.1e}")
 
 
@@ -222,7 +201,6 @@ def main():
     _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
     print(f"  dense sum : {t_dq:.3f} s")
 
-    compare_two_point()
     time_double_region()
     compare_prepared_state()
     compare_partial_trace()

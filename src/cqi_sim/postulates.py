@@ -34,11 +34,9 @@ from .contspace import (
     gaussian_packet,
     spectral_evolve,
 )
-from .errors import NumericalValidationError
+from .errors import InvariantViolation, NumericalValidationError
 from .hilbert import DensityOp
 from .utils import trapezoid_weights
-
-OFFDIAG_TOL = 1e-8
 
 __all__ = [
     "Rect",
@@ -384,18 +382,25 @@ def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> n
 # readout grid heuristics
 
 
-def _physical_k(exp: DetectorExperiment) -> float:
-    """Wavenumber scale actually populated by the |1>-branch."""
+def _packet_k(exp: DetectorExperiment) -> float:
+    """Wavenumber scale of the prepared packet over the region: its momentum,
+    the chirp of its spreading across the region, and its envelope."""
     m, hb, span = exp.kernel.mass, exp.kernel.hbar, exp.span
-    tau_min = min(r.t_hi - r.t_lo for r in exp.region)
-    k_time = math.sqrt(2.0 * math.pi * m / (hb * tau_min))
-    # chirp of the spreading packet across the region, plus its envelope
     t_mid = 0.5 * (span.t_lo + span.t_hi)
     a2 = exp.packet_width**2
     chirp = (t_mid - exp.t0) * m / hb / ((t_mid - exp.t0) ** 2 + (m * a2 / hb) ** 2)
     x_far = max(abs(span.x_lo - exp.packet_center), abs(span.x_hi - exp.packet_center))
-    k_packet = abs(exp.packet_momentum) + chirp * x_far + 4.0 / exp.packet_width
-    return k_packet + k_time
+    return abs(exp.packet_momentum) + chirp * x_far + 4.0 / exp.packet_width
+
+
+def _physical_k(exp: DetectorExperiment) -> float:
+    """Wavenumber scale actually populated by the |1>-branch: the packet's, plus
+    sqrt(2 pi m / hbar tau) of the shortest rectangle duration tau."""
+    tau_min = min(r.t_hi - r.t_lo for r in exp.region)
+    return _packet_k(exp) + math.sqrt(2.0 * math.pi * exp.kernel.mass / (exp.kernel.hbar * tau_min))
+
+
+_READOUT_K = 5.0  # both Born routes resolve wavenumbers up to this many k_phys
 
 
 def _readout_grid(exp: DetectorExperiment) -> np.ndarray:
@@ -405,7 +410,7 @@ def _readout_grid(exp: DetectorExperiment) -> np.ndarray:
     k_phys, span = _physical_k(exp), exp.span
     pad = 2.5 * hb * k_phys * (exp.readout_time - span.t_lo) / m + 4.0
     lo, hi = span.x_lo - pad, span.x_hi + pad
-    dxr = min(np.pi / (5.0 * k_phys), exp.dx)
+    dxr = min(np.pi / (_READOUT_K * k_phys), exp.dx)
     n = int(np.ceil((hi - lo) / dxr)) + 1
     return np.linspace(lo, hi, n)
 
@@ -423,88 +428,83 @@ class BornDetail:
     readout_edge_rel: float  # larger |phi| at the readout grid's ends over max |phi|
 
 
-def _fine_grid(exp: DetectorExperiment) -> np.ndarray:
-    """x grid of the double-region sum, step about min(dx/2, extent/16)."""
-    dxf = min(exp.dx / 2.0, min(r.x_hi - r.x_lo for r in exp.region) / 16.0)
-    return np.linspace(exp.x_min, exp.x_max, int(np.ceil((exp.x_max - exp.x_min) / dxf)) + 1)
+def _filon_panel(theta: np.ndarray) -> np.ndarray:
+    """Filon-Simpson panel weights int_0^2 L_j(s) exp(i theta s) ds of the
+    quadratics L_j through s = 0, 1, 2, from mu_m = int_0^2 s^m exp(i theta s) ds:
+    mu_0 = (e^{2 i theta} - 1) / (i theta), mu_m = (2^m e^{2 i theta} - m mu_{m-1})
+    / (i theta), or below |theta| = 1, where that cancels, the Taylor series
+    sum_n (i theta)^n 2^{m+n+1} / ((m + n + 1) n!)."""
+    small = np.abs(theta) < 1.0
+    z = 1j * np.where(small, 1.0, theta)
+    e2 = np.exp(2.0 * z)
+    mu = [(e2 - 1.0) / z]
+    for m in (1, 2):
+        mu.append((2.0**m * e2 - m * mu[-1]) / z)
+    mu = np.array(mu)
+    m, n = np.arange(3), np.arange(26)[:, None]  # 26 terms: 2^26 / 26! < 1e-18
+    series = 2.0 ** (m + n + 1) / ((m + n + 1) * np.cumprod(np.maximum(n, 1), axis=0))
+    mu[:, small] = np.polynomial.polynomial.polyval(1j * theta[small], series)
+    mu0, mu1, mu2 = mu
+    return np.array([(mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0, 2.0 * mu1 - mu2, (mu2 - mu1) / 2.0])
 
 
-def _filon_weights(theta: np.ndarray) -> np.ndarray:
-    """Filon-trapezoid weights (first, interior, last slice) per unit step for
-    exp(i theta s), theta >= 0: the first is int_0^1 (1 - s) exp(i theta s) ds
-    = sinc^2(theta/2)/2 + i (theta - sin theta)/theta^2 (a Taylor series below
-    theta = 0.1, free of cancellation), the last its conjugate."""
-    interior = np.sinc(theta / (2.0 * np.pi)) ** 2
-    t2, big = theta**2, np.where(theta < 0.1, 1.0, theta)
-    series = theta / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
-    first = 0.5 * interior + 1j * np.where(theta < 0.1, series, (big - np.sin(big)) / big**2)
-    return np.array([first, interior, first.conj()])
+def _filon_simpson(kappa: np.ndarray, y: np.ndarray, y_ref: float) -> np.ndarray:
+    """W[j, i] with sum_i W[j, i] f(y_i) = int f exp(i kappa_j (y - y_ref)) dy for the
+    piecewise quadratic through f on odd uniform nodes: panel p (nodes 2p to 2p + 2)
+    adds h exp(i kappa (y_2p - y_ref)) times its panel weights at theta = kappa h."""
+    h = y[1] - y[0]
+    w0, w1, w2 = h * _filon_panel(kappa * h)
+    back = np.exp(-1j * kappa * h)  # from a node's own phase to its panel's first node
+    c = np.empty((kappa.size, y.size), dtype=complex)
+    c[:, 0] = np.exp(1j * kappa * (y[0] - y_ref))
+    c[:, 1:] = back.conj()[:, None]
+    np.cumprod(c, axis=1, out=c)
+    c[:, 2:-1:2] *= (w0 + back**2 * w2)[:, None]  # shared by two panels
+    c[:, 1::2] *= (back * w1)[:, None]
+    c[:, 0] *= w0
+    c[:, -1] *= back**2 * w2
+    return c
+
+
+_FILON_PHASE = 0.35  # rad per node step of the packet's phase, in x and in t
+
+
+def _filon_nodes(lo: float, hi: float, rate: float, panels: int = 1) -> np.ndarray:
+    """Uniform nodes over [lo, hi], ``panels`` times the panels that keep a phase
+    growing at ``rate`` within ``_FILON_PHASE`` per step."""
+    return np.linspace(lo, hi, 2 * panels * math.ceil((hi - lo) * rate / (2 * _FILON_PHASE)) + 1)
+
+
+def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
+    """FFT wavenumbers 2 pi j / L of the grid's period L = nx dx, and L; past a
+    coarse grid's Nyquist they run on to the readout slice's, ``_READOUT_K`` k_phys."""
+    length = exp.nx * exp.dx
+    n = max(exp.nx, math.ceil(_READOUT_K * _physical_k(exp) * length / np.pi))
+    return 2.0 * np.pi * np.fft.fftfreq(n, length / n), length
 
 
 def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
-    """Double integral of conj(Psi) W Psi over R x R, evaluated spectrally.
-
-    Each region slice is restricted to its rectangle (with fractional
-    cell coverage at the edges) on a fine FFT grid; the kernel between
-    two slices is applied exactly in momentum space, so the coincident-
-    time delta channel needs no regularization.  The kernel phase splits
-    per slice (the paper's slice independence), so the integral is ||S||^2,
-    S(k) = int dt exp(i hbar k^2 (t - t_ref) / 2m) FFT(slice_t)(k) with t_ref
-    the earliest region time, and per-|k| Filon weights make the t integral
-    exact for the linear interpolant of the slices (a lone slice keeps its
-    ``_rect_subgrid`` weight).  The rectangles of one slice grid share the
-    weighted phases E[t, j] (bins j and nf - j share k^2), each row the last
-    times exp(i omega_j h), exact every 16 slices.  A rectangle adds A =
-    (cover psi)^T @ E on its live points i0 + l; bin j sums A[l, j]
-    exp(-2 pi i j (i0 + l) / nf) by Horner's rule, exact every 16 points.
-    """
-    xf = _fine_grid(exp)
-    nf, dxf = xf.size, float(xf[1] - xf[0])
-    kb = np.arange(nf // 2 + 1)  # |k| bins
-    omega = (0.5 * exp.kernel.hbar / exp.kernel.mass) * (2.0 * np.pi * kb / (nf * dxf)) ** 2
-    t_ref = exp.span.t_lo
-    roots = np.exp(-2j * np.pi * np.arange(nf) / nf)
-    z = roots[np.outer([1, -1], kb) % nf]  # bins j and nf - j
-    spec = np.zeros((2, kb.size), dtype=complex)
-    chunk = max(1, _kernels._CHUNK // (16 * nf))  # slices per (chunk, bins) temporary
-    grids = {}  # slice grid -> [(tq, lone-slice weight), (i0, cover) per rectangle]
+    """Double integral of conj(Psi) W Psi over R x R, evaluated spectrally: the
+    kernel phase splits per region time (the paper's slice independence), so it
+    is sum |S(k)|^2 / L over ``_spectral_k``, S(k) = int_R exp(i omega (t - t_ref))
+    Psi exp(-i k x) dx dt with omega = hbar k^2 / 2m, t_ref the earliest region
+    time.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on Filon-Simpson
+    nodes resolving ``_packet_k`` in x and its frequency in t, whatever nx."""
+    m, hb = exp.kernel.mass, exp.kernel.hbar
+    k, length = _spectral_k(exp)
+    kp = _packet_k(exp)
+    spec = np.zeros(k.size, dtype=complex)
     for rect in exp.region:
-        _, tq, _, wt = _rect_subgrid(exp, rect, t_density)
-        lo, hi = np.maximum(xf - dxf / 2, rect.x_lo), np.minimum(xf + dxf / 2, rect.x_hi)
-        cover = np.clip((hi - lo) / dxf, 0.0, 1.0)
-        idx = np.flatnonzero(cover > 0)  # contiguous, empty off the grid
-        if idx.size:
-            grids.setdefault((tq[0], tq[-1], tq.size), [(tq, wt[0])]).append((idx[0], cover[idx]))
-    for (tq, wt0), *rects in grids.values():
-        h = tq[1] - tq[0] if tq.size > 1 else 0.0
-        w = h * _filon_weights(omega * h) if h else np.full((3, kb.size), wt0)
-        step = np.exp(1j * omega * h)
-        amps = [np.zeros((cover.size, kb.size), dtype=complex) for _, cover in rects]
-        for s in range(0, tq.size, chunk):
-            ts = tq[s : s + chunk]
-            e = np.empty((ts.size, kb.size), dtype=complex)
-            for i in range(ts.size):
-                exact = i == 0 or (s + i) % 16 == 0
-                e[i] = np.exp(1j * omega * (ts[i] - t_ref)) if exact else e[i - 1] * step
-            e[max(0, 1 - s) : tq.size - 1 - s] *= w[1]
-            for j, wj in {0: w[0], tq.size - 1: w[2]}.items():  # a lone slice is its own last
-                if s <= j < s + ts.size:
-                    e[j - s] *= wj
-            for (i0, cover), a in zip(rects, amps):
-                a += (cover * evolved_wavefunction(exp, xf[i0 : i0 + cover.size], ts)).T @ e
-        for (i0, _), a in zip(rects, amps):
-            for b in range(0, len(a), 16):
-                acc = np.zeros((2, kb.size), dtype=complex)
-                for row in a[b : b + 16][::-1]:
-                    acc = acc * z + row
-                spec += acc * roots[np.outer([1, -1], (i0 + b) * kb) % nf]
-    spec[1, (nf + 1) // 2 :] = spec[1, 0] = 0  # bins 0 and nf / 2 once
-    pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
-    return float(pref * np.vdot(spec, spec).real * dxf / nf)
+        x = _filon_nodes(rect.x_lo, rect.x_hi, kp)
+        t = _filon_nodes(rect.t_lo, rect.t_hi, 0.5 * hb * kp**2 / m, t_density)
+        f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
+        spec += np.einsum("kt,tk->k", _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo), f)
+    pref = (exp.coupling_alpha * exp.potential_v / hb) ** 2
+    return float(pref * np.vdot(spec, spec).real / length)
 
 
 def _born_double_region(exp: DetectorExperiment) -> float:
-    """Double-region integral at time density 1, enough with Filon weights."""
+    """Double-region integral at time density 1."""
     return _born_double_region_raw(exp, 1)
 
 
@@ -538,7 +538,7 @@ def _born_slice_norm(exp: DetectorExperiment) -> float:
 
 
 def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
-    """Both Born routes; a difference over ``xcheck_tol`` fails, naming dxf.
+    """Both Born routes; a difference over ``xcheck_tol`` fails, naming both values.
 
     The slice route also gives each rectangle's norm alone (same grid and
     time density as the union) and the readout-edge margin.
@@ -554,11 +554,10 @@ def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
     p_b = _born_double_region(exp)
     rel = abs(p_a - p_b) / max(abs(p_a), 1e-300)
     if rel > exp.xcheck_tol:
-        xf = _fine_grid(exp)
         raise NumericalValidationError(
-            f"Born cross-check failed at refine level {exp.refine_level}: routes differ by "
-            f"{rel:.3g} (tolerance {exp.xcheck_tol}); double-region fine step dxf = "
-            f"{xf[1] - xf[0]:.4g} = min(dx/2 = {exp.dx / 2:.4g}, narrowest rectangle / 16)"
+            f"Born cross-check failed at refine level {exp.refine_level}: readout slice "
+            f"{p_a:.6g} and double region {p_b:.6g} differ by {rel:.3g} "
+            f"(tolerance {exp.xcheck_tol})"
         )
     return BornDetail(p_a, p_b, rel, p_rects, edge)
 
@@ -701,11 +700,10 @@ def cqi_probability_detail(
     reduced = covariant_partial_trace(
         joint, exp.kernel, BandRegion(band[0], band[1])
     )
-    rho_obs = hilbert.partial_trace(reduced.rho, {1})
-    m = rho_obs.matrix.copy()
-    m[np.abs(m) < OFFDIAG_TOL] = 0.0
-    m /= np.trace(m).real
-    rho_obs = DensityOp(m, (2,))
+    m = hilbert.partial_trace(reduced.rho, {1}).matrix
+    if m[0, 1] != 0 or m[1, 0] != 0:  # the kept detector factor makes them exactly 0
+        raise InvariantViolation(f"observer state has an off-diagonal entry {abs(m[0, 1]):.3g}")
+    rho_obs = DensityOp(m / np.trace(m).real, (2,))
     pb = hilbert.preferred_basis(rho_obs)
     # identify the activation outcome as the eigenvector aligned with |1>
     weights_on_1 = np.abs(pb.basis[1, :]) ** 2

@@ -99,7 +99,7 @@ def _region_slice_ffts(exp, t_density):
 def _pairwise_sum(exp, dxf, times, weights, ffts):
     """sum_ij <w_i F_i, P(t_i - t_j) w_j F_j> * dxf / nf times the
     coupling prefactor, with P the free propagator in momentum space and
-    each w_i a scalar or a per-k vector."""
+    each w_i a scalar."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     nf = ffts[0].size
     kvec = 2.0 * np.pi * np.fft.fftfreq(nf, d=dxf)
@@ -137,40 +137,6 @@ def born_double_region_pairwise(exp, t_density):
     return _pairwise_sum(exp, dxf, times, weights, [f for _, _, ffts in rects for f in ffts])
 
 
-def filon_first_weight(theta):
-    """int_0^1 (1 - s) exp(i theta s) ds = (e^z - 1 - z) / z^2 with z = i theta,
-    by complex expm1 (its Taylor polynomial below |z| = 1e-3)."""
-    z = 1j * np.asarray(theta, dtype=float)
-    small = np.abs(z) < 1e-3
-    zs = np.where(small, 1.0, z)
-    return np.where(small, 0.5 + z / 6 + z**2 / 24 + z**3 / 120, (np.expm1(zs) - zs) / zs**2)
-
-
-def born_double_region_filon_pairwise(exp, t_density):
-    """``born_double_region_pairwise`` with per-k Filon-trapezoid time
-    weights in place of the trapezoid weights.
-
-    With theta = hbar k^2 h / 2m for slice step h, the first slice of a
-    rectangle weighs h f(theta), f = ``filon_first_weight``, the last
-    h conj(f(theta)) and every other h (f + conj f) (its hat function
-    is the two halves); a one-slice rectangle keeps its trapezoid weight.
-    """
-    m, hb = exp.kernel.mass, exp.kernel.hbar
-    dxf, rects = _region_slice_ffts(exp, t_density)
-    kvec = 2.0 * np.pi * np.fft.fftfreq(rects[0][2][0].size, d=dxf)
-    times, weights, ffts = [], [], []
-    for tq, wt, slice_ffts in rects:
-        if tq.size == 1:
-            weights.append(wt[0])
-        else:
-            h = float(tq[1] - tq[0])
-            f = h * filon_first_weight(hb * kvec**2 * h / (2.0 * m))
-            weights += [f] + [f + f.conj()] * (tq.size - 2) + [f.conj()]
-        times += [float(t) for t in tq]
-        ffts += slice_ffts
-    return _pairwise_sum(exp, dxf, times, weights, ffts)
-
-
 def born_double_region_trapezoid(exp, t_density):
     """Double-region kernel integral with trapezoid time weights, as the
     squared norm of one spectral vector S = sum_i w_i G_i, G_i the FFT of
@@ -179,8 +145,7 @@ def born_double_region_trapezoid(exp, t_density):
     Per rectangle A = E @ (w cover psi) on the live fine points idx, with
     E built per |k| bin (bins j and nf - j share k^2) by recurrence in t;
     bin j sums A[j] exp(-2 pi i j idx / nf).  Its time error at high k
-    needs dense slices: the reference for the Filon weights of
-    ``postulates._born_double_region_raw`` at high density.
+    needs dense slices.
     """
     from cqi_sim.postulates import _rect_subgrid, evolved_wavefunction
 
@@ -214,6 +179,59 @@ def born_double_region_trapezoid(exp, t_density):
         total[kb.size :] += np.einsum("jl,jl->j", a, dft.conj())[(nf - 1) // 2 : 0 : -1]
     pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
     return float(pref * np.vdot(total, total).real * dxf / nf)
+
+
+# Continuum values of the Born probability (the double-region integral over
+# all k) of benchmark_experiment() and two_point_experiment(): the x integral
+# of each time slice in closed form (an erf difference), Filon-trapezoid
+# weights in t at time densities 1 to 8 (successive differences shrink by
+# 4.000) and Richardson's rule; converged in k at |k| <= 80 (slab) and 160
+# (two-point), and the same to 1e-9 for periods L = 40 and 80.
+CONTINUUM_BORN = {"slab": 2.2822066008e-7, "two-point": 1.0557377829e-7}
+
+
+def _gauss_legendre_nodes(lo, hi, panels, nodes=16):
+    """Nodes and weights of composite Gauss-Legendre quadrature over [lo, hi]."""
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (0.5 * (edges[:-1] + edges[1:])[:, None] + half * s).ravel(), (half * w).ravel()
+
+
+def born_double_region_gauss(exp, k, length, block=64):
+    """Double-region kernel integral (alpha V / hbar)^2 sum_k |S(k)|^2 / length
+    of a detector experiment (eta = 0), with
+
+        S(k) = sum over rectangles of int int exp(i omega (t - t_ref))
+               Psi(x, t) exp(-i k x) dx dt,   omega = hbar k^2 / 2m,
+
+    t_ref the earliest region time and Psi from ``evolved_gaussian``.  Both
+    integrals are composite 16-point Gauss-Legendre sums, taken for blocks of
+    ``block`` wavenumbers of increasing |k|: every panel spans at most 16 rad
+    of the block's largest phase, |k| + k_psi in x and hbar (k^2 + k_psi^2) / 2m
+    in t, with k_psi = |p0| + max |x - center| / width^2 the packet's largest
+    wavenumber over the rectangle.  The reference for the Filon-Simpson sum
+    of ``postulates._born_double_region_raw``.
+    """
+    hb, m = exp.kernel.hbar, exp.kernel.mass
+    a, c, p = exp.packet_width, exp.packet_center, exp.packet_momentum
+    t_ref = min(r.t_lo for r in exp.region)
+    order = np.argsort(np.abs(k), kind="stable")
+    spec = np.zeros(k.size, dtype=complex)
+    for rect in exp.region:
+        k_psi = abs(p) + max(abs(rect.x_lo - c), abs(rect.x_hi - c)) / a**2
+        for idx in np.array_split(order, -(-k.size // block)):
+            kb = k[idx]
+            k_top = np.abs(kb).max()
+            x_panels = (k_top + k_psi) * (rect.x_hi - rect.x_lo) / 16.0
+            t_panels = 0.5 * hb / m * (k_top**2 + k_psi**2) * (rect.t_hi - rect.t_lo) / 16.0
+            x, wx = _gauss_legendre_nodes(rect.x_lo, rect.x_hi, int(np.ceil(x_panels)))
+            t, wt = _gauss_legendre_nodes(rect.t_lo, rect.t_hi, int(np.ceil(t_panels)))
+            psi = evolved_gaussian(x, t[:, None] - exp.t0, c, a, p, m, hb)
+            f = (psi * wx) @ np.exp(-1j * np.outer(x, kb))  # (t, k)
+            spec[idx] += wt @ (np.exp(0.5j * hb / m * np.outer(t - t_ref, kb**2)) * f)
+    pref = (exp.coupling_alpha * exp.potential_v / hb) ** 2
+    return float(pref * np.vdot(spec, spec).real / length)
 
 
 def covariant_partial_trace_schmidt(joint, k):

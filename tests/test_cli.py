@@ -253,13 +253,30 @@ class TestMainEntry:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "perturbation" in capsys.readouterr().err
 
-    def test_coarse_grid_cross_check_failure_exit_code(self, tmp_path, capsys):
-        cfg = {"kind": "detector-compare", "grid": {"nx": 128}, "output": {"path": "coarse"}}
+    @pytest.mark.parametrize("nx", [64, 128])
+    def test_coarse_grid_passes_cross_check(self, tmp_path, nx):
+        cfg = {"kind": "detector-compare", "grid": {"nx": nx}, "output": {"path": "coarse"}}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+        (level,) = json.loads((tmp_path / "coarse.json").read_text())["diagnostics"]["levels"]
+        assert level["born_xcheck_rel"] <= 1e-3
+
+    def test_cross_check_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        ps = cli.postulates
+        p_slice = ps._born_slice_norm(ps.benchmark_experiment())
+        monkeypatch.setattr(
+            ps,
+            "_born_double_region",
+            lambda exp: ps._born_slice_norm(exp) * (1 + 2 * exp.xcheck_tol),
+        )
+        cfg = {"kind": "detector-compare", "output": {"path": "off"}}
         path = write_config(tmp_path, "det.json", cfg)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "Born cross-check failed at refine level 0" in err
-        assert "dxf = 0.0625" in err
+        assert f"{p_slice:.6g}" in err and f"{p_slice * 1.002:.6g}" in err
+        assert "tolerance 0.001" in err
 
 
 class TestStrictParams:

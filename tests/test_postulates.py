@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from cqi_sim import hilbert, postulates as ps
 from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
-from cqi_sim.errors import NumericalValidationError
+from cqi_sim.errors import InvariantViolation, NumericalValidationError
 from cqi_sim.postulates import (
     BandRegion,
     JointState,
@@ -28,7 +30,8 @@ from cqi_sim.postulates import (
 from cqi_sim.utils import trapezoid_weights
 
 from oracles import (
-    born_double_region_filon_pairwise,
+    CONTINUUM_BORN,
+    born_double_region_gauss,
     born_double_region_pairwise,
     born_double_region_trapezoid,
     covariant_partial_trace_schmidt,
@@ -205,10 +208,17 @@ class TestBornProbability:
         p1 = born_probability(benchmark_experiment(refine=1))
         assert abs(p1 / p0 - 1) < 1e-3
 
-    def test_coarse_grid_failure_names_fine_step(self):
-        # at nx = 128 the double-region fine step sits at 1/16 of the slab
-        with pytest.raises(NumericalValidationError, match=r"dxf = 0\.0625\b"):
-            born_probability(benchmark_experiment(nx=128))
+    def test_cross_check_failure_names_both_values(self, monkeypatch):
+        p_slice = ps._born_slice_norm(BENCH)
+        monkeypatch.setattr(
+            ps, "_born_double_region", lambda exp: p_slice * (1 + 2 * exp.xcheck_tol)
+        )
+        with pytest.raises(NumericalValidationError) as err:
+            born_probability(BENCH)
+        msg = str(err.value)
+        assert "Born cross-check failed at refine level 0" in msg
+        assert f"{p_slice:.6g}" in msg and f"{p_slice * 1.002:.6g}" in msg
+        assert "tolerance 0.001" in msg
 
     def test_no_double_region_without_xcheck(self, monkeypatch):
         p_slice = born_probability_detail(BENCH).p_slice
@@ -261,6 +271,24 @@ SUM_CASES = [
 SUM_IDS = ["bench-1", "bench-2", "bench-refine1-1", "two-point-1", "two-point-2", "shifted-1"]
 LADDER_CASES = [(two_point_experiment(), 4), (BENCH, 4), (BENCH, 8)]
 LADDER_IDS = ["two-point-4", "bench-4", "bench-8"]
+TWO_GRIDS = benchmark_experiment(
+    region=(Rect(-0.5, 0.5, 3.0, 3.2), Rect(1.0, 1.5, 3.3, 3.6)), band=(3.7, 3.95)
+)
+ORACLE_CASES = {
+    **{f"slab-refine{r}": benchmark_experiment(r) for r in range(3)},
+    **{f"two-point-refine{r}": two_point_experiment(refine=r) for r in range(3)},
+    "slab-momentum": benchmark_experiment(packet_momentum=0.6),
+    "two-point-momentum": two_point_experiment(packet_momentum=0.15),
+    "two-grids": TWO_GRIDS,
+    "shifted": shifted(BENCH, 50.0),
+}
+# at nx 64, 128 and 322 the wavenumbers run on past the grid's Nyquist, up to
+# the readout slice's, so the value does not depend on nx
+CONTINUUM_CASES = {
+    **{f"slab-refine{r}": ("slab", benchmark_experiment(r)) for r in range(3)},
+    **{f"two-point-refine{r}": ("two-point", two_point_experiment(refine=r)) for r in range(3)},
+    **{f"slab-nx{n}": ("slab", benchmark_experiment(nx=n)) for n in (64, 128, 322)},
+}
 
 
 def gauss_legendre(f, lo, hi, panels=400, nodes=20):
@@ -273,45 +301,79 @@ def gauss_legendre(f, lo, hi, panels=400, nodes=20):
 
 
 class TestDoubleRegion:
+    """The Filon-Simpson double-region sum against composite Gauss-Legendre
+    quadrature of the same S(k), and against the continuum values; the
+    fine-grid trapezoid oracle against its pairwise slice sum."""
+
     @pytest.mark.parametrize("exp, density", SUM_CASES, ids=SUM_IDS)
     def test_factorized_sum_matches_pairwise(self, exp, density):
         got = born_double_region_trapezoid(exp, density)
         assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
 
     @pytest.mark.parametrize(
-        "exp, density", SUM_CASES + LADDER_CASES, ids=SUM_IDS + LADDER_IDS
+        "theta",
+        [0.0, 1e-8, -1e-8, 1e-4, -1e-4, 1e-2, -1e-2, 0.1, 0.5, -0.5, 1.0, -1.0, 1e3, -1e3],
     )
-    def test_filon_sum_matches_pairwise(self, exp, density):
-        got = ps._born_double_region_raw(exp, density)
-        assert got == pytest.approx(born_double_region_filon_pairwise(exp, density), rel=1e-10)
+    def test_filon_weights_match_gauss_legendre(self, theta):
+        # |theta| = 1 is where the moments switch from their Taylor series
+        quadratics = [
+            lambda s: (s - 1) * (s - 2) / 2,
+            lambda s: s * (2 - s),
+            lambda s: s * (s - 1) / 2,
+        ]
+        want = [
+            gauss_legendre(lambda s: q(s) * np.exp(1j * theta * s), 0.0, 2.0) for q in quadratics
+        ]
+        assert_allclose(ps._filon_panel(np.array([theta]))[:, 0], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exp", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_gauss_legendre_oracle(self, exp):
+        k, length = ps._spectral_k(exp)
+        want = born_double_region_gauss(exp, k, length)
+        assert ps._born_double_region(exp) == pytest.approx(want, rel=1e-5)
 
     @pytest.mark.parametrize(
-        "exp",
-        [BENCH, benchmark_experiment(1), two_point_experiment(), two_point_experiment(refine=1)],
-        ids=["bench", "bench-refine1", "two-point", "two-point-refine1"],
+        "name, exp",
+        [("slab", BENCH), ("two-point", two_point_experiment(refine=1))],
+        ids=["slab", "two-point"],
     )
-    def test_filon_density_1_matches_dense_trapezoid(self, exp):
-        ref = born_double_region_trapezoid(exp, 16)
-        assert ps._born_double_region(exp) == pytest.approx(ref, rel=1e-5)
+    def test_oracle_reaches_continuum(self, name, exp):
+        # twice the grid's wavenumber range and period: |k| <= 80 and 160
+        k = 2.0 * np.pi * np.fft.fftfreq(4 * exp.nx, exp.dx / 2)
+        got = born_double_region_gauss(exp, k, 2 * exp.nx * exp.dx)
+        assert got == pytest.approx(CONTINUUM_BORN[name], rel=1e-8)
 
-    @pytest.mark.parametrize("theta", [0.0, 1e-8, 1e-4, 1e-2, 0.1, 1.0, 1e3])
-    def test_filon_weights_match_gauss_legendre(self, theta):
-        def phase(s):
-            return np.exp(1j * theta * s)
+    @pytest.mark.parametrize(
+        "name, exp", CONTINUUM_CASES.values(), ids=CONTINUUM_CASES.keys()
+    )
+    def test_near_continuum(self, name, exp):
+        assert ps._born_double_region(exp) == pytest.approx(CONTINUUM_BORN[name], rel=1e-5)
 
-        first = gauss_legendre(lambda s: (1 - s) * phase(s), 0.0, 1.0)
-        last = gauss_legendre(lambda s: (1 + s) * phase(s), -1.0, 0.0)
-        got = ps._filon_weights(np.array([theta]))[:, 0]
-        assert_allclose(got, [first, first + last, last], rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("exp", [BENCH, two_point_experiment()], ids=["slab", "two-point"])
+    def test_node_doubling(self, exp):
+        got = ps._born_double_region_raw(exp, 2)
+        assert got == pytest.approx(ps._born_double_region_raw(exp, 1), rel=1e-5)
+
+    def test_memory_grows_linearly_with_the_grid(self):
+        # one (wavenumbers x nodes) weight array per rectangle: a grid-wide
+        # rectangle may need 4x the memory at 4x the grid, not 16x
+        peaks = []
+        for r in (0, 2):
+            exp = benchmark_experiment(r, region=(Rect(-19, 19, 3.0, 3.2),))
+            tracemalloc.start()
+            try:
+                ps._born_double_region(exp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] <= 5.0
 
 
 class TestDoubleRegionLadder:
-    """The trapezoid oracle at ladder densities, and the slices and edge
-    cases of the Filon sum."""
+    """The slices of the Filon-Simpson sum, and the trapezoid oracle at
+    ladder densities."""
 
-    @staticmethod
-    def spy_slices(monkeypatch):
-        """Record (x points, t) of every slice handed to evolved_wavefunction."""
+    def test_each_slice_evolved_once(self, monkeypatch):
         seen = []
         real = ps.evolved_wavefunction
 
@@ -320,101 +382,14 @@ class TestDoubleRegionLadder:
             return real(exp, x, t)
 
         monkeypatch.setattr(ps, "evolved_wavefunction", spy)
-        return seen
-
-    def test_each_slice_evolved_once(self, monkeypatch):
-        seen = self.spy_slices(monkeypatch)
         exp = two_point_experiment()
         ps._born_double_region(exp)
-        # one time density: the 33 slices of each square, each evolved once
-        assert len(seen) == 2 * 33
-        assert len(set(seen)) == 2 * 33
+        assert len(seen) == len(set(seen)) == 2 * 7  # the 7 t nodes of each square, once
 
     @pytest.mark.parametrize("exp, density", LADDER_CASES, ids=LADDER_IDS)
     def test_nested_ladder_matches_pairwise(self, exp, density):
         got = born_double_region_trapezoid(exp, density)
         assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
-
-    def test_one_slice_rectangle(self, monkeypatch):
-        real = ps._rect_subgrid
-
-        def first_slice(exp, rect, t_density=1):
-            xq, tq, wx, wt = real(exp, rect, t_density)
-            return xq, tq[:1], wx, np.ones(1)
-
-        # the oracle imports _rect_subgrid from postulates when called
-        monkeypatch.setattr(ps, "_rect_subgrid", first_slice)
-        exp = benchmark_experiment()
-        got = ps._born_double_region_raw(exp, 1)
-        assert got == pytest.approx(born_double_region_filon_pairwise(exp, 1), rel=1e-10)
-
-    def test_single_live_point(self, monkeypatch):
-        # a rectangle hanging over the grid edge covers only the last fine point
-        seen = self.spy_slices(monkeypatch)
-        exp = benchmark_experiment(packet_center=15.0, region=(Rect(19.99, 20.5, 3.0, 3.2),))
-        got = ps._born_double_region_raw(exp, 2)
-        assert {x for x, _ in seen} == {(20.0,)}
-        assert got == pytest.approx(born_double_region_filon_pairwise(exp, 2), rel=1e-10)
-
-
-TWO_GRIDS = benchmark_experiment(
-    region=(Rect(-0.5, 0.5, 3.0, 3.2), Rect(1.0, 1.5, 3.3, 3.6)), band=(3.7, 3.95)
-)
-
-
-class TestDoubleRegionTables:
-    """The slice-major layout of the Filon sum: one weighted phase table per
-    slice grid, built in chunks with exact restarts every 16 slices."""
-
-    @staticmethod
-    def count_tables(monkeypatch):
-        """Count the Filon weight evaluations: one per table built."""
-        calls = []
-        real = ps._filon_weights
-        monkeypatch.setattr(ps, "_filon_weights", lambda theta: calls.append(1) or real(theta))
-        return calls
-
-    @pytest.mark.parametrize(
-        "exp, density, chunk",
-        [(BENCH, 2, 1), (BENCH, 2, 5), (BENCH, 2, 7), (two_point_experiment(), 1, 5)],
-        ids=["bench-2-chunk1", "bench-2-chunk5", "bench-2-chunk7", "two-point-chunk5"],
-    )
-    def test_small_chunks_match_pairwise(self, monkeypatch, exp, density, chunk):
-        # chunk 1 puts every slice alone; with 5 or 7 the chunk edges fall
-        # between the restarts at multiples of 16, and the first and last
-        # slices share their chunks with interior ones
-        nf = ps._fine_grid(exp).size
-        monkeypatch.setattr(ps._kernels, "_CHUNK", chunk * 16 * nf)
-        seen = TestDoubleRegionLadder.spy_slices(monkeypatch)
-        calls = []
-        real = ps.evolved_wavefunction
-        monkeypatch.setattr(ps, "evolved_wavefunction", lambda *a: calls.append(1) or real(*a))
-        got = ps._born_double_region_raw(exp, density)
-        n = ps._rect_subgrid(exp, exp.region[0], density)[1].size
-        assert len(calls) == len(exp.region) * -(-n // chunk)
-        assert len(seen) == len(exp.region) * n
-        assert got == pytest.approx(born_double_region_filon_pairwise(exp, density), rel=1e-10)
-
-    def test_two_slice_grids_build_two_tables(self, monkeypatch):
-        tables = self.count_tables(monkeypatch)
-        got = ps._born_double_region_raw(TWO_GRIDS, 1)
-        assert len(tables) == 2
-        assert got == pytest.approx(born_double_region_filon_pairwise(TWO_GRIDS, 1), rel=1e-10)
-
-    def test_two_point_squares_share_one_table(self, monkeypatch):
-        tables = self.count_tables(monkeypatch)
-        ps._born_double_region_raw(two_point_experiment(), 1)
-        assert len(tables) == 1
-
-    def test_rectangle_without_live_point_adds_zero(self, monkeypatch):
-        on_grid = benchmark_experiment(region=TWO_GRIDS.region[:1], band=TWO_GRIDS.band)
-        off = replace(on_grid, region=(*on_grid.region, Rect(25.0, 26.0, 3.3, 3.6)))
-        want = ps._born_double_region_raw(on_grid, 1)
-        seen = TestDoubleRegionLadder.spy_slices(monkeypatch)
-        tables = self.count_tables(monkeypatch)
-        assert ps._born_double_region_raw(off, 1) == want
-        assert len(tables) == 1  # no table for a grid without live points
-        assert seen and all(len(x) > 0 for x, _ in seen)
 
 
 class TestRrProbability:
@@ -642,6 +617,25 @@ class TestCqiProbability:
     def test_band_must_follow_region(self):
         with pytest.raises(NumericalValidationError):
             cqi_probability(BENCH, band=(3.0, 3.3))
+
+    @pytest.mark.parametrize(
+        "exp", [BENCH, two_point_experiment(packet_momentum=0.15)], ids=["slab", "two-point"]
+    )
+    def test_observer_off_diagonals_exactly_zero(self, exp):
+        m = cqi_probability_detail(exp).rho_observer.matrix
+        assert m[0, 1] == m[1, 0] == 0
+
+    def test_nonzero_observer_off_diagonal_raises(self, monkeypatch):
+        real = hilbert.partial_trace
+
+        def leaky(rho, keep):
+            out = real(rho, keep)
+            leak = 1e-12 * np.array([[0, 1], [1, 0]])
+            return hilbert.DensityOp(out.matrix + leak, out.factor_dims)
+
+        monkeypatch.setattr(ps.hilbert, "partial_trace", leaky)
+        with pytest.raises(InvariantViolation, match="off-diagonal"):
+            cqi_probability_detail(BENCH)
 
     @pytest.mark.parametrize("exp", [BENCH, benchmark_experiment(packet_momentum=0.6)])
     def test_batched_band_steps_equal_per_slice_evolution(self, exp):
