@@ -20,6 +20,12 @@ per rectangle, its wavenumber count and its relative deviation from the
 composite Gauss-Legendre oracle of ``tests/oracles.py`` on the same
 wavenumbers (about 0.5 s at refine 2).
 
+The band branch functions ``postulates._branch_functions`` (warm) on the
+slab at refine 0 and 1 and on two-point, with the L2 relative distance
+of their |1> seed from the region spectrum S(k) (``_spectral_branch``)
+to the kernel-sum seed ``first_order_amplitude(exp, exp.x(), band[0])``
+and that kernel sum's own time.
+
 On ``two_point_experiment()``, the prepared state on the region slices
 at time density 8 by kernel quadrature of psi0 (one ``propagate`` call
 per region slice) against the closed form of ``evolved_wavefunction``.
@@ -120,6 +126,22 @@ def time_double_region():
               f"   rel deviation {(got - ref) / ref:+.1e}")
 
 
+def time_band_seed():
+    cases = [
+        ("slab, refine 0", postulates.benchmark_experiment()),
+        ("slab, refine 1", postulates.benchmark_experiment(1)),
+        ("two-point, refine 0", postulates.two_point_experiment()),
+    ]
+    print("band branch functions, |1> seed from S(k), against the kernel-sum seed")
+    for label, exp in cases:
+        _, t_branch = timed(postulates._branch_functions, exp, exp.band)
+        seed = postulates._spectral_branch(exp, exp.band[0])
+        ref, t_sum = timed(postulates.first_order_amplitude, exp, exp.x(), exp.band[0])
+        rel = np.linalg.norm(seed - ref) / np.linalg.norm(ref)
+        print(f"  {label:<19}: {t_branch * 1e3:9.2f} ms   kernel-sum seed {t_sum * 1e3:.2f} ms"
+              f"   L2 rel distance {rel:.1e}")
+
+
 def compare_prepared_state(density=8):
     exp = postulates.two_point_experiment()
     k = exp.kernel
@@ -202,6 +224,7 @@ def main():
     print(f"  dense sum : {t_dq:.3f} s")
 
     time_double_region()
+    time_band_seed()
     compare_prepared_state()
     compare_partial_trace()
     compare_finite_suite()

@@ -158,10 +158,10 @@ class DetectorParams:
     """Overrides of the slab experiment's defaults; None keeps the default."""
 
     packet_center: float | None = _param(_NUMBER, None)
-    packet_width: float | None = _param(_NUMBER, None)
+    packet_width: float | None = _param(_POSITIVE, None)
     packet_momentum: float | None = _param(_NUMBER, None)
     t0: float | None = _param(_NUMBER, None)
-    coupling_alpha: float | None = _param(_NUMBER, None)
+    coupling_alpha: float | None = _param({"type": "number", "minimum": 0}, None)
     potential_v: float | None = _param(_NUMBER, None)
     readout_time: float | None = _param(_NUMBER, None)
     band: list | None = _param(_PAIR, None)
@@ -435,7 +435,6 @@ def _run_detector_compare(cfg: ExperimentConfig, refine: int):
                 **_born_margin(detail),
                 "schmidt_rank": cqi.schmidt_rank,
                 "normalization_deficit": cqi.normalization_deficit,
-                "physical_norm_route": cqi.p_physical_norm,
             }
         )
     cols = [

@@ -173,6 +173,8 @@ class DetectorExperiment:
     def __post_init__(self):
         if self.coupling_alpha < 0:
             raise NumericalValidationError("coupling_alpha must be nonnegative")
+        if self.packet_width <= 0:
+            raise NumericalValidationError("packet_width must be positive")
         if not self.region:
             raise NumericalValidationError("at least one interaction rectangle required")
         span = self.span
@@ -353,29 +355,25 @@ def _t_density_for(exp: DetectorExperiment, t: float) -> int:
     return min(density, 8)
 
 
-def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.ndarray:
-    """|1>-branch amplitude (alpha / i hbar) * int_R W V Psi at (x, t).
+def _rect_amplitudes(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.ndarray:
+    """Each rectangle's |1>-branch amplitude at (x, t), one kernel sum per row, all at
+    the union's time density: by linearity the rows add to the union's amplitude."""
+    density, k = _t_density_for(exp, t), exp.kernel
+    kern = (k.mass, k.hbar, k.regularization_eta)
+    rows = [
+        _kernels.propagate(x, t, *_region_sources(replace(exp, region=(r,)), density), *kern)
+        for r in exp.region
+    ]
+    return np.array(rows) * (exp.coupling_alpha / (1j * k.hbar))
 
-    Double trapezoid quadrature over the interaction rectangles; linear
-    in the region, so disjoint rectangles simply add.
-    """
+
+def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.ndarray:
+    """|1>-branch amplitude (alpha / i hbar) * int_R W V Psi at (x, t) by double
+    trapezoid quadrature: linear in the region, the sum of ``_rect_amplitudes``."""
     if t <= exp.span.t_hi:
         raise NumericalValidationError("readout must lie after the interaction region")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if exp.coupling_alpha == 0.0:
-        return np.zeros(x.size, dtype=complex)
-    xs, ts, amps = _region_sources(exp, _t_density_for(exp, t))
-    out = _kernels.propagate(
-        x,
-        float(t),
-        xs,
-        ts,
-        amps,
-        exp.kernel.mass,
-        exp.kernel.hbar,
-        exp.kernel.regularization_eta,
-    )
-    return out * (exp.coupling_alpha / (1j * exp.kernel.hbar))
+    return _rect_amplitudes(exp, x, float(t)).sum(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -483,13 +481,13 @@ def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
     return 2.0 * np.pi * np.fft.fftfreq(n, length / n), length
 
 
-def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
-    """Double integral of conj(Psi) W Psi over R x R, evaluated spectrally: the
-    kernel phase splits per region time (the paper's slice independence), so it
-    is sum |S(k)|^2 / L over ``_spectral_k``, S(k) = int_R exp(i omega (t - t_ref))
-    Psi exp(-i k x) dx dt with omega = hbar k^2 / 2m, t_ref the earliest region
-    time.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on Filon-Simpson
-    nodes resolving ``_packet_k`` in x and its frequency in t, whatever nx."""
+def _region_spectrum(
+    exp: DetectorExperiment, t_density: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(k, S, L): S(k) = int_R exp(i omega (t - t_ref)) Psi exp(-i k x) dx dt, omega =
+    hbar k^2 / 2m and t_ref the earliest region time, at ``_spectral_k``'s k and period
+    L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on Filon-Simpson nodes
+    resolving ``_packet_k`` in x and its frequency in t, whatever nx."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k, length = _spectral_k(exp)
     kp = _packet_k(exp)
@@ -499,7 +497,15 @@ def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
         t = _filon_nodes(rect.t_lo, rect.t_hi, 0.5 * hb * kp**2 / m, t_density)
         f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
         spec += np.einsum("kt,tk->k", _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo), f)
-    pref = (exp.coupling_alpha * exp.potential_v / hb) ** 2
+    return k, spec, length
+
+
+def _born_double_region_raw(exp: DetectorExperiment, t_density: int) -> float:
+    """Double integral of conj(Psi) W Psi over R x R, evaluated spectrally: the
+    kernel phase splits per region time (the paper's slice independence), so it
+    is (alpha V / hbar)^2 sum |S(k)|^2 / L with ``_region_spectrum``."""
+    _, spec, length = _region_spectrum(exp, t_density)
+    pref = (exp.coupling_alpha * exp.potential_v / exp.kernel.hbar) ** 2
     return float(pref * np.vdot(spec, spec).real / length)
 
 
@@ -509,26 +515,10 @@ def _born_double_region(exp: DetectorExperiment) -> float:
 
 
 def _readout_branches(exp: DetectorExperiment) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid weights of the readout slice and each rectangle's
-    |1>-branch amplitude on it, one kernel sum per rectangle.
-
-    Every rectangle is summed on the union's readout grid at the union's
-    time density, so by linearity the rows add to
-    ``first_order_amplitude(exp, _readout_grid(exp), exp.readout_time)``;
-    a lone rectangle makes exactly that call.
-    """
-    xr, t = _readout_grid(exp), float(exp.readout_time)
-    density = _t_density_for(exp, t)
-    k = exp.kernel
-    kern = (k.mass, k.hbar, k.regularization_eta)
-    phis = np.array(
-        [
-            _kernels.propagate(xr, t, *_region_sources(replace(exp, region=(r,)), density), *kern)
-            for r in exp.region
-        ]
-    )
+    """Trapezoid weights of the readout slice and ``_rect_amplitudes`` on it."""
+    xr = _readout_grid(exp)
     w = trapezoid_weights(xr.size, float(xr[1] - xr[0]))
-    return w, phis * (exp.coupling_alpha / (1j * k.hbar))
+    return w, _rect_amplitudes(exp, xr, float(exp.readout_time))
 
 
 def _born_slice_norm(exp: DetectorExperiment) -> float:
@@ -646,11 +636,23 @@ def covariant_partial_trace(
 @dataclass(frozen=True, eq=False)
 class CqiResult:
     p_cqi: float  # activation probability from the observer's preferred basis
-    p_physical_norm: float  # rho[3, 3]: physical norm of the |1>-branch over trace_raw
     rho_observer: DensityOp
     schmidt_rank: int
     normalization_deficit: float
     band: tuple[float, float]
+
+
+def _spectral_branch(exp: DetectorExperiment, t: float) -> np.ndarray:
+    """|1>-branch on ``exp.x()`` at t after the region, with no kernel sum: (alpha V / i hbar L)
+    sum_k S(k) exp(i k x - i omega (t - t_ref) - omega eta), k = 2 pi m / L in bin m mod nx."""
+    kern = exp.kernel
+    k, spec, length = _region_spectrum(exp, 1)
+    lag = 1j * (t - exp.span.t_lo) + kern.regularization_eta
+    phase = 1j * k * exp.x_min - 0.5 * kern.hbar * k**2 / kern.mass * lag
+    bins = np.zeros(exp.nx, dtype=complex)
+    np.add.at(bins, np.rint(k * length / (2.0 * np.pi)).astype(int) % exp.nx, spec * np.exp(phase))
+    pref = exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
+    return pref * np.fft.ifft(bins, norm="forward")
 
 
 def _branch_functions(
@@ -666,9 +668,8 @@ def _branch_functions(
     n = exp.band_slices
     grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], n)
     g = 1.0 / (band[1] - band[0])
-    xg = exp.x()
     seeds = np.array(
-        [evolved_wavefunction(exp, xg, band[0]), first_order_amplitude(exp, xg, band[0])]
+        [evolved_wavefunction(exp, exp.x(), band[0]), _spectral_branch(exp, band[0])]
     )
     steps = spectral_evolve(seeds[:, None, :], grid.dx, exp.kernel, grid.t - band[0])
     psi_vals, phi_vals = steps.transpose(0, 2, 1) * g
@@ -711,7 +712,6 @@ def cqi_probability_detail(
 
     return CqiResult(
         p_cqi=p_cqi,
-        p_physical_norm=float(reduced.rho.matrix[3, 3].real),
         rho_observer=rho_obs,
         schmidt_rank=reduced.schmidt_rank,
         normalization_deficit=reduced.trace_raw - 1.0,

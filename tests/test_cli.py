@@ -322,6 +322,27 @@ class TestStrictParams:
         path = write_config(tmp_path, "tp.json", {"kind": "two-point", "params": tp})
         assert cli.load_config(path).params == tp
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind", ["detector-compare", "two-point"])
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"packet_width": 0}, "params.packet_width"),
+            ({"packet_width": -1.0}, "params.packet_width"),
+            ({"coupling_alpha": -0.02}, "params.coupling_alpha"),
+        ],
+        ids=["width-0", "width-neg", "alpha-neg"],
+    )
+    def test_out_of_range_detector_params_exit_1(
+        self, tmp_path, capsys, command, kind, params, field
+    ):
+        cfg = {"kind": kind, "params": params, "output": {"path": "bad"}}
+        path = write_config(tmp_path, "bad.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_unknown_zeno_key(self, tmp_path):
         cfg = dict(ZENO_CFG, params={"omega": 1.0, "epsilon": 0.05, "halving": 2})
         path = write_config(tmp_path, "z.json", cfg)
@@ -553,7 +574,12 @@ _DETECTOR_FLOATS = (
     "potential_v",
     "readout_time",
 )
-_DETECTOR = {**dict.fromkeys(_DETECTOR_FLOATS, {"type": "number"}), "band": _PAIR}
+_DETECTOR = {
+    **dict.fromkeys(_DETECTOR_FLOATS, {"type": "number"}),
+    "packet_width": {"type": "number", "exclusiveMinimum": 0},
+    "coupling_alpha": {"type": "number", "minimum": 0},
+    "band": _PAIR,
+}
 
 _REGION = {
     "type": "array",

@@ -72,6 +72,13 @@ class TestExperimentValidation:
         with pytest.raises(NumericalValidationError):
             born_probability(exp)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0])
+    def test_packet_width_must_be_positive(self, width):
+        with pytest.raises(NumericalValidationError, match="packet_width"):
+            benchmark_experiment(packet_width=width)
+        with pytest.raises(NumericalValidationError, match="packet_width"):
+            two_point_experiment(packet_width=width)
+
 
 class TestEvolvedWavefunction:
     def test_initial_slice_identity(self):
@@ -584,10 +591,6 @@ class TestCqiProbability:
         p_born = born_probability(BENCH)
         assert abs(res.p_cqi / p_born - 1) <= 1e-3
 
-    def test_physical_norm_route_agrees(self):
-        res = cqi_probability_detail(BENCH)
-        assert res.p_physical_norm == pytest.approx(res.p_cqi, rel=1e-9)
-
     def test_observer_state_properties(self):
         res = cqi_probability_detail(BENCH)
         m = res.rho_observer.matrix
@@ -644,10 +647,57 @@ class TestCqiProbability:
         g = 1.0 / (band[1] - band[0])
         for vals, seed in (
             (psi_vals, evolved_wavefunction(exp, exp.x(), band[0])),
-            (phi_vals, first_order_amplitude(exp, exp.x(), band[0])),
+            (phi_vals, ps._spectral_branch(exp, band[0])),
         ):
             ref = [spectral_evolve(seed, grid.dx, exp.kernel, float(t - band[0])) for t in grid.t]
             assert_array_equal(vals, np.stack(ref, axis=1) * g)
+
+    @pytest.mark.parametrize(
+        "exp, tol",
+        [
+            (BENCH, 1e-3),
+            (benchmark_experiment(1), 1e-3),
+            (benchmark_experiment(2), 1e-3),
+            (benchmark_experiment(packet_momentum=0.6), 1e-3),
+            (benchmark_experiment(nx=64), 1e-3),
+            (benchmark_experiment(nx=128), 1e-3),
+            (benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3)), 1e-3),
+            (two_point_experiment(), 5e-3),
+            (two_point_experiment(packet_momentum=0.15), 5e-3),
+        ],
+        ids=["r0", "r1", "r2", "momentum", "nx64", "nx128", "eta", "two-point", "two-point-p"],
+    )
+    def test_spectral_seed_matches_kernel_sum(self, exp, tol):
+        # the band seed from S(k) against the x-space kernel sum at band[0];
+        # nx 64 and 128 fold wavenumbers past the grid's Nyquist, eta > 0
+        # takes the dense sum and the damping factor exp(-omega eta)
+        seed = ps._spectral_branch(exp, exp.band[0])
+        ref = first_order_amplitude(exp, exp.x(), exp.band[0])
+        assert np.linalg.norm(seed - ref) <= tol * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "name, exp, tol",
+        [
+            *(("slab", benchmark_experiment(r), 1e-5) for r in range(3)),
+            *(("two-point", two_point_experiment(refine=r), 5e-5) for r in range(3)),
+            ("slab", benchmark_experiment(nx=64), 1e-4),
+            ("slab", benchmark_experiment(nx=128), 1e-4),
+        ],
+        ids=["slab-r0", "slab-r1", "slab-r2", "two-r0", "two-r1", "two-r2", "nx64", "nx128"],
+    )
+    def test_near_continuum(self, name, exp, tol):
+        # trace_raw = |psi|^2 + |phi|^2 normalizes p_cqi: its continuum value is p / (1 + p)
+        p = CONTINUUM_BORN[name]
+        assert cqi_probability(exp) == pytest.approx(p / (1.0 + p), rel=tol)
+
+    def test_no_kernel_sum(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel sum called")
+
+        monkeypatch.setattr(ps._kernels, "propagate", fail)
+        monkeypatch.setattr(ps._kernels, "propagate_numpy", fail)
+        for exp in (BENCH, two_point_experiment()):
+            cqi_probability_detail(exp)
 
 
 class TestTwoPoint:
@@ -675,7 +725,15 @@ class TestTwoPoint:
     def test_rect_branches_add_to_union_amplitude(self, separation):
         exp = two_point_experiment(separation=separation)
         _, phis = ps._readout_branches(exp)
-        union = first_order_amplitude(exp, ps._readout_grid(exp), exp.readout_time)
+        t, k = exp.readout_time, exp.kernel
+        union = ps._kernels.propagate(
+            ps._readout_grid(exp),
+            t,
+            *ps._region_sources(exp, ps._t_density_for(exp, t)),
+            k.mass,
+            k.hbar,
+            k.regularization_eta,
+        ) * (exp.coupling_alpha / (1j * k.hbar))
         assert phis.shape == (2, union.size)
         scale = np.max(np.abs(union))
         assert np.max(np.abs(phis.sum(axis=0) - union)) <= 1e-13 * scale
@@ -701,13 +759,13 @@ class TestTwoPoint:
         assert two_point_report(exp).p_born == pytest.approx(ps._born_slice_norm(exp), rel=1e-14)
 
     def test_one_kernel_sum_per_rectangle(self, monkeypatch):
-        # two readout sums (one per square) and the band seed; the union's
-        # readout is their sum, not a third readout
+        # two readout sums, one per square; the union's readout is their
+        # sum, not a third readout, and the band seed takes none
         calls = []
         real = ps._kernels.propagate
         monkeypatch.setattr(ps._kernels, "propagate", lambda *a: calls.append(a) or real(*a))
         two_point_report(two_point_experiment())
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestShrinkingRegion:
