@@ -18,9 +18,10 @@ The Born double-region sum ``postulates._born_double_region_raw``
 ``benchmark_experiment`` at refine 1 and 2, with its (x nodes x t nodes)
 per rectangle, its wavenumber count and its relative deviation from the
 composite Gauss-Legendre oracle of ``tests/oracles.py`` on the same
-wavenumbers (about 0.5 s at refine 2).
+wavenumbers (about 0.5 s at refine 2); each timing builds S(k) afresh.
 
-The band branch functions ``postulates._branch_functions`` (warm) on the
+The band branch functions ``postulates._branch_functions`` (warm, with
+S(k) cached from the double-region sum, as in a detector pass) on the
 slab at refine 0 and 1 and on two-point, with the L2 relative distance
 of their |1> seed from the region spectrum S(k) (``_spectral_branch``)
 to the kernel-sum seed ``first_order_amplitude(exp, exp.x(), band[0])``
@@ -35,6 +36,12 @@ Last, the covariant partial trace of the band joint state of
 decomposition with per-slice collapse of ``tests/oracles.py`` against
 the d x d physical Gram matrix of ``postulates`` (one batched spectral
 evolution), with the max deviation of the normalized density matrices.
+The collapse inside it is timed on its own at refine 1 and 3: every band
+slice of both branches evolved to the last slice (one batched
+``spectral_evolve``) and summed with the trapezoid weights, against
+``contspace.spectral_collapse``, which sums the weighted slices in
+k-space and takes one inverse FFT per branch, with their max relative
+deviation.
 
 Finally the finite suite's sample sweeps, per-sample loops of
 ``tests/oracles.py`` against the batched paths: the EPR no-communication
@@ -51,7 +58,7 @@ import numpy as np
 sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
-from cqi_sim import _kernels, chain, epr, postulates  # noqa: E402
+from cqi_sim import _kernels, chain, contspace, epr, postulates  # noqa: E402
 from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
 from oracles import (  # noqa: E402
     born_double_region_gauss,
@@ -104,6 +111,12 @@ def compare_chirp(x_out, t_out, x_src, t_src):
           f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
 
 
+def uncached(fn, *args):
+    """fn(*args) with the region-spectrum cache cleared first, so S(k) is built."""
+    postulates._region_spectrum.cache_clear()
+    return fn(*args)
+
+
 def time_double_region():
     cases = [
         ("two-point, refine 0", postulates.two_point_experiment()),
@@ -119,7 +132,7 @@ def time_double_region():
              postulates._filon_nodes(r.t_lo, r.t_hi, 0.5 * hb_m * kp**2).size)
             for r in exp.region
         ]
-        got, t_sum = timed(postulates._born_double_region_raw, exp, 1)
+        got, t_sum = timed(uncached, postulates._born_double_region_raw, exp, 1)
         ref = born_double_region_gauss(exp, k, length)
         shape = " + ".join(f"{nx} x {nt}" for nx, nt in nodes)
         print(f"  {label:<19}: {t_sum * 1e3:9.2f} ms   nodes {shape}, {k.size} k"
@@ -182,6 +195,22 @@ def compare_partial_trace(refines=(0, 1, 2)):
               f"   max |drho| {err:.1e}")
 
 
+def compare_collapse(refines=(1, 3)):
+    for r in refines:
+        exp = postulates.benchmark_experiment(r)
+        grid, psi, phi = postulates._branch_functions(exp, exp.band)
+        comps = np.ascontiguousarray(np.stack([psi, phi]).transpose(0, 2, 1))  # (2, nt, nx)
+        tw, lags = trapezoid_weights(grid.nt, grid.dt), grid.t[-1] - grid.t
+        args = (comps, grid.dx, exp.kernel, lags)
+        print(f"band collapse, refine {r}: 2 x {grid.nt} slices x {grid.nx}")
+        ref, t_slices = timed(lambda: tw @ contspace.spectral_evolve(*args))
+        got, t_kspace = timed(contspace.spectral_collapse, *args, tw)
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        print(f"  per slice : {t_slices * 1e3:9.2f} ms")
+        print(f"  k-space   : {t_kspace * 1e3:9.2f} ms   speedup {t_slices / t_kspace:.1f}x"
+              f"   max rel deviation {err:.1e}")
+
+
 def compare_finite_suite(n_unitaries=500, n_cases=50):
     us = haar_unitary(np.random.default_rng(0), 2, (n_unitaries,))
     print(f"epr no-communication check: {n_unitaries} Haar unitaries")
@@ -227,6 +256,7 @@ def main():
     time_band_seed()
     compare_prepared_state()
     compare_partial_trace()
+    compare_collapse()
     compare_finite_suite()
 
 

@@ -291,15 +291,22 @@ def _check_grid(kind: str, grid: dict) -> None:
 def _check_region(kind: str, params: dict, grid: dict) -> None:
     """Every region rectangle inside the x grid: the Born double-region sum
     sees only the part on the grid, so a rectangle that leaves it would fail
-    the cross-check by a misleading margin.  The field named is the one that
-    placed the rectangle."""
+    the cross-check by a misleading margin.  No two rectangles may overlap
+    (sharing an edge is fine): every route would count the common part
+    twice.  The field named is the one that placed the rectangle."""
     x_min = grid.get("x_min", postulates.DetectorExperiment.x_min)
     x_max = grid.get("x_max", postulates.DetectorExperiment.x_max)
     if kind == "two-point":
         geometry = {k: params[k] for k in ("packet_center", "separation", "eps_pt") if k in params}
-        rects = postulates.two_point_experiment(**geometry, **grid).region
+        try:  # overlap is the one check these keys can fail
+            rects = postulates.two_point_experiment(**geometry, **grid).region
+        except NumericalValidationError as err:
+            raise ConfigError(f"params.separation: {err}: 2 |separation| < eps_pt") from None
         spans = [("params.separation", (r.x_lo, r.x_hi)) for r in rects]
     elif "region" in params:
+        boxes = [(*sorted(r["x"]), *sorted(r["t"])) for r in params["region"]]
+        if pair := postulates.overlapping_pair(boxes):
+            raise ConfigError("params.region.{1}: overlaps params.region.{0}".format(*pair))
         spans = [(f"params.region.{i}.x", r["x"]) for i, r in enumerate(params["region"])]
     else:  # the default slab
         rects = postulates.benchmark_experiment().region
@@ -435,6 +442,7 @@ def _run_detector_compare(cfg: ExperimentConfig, refine: int):
                 **_born_margin(detail),
                 "schmidt_rank": cqi.schmidt_rank,
                 "normalization_deficit": cqi.normalization_deficit,
+                "band_fold_rel": cqi.band_fold_rel,
             }
         )
     cols = [
@@ -473,7 +481,12 @@ def _run_two_point(cfg: ExperimentConfig, refine: int):
         rep = postulates.two_point_report(postulates.two_point_experiment(refine=level, **over))
         rows.append([level, *(getattr(rep, col) for col in _TWO_POINT_COLS)])
         diagnostics["levels"].append(
-            {"refine": level, "cross_born": rep.cross_born, **_born_margin(rep.born)}
+            {
+                "refine": level,
+                "cross_born": rep.cross_born,
+                "band_fold_rel": rep.band_fold_rel,
+                **_born_margin(rep.born),
+            }
         )
     keys = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")
     results = {key: getattr(rep, key) for key in keys}

@@ -44,6 +44,7 @@ __all__ = [
     "physical_inner_product",
     "physical_norm",
     "spectral_evolve",
+    "spectral_collapse",
     "gaussian_packet",
 ]
 
@@ -241,8 +242,8 @@ def collapse_to_slice(
 ) -> np.ndarray:
     """Projected state on the slice t_ref by batched spectral evolution.
 
-    All support slices are evolved to t_ref by one ``spectral_evolve``
-    call and summed with their time-quadrature weights.  Numerically
+    All support slices are evolved to t_ref and summed with their
+    time-quadrature weights by one ``spectral_collapse``.  Numerically
     robust for arbitrarily small time offsets (the kernel quadrature of
     ``project`` chirps too fast to sample at short offsets); used by the
     slice route of the physical inner product.
@@ -250,9 +251,7 @@ def collapse_to_slice(
     grid = psi.grid
     tw = psi.time_weights()
     cols = np.flatnonzero(tw > 0)
-    return tw[cols] @ spectral_evolve(
-        psi.values[:, cols].T, grid.dx, k, t_ref - grid.t[cols]
-    )
+    return spectral_collapse(psi.values[:, cols].T, grid.dx, k, t_ref - grid.t[cols], tw[cols])
 
 
 def physical_inner_product(
@@ -335,12 +334,25 @@ def spectral_evolve(
     and serves as its cross-check.
     """
     psi = np.asarray(values_x, dtype=complex).copy()
-    kvec = 2.0 * np.pi * np.fft.fftfreq(psi.shape[-1], d=dx)
-    dt = np.asarray(t_total, dtype=float)[..., None] / n_steps
-    exp_kin = np.exp(-1j * k.hbar * kvec**2 * dt / (2.0 * k.mass))
+    exp_kin = _kinetic_phase(psi.shape[-1], dx, k, np.asarray(t_total, dtype=float) / n_steps)
     for _ in range(n_steps):
         psi = np.fft.ifft(exp_kin * np.fft.fft(psi))
     return psi
+
+
+def spectral_collapse(values, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
+    """sum_t weights[t] spectral_evolve(values[..., t, :], lags[t]) for slices (..., nt, nx):
+    the slices are transformed once and summed in k-space, one inverse FFT per row."""
+    phase = np.asarray(weights)[:, None] * _kinetic_phase(values.shape[-1], dx, k, lags)
+    return np.fft.ifft(np.einsum("...tk,tk->...k", np.fft.fft(values), phase))
+
+
+def _kinetic_phase(nx: int, dx: float, k: PropagatorKernel, t: np.ndarray) -> np.ndarray:
+    """exp(-i hbar k^2 t / 2m) on the FFT wavenumbers, shape t.shape + (nx,): built on the
+    nx // 2 + 1 distinct |k| and mirrored (fftfreq's +-k square to the same float)."""
+    kvec = 2.0 * np.pi * np.fft.fftfreq(nx, d=dx)[: nx // 2 + 1]
+    half = np.exp(-1j * k.hbar * kvec**2 * np.asarray(t)[..., None] / (2.0 * k.mass))
+    return np.concatenate([half, half[..., (nx - 1) // 2 : 0 : -1]], axis=-1)
 
 
 def gaussian_packet(

@@ -21,7 +21,7 @@ Units follow the kernel (default hbar = m = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 from typing import ClassVar
 
@@ -32,6 +32,7 @@ from .contspace import (
     Grid,
     PropagatorKernel,
     gaussian_packet,
+    spectral_collapse,
     spectral_evolve,
 )
 from .errors import InvariantViolation, NumericalValidationError
@@ -80,6 +81,16 @@ class Rect:
     @property
     def measure(self) -> float:
         return (self.x_hi - self.x_lo) * (self.t_hi - self.t_lo)
+
+
+def overlapping_pair(boxes) -> tuple[int, int] | None:
+    """First (i, j), i < j, of rectangles (x_lo, x_hi, t_lo, t_hi) whose interiors meet;
+    a common edge or corner is no overlap."""
+    for j, b in enumerate(boxes):
+        for i, a in enumerate(boxes[:j]):
+            if max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3]):
+                return i, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,7 @@ class DetectorExperiment:
     refine_level: int = 0
     pert_tol: ClassVar[float] = 0.05
     xcheck_tol: ClassVar[float] = 1e-3
+    fold_tol: ClassVar[float] = 0.2  # largest share of sum |S|^2 the band seed may fold
 
     def __post_init__(self):
         if self.coupling_alpha < 0:
@@ -177,6 +189,8 @@ class DetectorExperiment:
             raise NumericalValidationError("packet_width must be positive")
         if not self.region:
             raise NumericalValidationError("at least one interaction rectangle required")
+        if pair := overlapping_pair([astuple(r) for r in self.region]):
+            raise NumericalValidationError("region rectangles {} and {} overlap".format(*pair))
         span = self.span
         if span.t_lo <= self.t0:
             raise NumericalValidationError("region must start after the preparation slice")
@@ -481,6 +495,7 @@ def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
     return 2.0 * np.pi * np.fft.fftfreq(n, length / n), length
 
 
+@lru_cache(maxsize=4)  # the double-region check and the band seed share one S(k)
 def _region_spectrum(
     exp: DetectorExperiment, t_density: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -497,6 +512,7 @@ def _region_spectrum(
         t = _filon_nodes(rect.t_lo, rect.t_hi, 0.5 * hb * kp**2 / m, t_density)
         f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
         spec += np.einsum("kt,tk->k", _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo), f)
+    k.flags.writeable = spec.flags.writeable = False
     return k, spec, length
 
 
@@ -595,10 +611,10 @@ def covariant_partial_trace(
 
     rho[a, b] = <P Psi_b, P Psi_a> for the observer-conditioned system
     components Psi_a = ``values[:, :, a]``, all collapsed to the last
-    slice by one batched spectral evolution; on a single slice this is
-    the ordinary partial trace.  The Schmidt rank counts singular values
-    of the weighted d x (nt nx) matrix above 1e-12 of the largest (the
-    d x d kinematical Gram matrix would square their condition number).
+    slice by one ``spectral_collapse``; on a single slice this is the ordinary
+    partial trace.  The Schmidt rank counts singular values of the weighted d x
+    (nt nx) matrix above 1e-12 of the largest, from its d x d R factor (the
+    kinematical Gram matrix would square their condition number).
     Identically zero components are skipped: their rho rows stay zero.
     """
     if isinstance(region, SliceRegion):
@@ -614,14 +630,15 @@ def covariant_partial_trace(
     comps = comps[live]
     xw, tw = joint.x_weights(), joint.t_weights()
     sqw = np.sqrt(np.outer(tw, xw)).reshape(-1)
-    s = np.linalg.svd(comps.reshape(live.size, nt * nx) * sqw, compute_uv=False)
+    r = np.linalg.qr((comps.reshape(live.size, nt * nx) * sqw).T, mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
     if rank == 0:
         raise NumericalValidationError("joint state is numerically zero")
 
     dx = float(joint.x[1] - joint.x[0])
     cols = np.zeros((d, nx), dtype=complex)  # the d x d product keeps its summation order
-    cols[live] = tw @ spectral_evolve(comps, dx, k, joint.t[-1] - joint.t)
+    cols[live] = spectral_collapse(comps, dx, k, joint.t[-1] - joint.t, tw)
     rho_raw = (cols * xw) @ cols.conj().T
     trace_raw = float(np.trace(rho_raw).real)
     if abs(trace_raw - 1.0) > norm_tol:
@@ -640,6 +657,7 @@ class CqiResult:
     schmidt_rank: int
     normalization_deficit: float
     band: tuple[float, float]
+    band_fold_rel: float  # share of sum |S|^2 folded onto the band grid from past its Nyquist
 
 
 def _spectral_branch(exp: DetectorExperiment, t: float) -> np.ndarray:
@@ -653,6 +671,15 @@ def _spectral_branch(exp: DetectorExperiment, t: float) -> np.ndarray:
     np.add.at(bins, np.rint(k * length / (2.0 * np.pi)).astype(int) % exp.nx, spec * np.exp(phase))
     pref = exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
     return pref * np.fft.ifft(bins, norm="forward")
+
+
+def _band_fold_rel(exp: DetectorExperiment) -> float:
+    """Share of sum |S|^2 on wavenumbers 2 pi m / L that ``_spectral_branch`` folds, those
+    past the band grid's Nyquist: the folded bins add cross terms to the seed's norm."""
+    k, spec, length = _region_spectrum(exp, 1)
+    m = np.rint(k * length / (2.0 * np.pi))
+    power = np.abs(spec) ** 2
+    return float(power[np.abs(m) > exp.nx / 2].sum() / max(power.sum(), 1e-300))
 
 
 def _branch_functions(
@@ -692,6 +719,12 @@ def cqi_probability_detail(
         band = exp.band
     if band[0] <= exp.span.t_hi:
         raise NumericalValidationError("readout band must lie after the region")
+    fold = _band_fold_rel(exp)
+    if fold > exp.fold_tol:
+        raise NumericalValidationError(
+            f"band grid too coarse at refine level {exp.refine_level}: nx = {exp.nx} folds "
+            f"{fold:.3g} of the region spectrum's power (tolerance {exp.fold_tol})"
+        )
     grid, psi_vals, phi_vals = _branch_functions(exp, band)
 
     values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
@@ -716,6 +749,7 @@ def cqi_probability_detail(
         schmidt_rank=reduced.schmidt_rank,
         normalization_deficit=reduced.trace_raw - 1.0,
         band=tuple(band),
+        band_fold_rel=fold,
     )
 
 
@@ -748,6 +782,7 @@ class TwoPointReport:
     ratio_rr_born: float  # normalized ratio, -> 2 for equal real amplitudes
     cqi_born_ratio: float
     born: BornDetail  # both Born routes: the cross-check margin
+    band_fold_rel: float  # the covariant route's ``CqiResult.band_fold_rel``
 
 
 def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
@@ -782,7 +817,8 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     born = born_probability_detail(exp)
     cross_born = born.p_slice / sum(born.p_slice_rects) - 1.0
 
-    p_cqi = cqi_probability(exp)
+    cqi = cqi_probability_detail(exp)
+    p_cqi = cqi.p_cqi
     ratio = (1.0 + cross_rr) / (1.0 + cross_born)
     return TwoPointReport(
         p_rr=float(p_rr),
@@ -794,6 +830,7 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
         ratio_rr_born=float(ratio),
         cqi_born_ratio=float(p_cqi / born.p_slice),
         born=born,
+        band_fold_rel=cqi.band_fold_rel,
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cqi_sim import cli
-from cqi_sim.errors import ConfigError
+from cqi_sim.errors import ConfigError, NumericalValidationError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -262,6 +262,38 @@ class TestMainEntry:
         (level,) = json.loads((tmp_path / "coarse.json").read_text())["diagnostics"]["levels"]
         assert level["born_xcheck_rel"] <= 1e-3
 
+    @pytest.mark.parametrize("nx", [16, 32])
+    def test_coarse_band_grid_exit_2(self, tmp_path, capsys, nx):
+        # the band seed would fold over 0.2 of sum |S|^2 (0.63 and 0.31), and p_cqi
+        # would err by 9.6e-2 and 3.7e-3: the config is valid, the run refuses it
+        cfg = {"kind": "detector-compare", "grid": {"nx": nx}, "output": {"path": "coarse"}}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"band grid too coarse at refine level 0: nx = {nx}" in err
+        assert "tolerance 0.2" in err
+        assert not list(tmp_path.glob("coarse.*"))
+
+    @pytest.mark.parametrize(
+        "name, grid, refine, lo, hi",
+        [
+            ("detector-compare", {}, 1, 0.0, 1e-6),
+            ("detector-compare", {"nx": 48}, 0, 0.1, 0.12),
+            ("detector-compare", {"nx": 64, "x_min": -21.0}, 0, 0.01, 0.05),
+            ("two-point", {}, 1, 0.0, 1e-5),
+        ],
+        ids=["slab", "nx48", "nx64", "two-point"],
+    )
+    def test_band_fold_rel_in_every_level(self, tmp_path, name, grid, refine, lo, hi):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        cfg.update(grid={**cfg.get("grid", {}), **grid}, output={"path": "fold"})
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["run", str(path), "--refine", str(refine), "--out", str(tmp_path)]) == 0
+        levels = json.loads((tmp_path / "fold.json").read_text())["diagnostics"]["levels"]
+        assert len(levels) == refine + 1
+        assert all(lo <= level["band_fold_rel"] <= hi for level in levels)
+
     def test_cross_check_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         ps = cli.postulates
         p_slice = ps._born_slice_norm(ps.benchmark_experiment())
@@ -429,17 +461,75 @@ class TestRegionOnGrid:
     @pytest.mark.parametrize("separation", [-15.5, -14.9, 0.0, 14.9, 15.3, 15.5])
     @pytest.mark.parametrize("grid", [{}, {"nx": 64, "x_min": -21.0}])
     def test_two_point_check_matches_the_experiment(self, tmp_path, separation, grid):
-        # the check accepts exactly the configs whose built squares lie on the grid
+        # the check accepts exactly the configs whose squares the experiment
+        # builds (at separation 0 they coincide, which it refuses) and which
+        # lie on the grid
         cfg = dict(self.config("two-point", separation=separation), grid=grid)
         spec = cli.ExperimentConfig(kind="two-point", params=cfg["params"], grid=grid)
-        exp = cli.postulates.two_point_experiment(**cli._detector_overrides(spec))
-        inside = all(exp.x_min <= r.x_lo and r.x_hi <= exp.x_max for r in exp.region)
+        try:
+            exp = cli.postulates.two_point_experiment(**cli._detector_overrides(spec))
+        except NumericalValidationError as err:
+            assert separation == 0.0 and "overlap" in str(err)
+            inside = False
+        else:
+            inside = all(exp.x_min <= r.x_lo and r.x_hi <= exp.x_max for r in exp.region)
         path = write_config(tmp_path, "tp.json", cfg)
         if inside:
             cli.load_config(path)
         else:
             with pytest.raises(ConfigError, match=r"params\.separation"):
                 cli.load_config(path)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("detector-compare", {"region": [{"x": [-0.5, 0.5], "t": [3, 3.2]}] * 2}, "region.1"),
+            (
+                "detector-compare",
+                {"region": [{"x": [-0.5, 0.5], "t": [3.0, 3.2]}, {"x": [0, 1], "t": [3.1, 3.3]}]},
+                "region.1",
+            ),
+            (
+                "detector-compare",
+                {
+                    "region": [
+                        {"x": [3, 4], "t": [3.0, 3.2]},
+                        {"x": [0.5, -0.5], "t": [3.2, 3.0]},
+                        {"x": [0.4, 0.6], "t": [3.1, 3.15]},
+                    ]
+                },
+                "region.2",
+            ),
+            ("two-point", {"separation": 0.0}, "separation"),
+            ("two-point", {"separation": 0.05}, "separation"),
+        ],
+        ids=["twice", "partial", "third", "two-point", "two-point-near"],
+    )
+    def test_overlapping_region_exit_1(self, tmp_path, capsys, command, name, params, field):
+        # overlapping rectangles would count their common part twice on every route
+        path = write_config(tmp_path, "cfg.json", self.config(name, **params))
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert f"params.{field}: " in err and "overlap" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            [{"x": [-0.5, 0.5], "t": [3.0, 3.2]}, {"x": [0.5, 1.0], "t": [3.0, 3.2]}],
+            [{"x": [-0.5, 0.5], "t": [3.0, 3.2]}, {"x": [-0.5, 0.5], "t": [3.2, 3.3]}],
+        ],
+        ids=["x-edge", "t-edge"],
+    )
+    def test_edge_sharing_rectangles_run(self, tmp_path, region):
+        cfg = self.config("detector-compare", region=region)
+        cfg["output"] = {"path": "edge"}
+        path = write_config(tmp_path, "det.json", cfg)
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "edge.csv").exists()
 
     def test_edge_touching_region_accepted(self, tmp_path):
         cfg = self.config("detector-compare", region=[{"x": [19.0, 20.0], "t": [3.0, 3.2]}])

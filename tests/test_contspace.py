@@ -276,3 +276,51 @@ class TestSpectralEvolve:
         out = spectral_evolve(psi, g.dx, K, 1.7)
         expect = evolved_gaussian(g.x, 1.7, -3, 1.2, momentum=0.7)
         assert l2_diff(out, expect, g.dx) < 1e-10
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4, 7, 8, 255, 512, 1025])
+    def test_mirrored_phase_table_is_exact(self, nx):
+        # the table is built on the nx // 2 + 1 distinct |k| and mirrored; fftfreq's
+        # +-k square to the same float, so it equals one exp per wavenumber bit for bit
+        k = PropagatorKernel(mass=1.3, hbar=0.7)
+        t = np.array([[0.0, 0.37], [-1.9, 12.5]])
+        kvec = 2.0 * np.pi * np.fft.fftfreq(nx, d=0.083)
+        direct = np.exp(-1j * k.hbar * kvec**2 * t[..., None] / (2.0 * k.mass))
+        table = cs._kinetic_phase(nx, 0.083, k, t)
+        assert table.shape == (2, 2, nx)
+        assert np.array_equal(table, direct)
+
+
+class TestSpectralCollapse:
+    @staticmethod
+    def per_slice(values, dx, k, lags, weights):
+        """sum_t weights[t] spectral_evolve(values[..., t, :], lags[t]), one slice at a time."""
+        return sum(
+            w * spectral_evolve(values[..., j, :], dx, k, lag)
+            for j, (lag, w) in enumerate(zip(lags, weights))
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 64), (9, 64), (3, 9, 65), (2, 1, 128), (2, 18, 1024)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_slice_evolution(self, shape, seed):
+        # random states: several slices share one collapse, or a single slice
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        nt = shape[-2]
+        lags = np.sort(rng.uniform(0.0, 2.0, nt))[::-1]
+        weights = rng.uniform(0.1, 1.0, nt)
+        k = PropagatorKernel(mass=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 2.0))
+        got = cs.spectral_collapse(values, 0.05, k, lags, weights)
+        ref = self.per_slice(values, 0.05, k, lags, weights)
+        assert got.shape == shape[:-2] + shape[-1:]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_collapse_to_slice_sums_the_weighted_slices(self):
+        g = default_grid(nt=41)
+        gf = GridFunction.from_callable(
+            g, lambda x, t: gaussian_packet(x, -3.0, 1.0, 0.5) * ((t > 1.0) & (t < 2.0))
+        )
+        tw = gf.time_weights()
+        cols = np.flatnonzero(tw > 0)
+        ref = self.per_slice(gf.values[:, cols].T, g.dx, K, 3.0 - g.t[cols], tw[cols])
+        got = collapse_to_slice(gf, K, 3.0)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

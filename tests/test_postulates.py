@@ -31,12 +31,14 @@ from cqi_sim.utils import trapezoid_weights
 
 from oracles import (
     CONTINUUM_BORN,
+    CONTINUUM_RR,
     born_double_region_gauss,
     born_double_region_pairwise,
     born_double_region_trapezoid,
     covariant_partial_trace_schmidt,
     evolved_by_quadrature,
     evolved_gaussian,
+    rr_probability_continuum,
 )
 
 BENCH = benchmark_experiment()
@@ -78,6 +80,42 @@ class TestExperimentValidation:
             benchmark_experiment(packet_width=width)
         with pytest.raises(NumericalValidationError, match="packet_width"):
             two_point_experiment(packet_width=width)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            (Rect(-0.5, 0.5, 3.0, 3.2), Rect(-0.5, 0.5, 3.0, 3.2)),
+            (Rect(-0.5, 0.5, 3.0, 3.2), Rect(0.0, 1.0, 3.1, 3.3)),
+            (Rect(-1.0, 1.0, 3.0, 3.3), Rect(-0.1, 0.1, 3.1, 3.2)),
+            (Rect(2.0, 3.0, 3.0, 3.2), Rect(-0.5, 0.5, 3.0, 3.2), Rect(0.4, 0.6, 3.1, 3.15)),
+        ],
+        ids=["twice", "partial", "inside", "third"],
+    )
+    def test_overlapping_rectangles_rejected(self, region):
+        # an overlap would count the common part twice on every route
+        last = len(region) - 1
+        with pytest.raises(NumericalValidationError, match=f"{last - 1} and {last} overlap"):
+            benchmark_experiment(region=region)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            (Rect(-0.5, 0.5, 3.0, 3.2), Rect(0.5, 1.0, 3.0, 3.2)),
+            (Rect(-0.5, 0.5, 3.0, 3.2), Rect(-0.5, 0.5, 3.2, 3.3)),
+            (Rect(-0.5, 0.5, 3.0, 3.2), Rect(0.5, 1.0, 3.2, 3.3)),
+        ],
+        ids=["x-edge", "t-edge", "corner"],
+    )
+    def test_edge_sharing_rectangles_accepted(self, region):
+        assert benchmark_experiment(region=region).region == region
+
+    def test_coincident_two_point_squares_rejected(self):
+        with pytest.raises(NumericalValidationError, match="overlap"):
+            two_point_experiment(separation=0.0)
+        eps = 2.0 * BENCH.dx
+        with pytest.raises(NumericalValidationError, match="overlap"):
+            two_point_experiment(separation=0.49 * eps)
+        assert len(two_point_experiment(separation=0.5 * eps).region) == 2  # they share an edge
 
 
 class TestEvolvedWavefunction:
@@ -414,6 +452,41 @@ class TestRrProbability:
         # finite-size corrections of the box enter at (h d(ln psi)/dx)^2
         assert p == pytest.approx(abs(psi_c) ** 2 * rect.measure, rel=5e-3)
 
+    @pytest.mark.parametrize(
+        "name, exp",
+        [
+            ("slab", BENCH),
+            ("two-point", two_point_experiment()),
+            ("two-point-p", two_point_experiment(packet_momentum=0.15)),
+        ],
+    )
+    def test_continuum_oracle(self, name, exp):
+        # closed-form x integral, Gauss-Legendre in t: node doubling changes nothing
+        p32, p64 = rr_probability_continuum(exp), rr_probability_continuum(exp, nodes=64)
+        assert p64 == pytest.approx(p32, rel=2e-15)
+        assert p32 == pytest.approx(CONTINUUM_RR[name], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, make, bound",
+        [
+            ("slab", benchmark_experiment, 1.5e-4),
+            ("two-point", lambda r: two_point_experiment(refine=r), 2.5e-6),
+            (
+                "two-point-p",
+                lambda r: two_point_experiment(refine=r, packet_momentum=0.15),
+                2.5e-6,
+            ),
+        ],
+    )
+    def test_second_order_against_continuum(self, name, make, bound):
+        # the tensor trapezoid sum errs at O(h^2): measured -1.25e-4, -3.06e-5,
+        # -7.57e-6 (slab) and -2.00e-6, -4.84e-7, -1.19e-7 (two-point) at refine 0-2
+        ref = CONTINUUM_RR[name]
+        err = [rr_probability(make(r)) / ref - 1.0 for r in range(3)]
+        assert all(e < 0 for e in err) and abs(err[0]) <= bound
+        for coarse, fine in zip(err, err[1:]):
+            assert 3.8 <= coarse / fine <= 4.3
+
 
 def _joint_state_on_slice(exp, t):
     x = exp.x()
@@ -512,9 +585,9 @@ class TestCovariantPartialTrace:
             vals[BENCH.nx // 2, 0, 2] = 1e-30
             joint = JointState(joint.x, joint.t, vals, joint.obs_dims)
         shapes = []
-        evolve = ps.spectral_evolve
+        collapse = ps.spectral_collapse
         monkeypatch.setattr(
-            ps, "spectral_evolve", lambda v, *a: shapes.append(v.shape) or evolve(v, *a)
+            ps, "spectral_collapse", lambda v, *a: shapes.append(v.shape) or collapse(v, *a)
         )
         red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(*BENCH.band))
         live = [0, 2, 3] if touched else [0, 3]
@@ -524,6 +597,22 @@ class TestCovariantPartialTrace:
         rho_raw, rank = covariant_partial_trace_schmidt(joint, BENCH.kernel)
         assert red.schmidt_rank == rank
         assert abs(red.trace_raw - np.trace(rho_raw).real) <= 1e-13
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_from_r_factor_equals_svd_rank(self, rank, seed):
+        # four components mixed from `rank` random functions: the singular values of
+        # the d x d R factor are those of the wide weighted matrix
+        rng = np.random.default_rng(seed)
+        nx, nt = 96, 7
+        basis = rng.standard_normal((rank, nx, nt)) + 1j * rng.standard_normal((rank, nx, nt))
+        coef = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        values = np.einsum("ar,rxt->xta", coef, basis)
+        joint = JointState(np.linspace(-3.0, 3.0, nx), np.linspace(4.0, 4.6, nt), values, (4,))
+        red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(4.0, 4.6), norm_tol=np.inf)
+        sqw = np.sqrt(np.outer(joint.x_weights(), joint.t_weights())).reshape(-1)
+        s = np.linalg.svd(values.reshape(nx * nt, 4).T * sqw, compute_uv=False)
+        assert red.schmidt_rank == int(np.sum(s > 1e-12 * s[0])) == rank
 
     @pytest.mark.parametrize("case", ["r0", "r1", "two-point", "slice"])
     def test_matches_schmidt_oracle(self, case):
@@ -689,6 +778,39 @@ class TestCqiProbability:
         # trace_raw = |psi|^2 + |phi|^2 normalizes p_cqi: its continuum value is p / (1 + p)
         p = CONTINUUM_BORN[name]
         assert cqi_probability(exp) == pytest.approx(p / (1.0 + p), rel=tol)
+
+    def test_one_region_spectrum_per_experiment(self):
+        # the double-region check and the band seed share one cached S(k); the
+        # cache is keyed by the experiment object, so an equal copy misses once
+        for exp in (BENCH, two_point_experiment(), replace(BENCH)):
+            born_probability_detail(exp)
+            cqi_probability_detail(exp)
+        info = ps._region_spectrum.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
+
+    def test_cached_spectrum_is_read_only(self):
+        k, spec, _ = ps._region_spectrum(BENCH, 1)
+        for a in (k, spec):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("nx", [48, 64, 128, 512])
+    def test_band_fold_rel(self, nx):
+        # share of sum |S|^2 past the band grid's Nyquist pi / dx; reads 0.11, 0.026,
+        # 3.5e-4 and 2.5e-7 on the slab
+        exp = benchmark_experiment(nx=nx)
+        k, spec, _ = ps._region_spectrum(exp, 1)
+        power = np.abs(spec) ** 2
+        ref = power[np.abs(k) > np.pi / exp.dx * (1 + 1e-12)].sum() / power.sum()
+        got = cqi_probability_detail(exp).band_fold_rel
+        assert got == pytest.approx(ref, rel=1e-12) and got <= exp.fold_tol
+        assert cqi_probability_detail(benchmark_experiment(1)).band_fold_rel == 0.0
+
+    @pytest.mark.parametrize("nx", [16, 24, 32])
+    def test_coarse_band_grid_raises(self, nx):
+        # p_cqi would err by -9.6e-2, +2.5e-2 and -3.7e-3 here
+        with pytest.raises(NumericalValidationError, match=f"nx = {nx} folds 0.[3-6]"):
+            cqi_probability_detail(benchmark_experiment(nx=nx))
 
     def test_no_kernel_sum(self, monkeypatch):
         def fail(*args):
