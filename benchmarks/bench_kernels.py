@@ -3,15 +3,23 @@
 Run:  python benchmarks/bench_kernels.py
 
 ``propagate`` is timed against the dense ``propagate_numpy`` on two
-shapes of the detector pipeline: the Born readout (3905 outputs x 60
+shapes of the detector pipeline: the Born readout (682 outputs x 60
 uniform source slices of 66 points) and one evolved-wavefunction call
 (61 outputs x one prepared slice of 1024 points).  Each line reports the
 best of three timings of both paths and their max relative deviation.
-The readout's convolution chirp exp(i r q^2) (60 runs x 3905 lags) is
+The readout's convolution chirp exp(i r q^2) (60 runs x 682 lags) is
 timed as one complex ``np.exp`` per element against the recurrence of
 ``_kernels._chirp``, with their max deviation; at these arguments (up to
-2300 rad) that is mostly the rounding of the exp arguments.
+400 rad) that is mostly the rounding of the exp arguments.
 ``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
+
+The Born readout itself, the kernel sums of ``postulates._readout_branches``
+(one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
+``tests/oracles.py``, is timed on the slab at refine 0, 1 and 2 and on
+two-point at refine 0, on its own grid (steps pi / (2.5 k_phys), which
+resolve |phi|^2) and on the carrier-rate grid of ``tests/oracles.py``
+(steps min(pi / (5 k_phys), dx), which resolve phi), with both point
+counts and the relative difference of p_slice.
 
 The Born double-region sum ``postulates._born_double_region_raw``
 (Filon-Simpson, density 1) is timed on ``two_point_experiment()`` and on
@@ -62,9 +70,11 @@ from cqi_sim import _kernels, chain, contspace, epr, postulates  # noqa: E402
 from cqi_sim.utils import haar_unitary, trapezoid_weights  # noqa: E402
 from oracles import (  # noqa: E402
     born_double_region_gauss,
+    carrier_rate_readout_grid,
     covariant_partial_trace_schmidt,
     general_interaction_probe_loop,
     no_communication_loop,
+    readout_norms,
 )
 
 
@@ -109,6 +119,19 @@ def compare_chirp(x_out, t_out, x_src, t_src):
     print(f"  np.exp    : {t_exp * 1e3:9.2f} ms")
     print(f"  recurrence: {t_rec * 1e3:9.2f} ms   speedup {t_exp / t_rec:.1f}x"
           f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
+
+
+def compare_readout():
+    cases = [(f"slab, refine {r}", postulates.benchmark_experiment(r)) for r in range(3)]
+    cases.append(("two-point, refine 0", postulates.two_point_experiment()))
+    print("Born readout slice: |phi|^2-rate grid against the carrier-rate grid")
+    for label, exp in cases:
+        new, carrier = postulates._readout_grid(exp), carrier_rate_readout_grid(exp)
+        (p_new, _), t_new = timed(readout_norms, exp, new)
+        (p_carrier, _), t_carrier = timed(readout_norms, exp, carrier)
+        print(f"  {label:<19}: carrier rate {carrier.size:5d} points {t_carrier * 1e3:7.2f} ms"
+              f"   |phi|^2 rate {new.size:5d} points {t_new * 1e3:7.2f} ms"
+              f"   p_slice rel difference {p_new / p_carrier - 1.0:+.1e}")
 
 
 def uncached(fn, *args):
@@ -233,7 +256,7 @@ def compare_finite_suite(n_unitaries=500, n_cases=50):
 def main():
     rng = np.random.default_rng(0)
     x_src, t_src, amp = slices(rng, 60, 66, 3.0, 3.2)
-    x_out = np.linspace(-38.0, 38.0, 3905)
+    x_out = np.linspace(-38.0, 38.0, 682)
     compare("readout", (x_out, 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0))
     compare_chirp(x_out, 4.2, x_src, t_src)
     x_src = np.linspace(-20.0, 20.0, 1024)
@@ -252,6 +275,7 @@ def main():
     _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
     print(f"  dense sum : {t_dq:.3f} s")
 
+    compare_readout()
     time_double_region()
     time_band_seed()
     compare_prepared_state()

@@ -288,32 +288,37 @@ def _check_grid(kind: str, grid: dict) -> None:
         raise ConfigError(f"grid.x_max: {x_max} must exceed x_min {x_min}")
 
 
-def _check_region(kind: str, params: dict, grid: dict) -> None:
-    """Every region rectangle inside the x grid: the Born double-region sum
-    sees only the part on the grid, so a rectangle that leaves it would fail
-    the cross-check by a misleading margin.  No two rectangles may overlap
-    (sharing an edge is fine): every route would count the common part
-    twice.  The field named is the one that placed the rectangle."""
-    x_min = grid.get("x_min", postulates.DetectorExperiment.x_min)
-    x_max = grid.get("x_max", postulates.DetectorExperiment.x_max)
-    if kind == "two-point":
-        geometry = {k: params[k] for k in ("packet_center", "separation", "eps_pt") if k in params}
-        try:  # overlap is the one check these keys can fail
-            rects = postulates.two_point_experiment(**geometry, **grid).region
-        except NumericalValidationError as err:
-            raise ConfigError(f"params.separation: {err}: 2 |separation| < eps_pt") from None
-        spans = [("params.separation", (r.x_lo, r.x_hi)) for r in rects]
-    elif "region" in params:
+def _check_geometry(cfg: ExperimentConfig) -> None:
+    """The detector experiment's own checks, each ConfigError naming the field
+    at fault: no empty or reversed rectangle side, no overlapping rectangles
+    (every route would count the common part twice; a shared edge is fine),
+    the region after t0 (two-point: t1) and before the readout and the band.
+    Every rectangle must lie on the x grid, since the Born double-region sum
+    sees only the part on the grid and would fail by a misleading margin."""
+    two_point, params = cfg.kind == "two-point", cfg.params
+    if "region" in params:
         boxes = [(*sorted(r["x"]), *sorted(r["t"])) for r in params["region"]]
         if pair := postulates.overlapping_pair(boxes):
             raise ConfigError("params.region.{1}: overlaps params.region.{0}".format(*pair))
-        spans = [(f"params.region.{i}.x", r["x"]) for i, r in enumerate(params["region"])]
-    else:  # the default slab
-        rects = postulates.benchmark_experiment().region
-        spans = [("params.region", (r.x_lo, r.x_hi)) for r in rects]
-    for name, x in spans:
-        if min(x) < x_min or max(x) > x_max:
-            raise ConfigError(f"{name}: region x {list(x)} leaves the x grid [{x_min}, {x_max}]")
+        for i, r in enumerate(params["region"]):
+            try:
+                Rect(*r["x"], *r["t"])
+            except NumericalValidationError as err:
+                raise ConfigError(f"params.region.{i}.{err.field}: {err}") from None
+    build = postulates.two_point_experiment if two_point else postulates.benchmark_experiment
+    try:
+        exp = build(**_detector_overrides(cfg))
+    except NumericalValidationError as err:
+        if two_point and err.field == "region":  # the one check the square geometry can fail
+            raise ConfigError(f"params.separation: {err}: 2 |separation| < eps_pt") from None
+        name = "t1" if two_point and err.field == "t0" else err.field
+        raise ConfigError(f"params.{name}: {err}") from None
+    placed_by = "region.{}.x" if "region" in params else "separation" if two_point else "region"
+    for i, r in enumerate(exp.region):
+        if r.x_lo < exp.x_min or r.x_hi > exp.x_max:
+            x, grid = [r.x_lo, r.x_hi], [exp.x_min, exp.x_max]
+            name = "params." + placed_by.format(i)
+            raise ConfigError(f"{name}: region x {x} leaves the x grid {grid}")
 
 
 def _check_overlaps(params: dict) -> None:
@@ -338,17 +343,18 @@ class ExperimentConfig:
         _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
         if "grid" in data:
             _check_grid(data["kind"], data["grid"])
-        if data["kind"] in _GRID_KINDS:
-            _check_region(data["kind"], data.get("params", {}), data.get("grid", {}))
         if data["kind"] == "chain":
             _check_overlaps(data["params"])
-        return cls(
+        cfg = cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),
             grid=dict(data.get("grid", {})),
             seed=int(data.get("seed", 0)),
             output=dict(data.get("output", {})),
         )
+        if cfg.kind in _GRID_KINDS:
+            _check_geometry(cfg)
+        return cfg
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -417,6 +423,7 @@ def _born_margin(detail: postulates.BornDetail) -> dict:
         "born_xcheck_rel": detail.rel_diff,
         "born_double_region": detail.p_double_region,
         "readout_edge_rel": detail.readout_edge_rel,
+        "readout_points": detail.readout_points,
     }
 
 

@@ -14,7 +14,12 @@ class ConfigError(CqiSimError):
 
 
 class NumericalValidationError(CqiSimError):
-    """A numerical validity check failed (perturbativity, cross-check, ...)."""
+    """A numerical validity check failed (perturbativity, cross-check, ...);
+    ``field`` names the experiment parameter at fault, where there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InvariantViolation(CqiSimError):

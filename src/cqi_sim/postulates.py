@@ -75,8 +75,9 @@ class Rect:
     t_hi: float
 
     def __post_init__(self):
-        if self.x_hi <= self.x_lo or self.t_hi <= self.t_lo:
-            raise NumericalValidationError("rectangle extents must be positive")
+        for axis, lo, hi in (("x", self.x_lo, self.x_hi), ("t", self.t_lo, self.t_hi)):
+            if hi <= lo:
+                raise NumericalValidationError(f"rectangle {axis} extent must be positive", axis)
 
     @property
     def measure(self) -> float:
@@ -184,20 +185,22 @@ class DetectorExperiment:
 
     def __post_init__(self):
         if self.coupling_alpha < 0:
-            raise NumericalValidationError("coupling_alpha must be nonnegative")
+            raise NumericalValidationError("coupling_alpha must be nonnegative", "coupling_alpha")
         if self.packet_width <= 0:
-            raise NumericalValidationError("packet_width must be positive")
+            raise NumericalValidationError("packet_width must be positive", "packet_width")
         if not self.region:
-            raise NumericalValidationError("at least one interaction rectangle required")
+            raise NumericalValidationError("at least one interaction rectangle required", "region")
         if pair := overlapping_pair([astuple(r) for r in self.region]):
-            raise NumericalValidationError("region rectangles {} and {} overlap".format(*pair))
+            msg = "region rectangles {} and {} overlap".format(*pair)
+            raise NumericalValidationError(msg, "region")
         span = self.span
         if span.t_lo <= self.t0:
-            raise NumericalValidationError("region must start after the preparation slice")
+            raise NumericalValidationError("region must start after the preparation slice", "t0")
         if self.readout_time <= span.t_hi:
-            raise NumericalValidationError("readout_time must lie after the region")
+            raise NumericalValidationError("readout_time must lie after the region", "readout_time")
         if self.band[0] <= span.t_hi or self.band[1] <= self.band[0]:
-            raise NumericalValidationError("band must be a future, interaction-free interval")
+            msg = "band must be a future, interaction-free interval"
+            raise NumericalValidationError(msg, "band")
 
     @property
     def span(self) -> Rect:
@@ -214,7 +217,7 @@ class DetectorExperiment:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     def refined(self, k: int = 1) -> "DetectorExperiment":
-        """Same experiment with every discretization parameter doubled k times."""
+        """Same experiment with nx, band_slices and the source quadrature doubled k times."""
         f = 2**k
         return replace(
             self,
@@ -412,18 +415,18 @@ def _physical_k(exp: DetectorExperiment) -> float:
     return _packet_k(exp) + math.sqrt(2.0 * math.pi * exp.kernel.mass / (exp.kernel.hbar * tau_min))
 
 
-_READOUT_K = 5.0  # both Born routes resolve wavenumbers up to this many k_phys
+_READOUT_K = 5.0  # the region spectrum S(k) runs on to this many k_phys on coarse grids
+_READOUT_REACH = 2.5  # the readout slice holds the ballistic reach of this many k_phys
 
 
 def _readout_grid(exp: DetectorExperiment) -> np.ndarray:
-    """x sampling for the Born readout slice, wide and fine enough for
-    the transported branch amplitude."""
+    """Born readout slice, independent of nx: it holds wavenumbers up to reach k_phys, so the
+    trapezoid rule is exact, up to aliasing, on |phi|^2 (twice that band) at pi / (reach k_phys)."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k_phys, span = _physical_k(exp), exp.span
-    pad = 2.5 * hb * k_phys * (exp.readout_time - span.t_lo) / m + 4.0
+    pad = _READOUT_REACH * hb * k_phys * (exp.readout_time - span.t_lo) / m + 4.0
     lo, hi = span.x_lo - pad, span.x_hi + pad
-    dxr = min(np.pi / (_READOUT_K * k_phys), exp.dx)
-    n = int(np.ceil((hi - lo) / dxr)) + 1
+    n = int(np.ceil((hi - lo) * _READOUT_REACH * k_phys / np.pi)) + 1
     return np.linspace(lo, hi, n)
 
 
@@ -438,6 +441,7 @@ class BornDetail:
     rel_diff: float
     p_slice_rects: tuple[float, ...]  # each rectangle's branch alone, same grid and density
     readout_edge_rel: float  # larger |phi| at the readout grid's ends over max |phi|
+    readout_points: int  # size of the readout grid, 0 when nothing is summed
 
 
 def _filon_panel(theta: np.ndarray) -> np.ndarray:
@@ -551,7 +555,7 @@ def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
     """
     exp.validate_perturbative()
     if exp.coupling_alpha == 0.0:
-        return BornDetail(0.0, 0.0, 0.0, (0.0,) * len(exp.region), 0.0)
+        return BornDetail(0.0, 0.0, 0.0, (0.0,) * len(exp.region), 0.0, 0)
     w, phis = _readout_branches(exp)
     amp = np.abs(phis.sum(axis=0))
     p_a = float(np.sum(w * amp**2))
@@ -565,7 +569,7 @@ def born_probability_detail(exp: DetectorExperiment) -> BornDetail:
             f"{p_a:.6g} and double region {p_b:.6g} differ by {rel:.3g} "
             f"(tolerance {exp.xcheck_tol})"
         )
-    return BornDetail(p_a, p_b, rel, p_rects, edge)
+    return BornDetail(p_a, p_b, rel, p_rects, edge, w.size)
 
 
 def born_probability(exp: DetectorExperiment) -> float:

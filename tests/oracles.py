@@ -234,6 +234,29 @@ def born_double_region_gauss(exp, k, length, block=64):
     return float(pref * np.vdot(spec, spec).real / length)
 
 
+def carrier_rate_readout_grid(exp):
+    """The Born readout slice by the rule that resolves phi itself, not |phi|^2:
+    the ends of ``postulates._readout_grid`` at steps min(pi / (5 k_phys), dx),
+    the packet carrier's rate or the x grid's step where that is finer."""
+    from cqi_sim.postulates import _physical_k, _readout_grid
+
+    xr = _readout_grid(exp)
+    step = min(np.pi / (5.0 * _physical_k(exp)), exp.dx)
+    return np.linspace(xr[0], xr[-1], int(np.ceil((xr[-1] - xr[0]) / step)) + 1)
+
+
+def readout_norms(exp, x):
+    """(p_slice, p_slice_rects) on the readout points ``x``: the trapezoid
+    norms of the kernel sums ``postulates._rect_amplitudes`` and of their sum."""
+    from cqi_sim.postulates import _rect_amplitudes
+    from cqi_sim.utils import trapezoid_weights
+
+    w = trapezoid_weights(x.size, float(x[1] - x[0]))
+    phis = _rect_amplitudes(exp, x, float(exp.readout_time))
+    norms = [float(np.sum(w * np.abs(phi) ** 2)) for phi in (phis.sum(axis=0), *phis)]
+    return norms[0], tuple(norms[1:])
+
+
 # Overlap-rule values |int_R Psi|^2 / measure(R) of the default slab, the
 # default two-point region, and that region at packet momentum 0.15, by
 # ``rr_probability_continuum`` (32 and 64 nodes agree within 7.6e-16).

@@ -176,6 +176,21 @@ class TestRunners:
         header = next(line for line in lines if not line.startswith("#"))
         assert "readout_edge_rel" not in header
 
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("detector-compare", cli.postulates.benchmark_experiment),
+            ("two-point", cli.postulates.two_point_experiment),
+        ],
+    )
+    def test_levels_report_readout_points(self, tmp_path, kind, build):
+        # the readout grid follows neither nx nor refine: one count on every level
+        path = write_config(tmp_path, "c.json", {"kind": kind, "output": {"path": "o"}})
+        cli.run(path, refine=2, out_dir=tmp_path)
+        levels = json.loads((tmp_path / "o.json").read_text())["diagnostics"]["levels"]
+        want = cli.postulates._readout_grid(build()).size
+        assert [lv["readout_points"] for lv in levels] == [want] * 3
+
 
 class TestDeterminism:
     def test_identical_payloads(self, tmp_path):
@@ -345,12 +360,14 @@ class TestStrictParams:
             cli.load_config(path)
 
     def test_detector_keys_accepted(self, tmp_path):
+        # every key set; readout_time after the region, as load_config requires
         params = {key: 1.0 for key in cli._DETECTOR_FLOATS}
         params.update(band=[3.5, 3.9], region=[{"x": [-0.5, 0.5], "t": [3.0, 3.2]}], id="slab")
+        params.update(readout_time=4.2)
         path = write_config(tmp_path, "det.json", {"kind": "detector-compare", "params": params})
         assert cli.load_config(path).params == params
         tp = {key: 1.0 for key in cli._DETECTOR_FLOATS}
-        tp.update(band=[3.5, 3.9], separation=2.0, eps_pt=0.1, t1=3.0)
+        tp.update(band=[3.5, 3.9], separation=2.0, eps_pt=0.1, t1=3.0, readout_time=4.2)
         path = write_config(tmp_path, "tp.json", {"kind": "two-point", "params": tp})
         assert cli.load_config(path).params == tp
 
@@ -534,6 +551,66 @@ class TestRegionOnGrid:
     def test_edge_touching_region_accepted(self, tmp_path):
         cfg = self.config("detector-compare", region=[{"x": [19.0, 20.0], "t": [3.0, 3.2]}])
         cli.load_config(write_config(tmp_path, "det.json", cfg))
+
+
+class TestGeometry:
+    """A rectangle with an empty side, a region not after t0, or a readout
+    slice or band not after the region exits 1 at load, naming the field,
+    instead of passing validate and exiting 2 in run."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("detector-compare", {"region": [{"x": [0.5, -0.5], "t": [3.0, 3.2]}]}, "region.0.x"),
+            ("detector-compare", {"region": [{"x": [0.5, 0.5], "t": [3.0, 3.2]}]}, "region.0.x"),
+            ("detector-compare", {"region": [{"x": [-0.5, 0.5], "t": [3.2, 3.0]}]}, "region.0.t"),
+            (
+                "detector-compare",
+                {"region": [{"x": [-0.5, 0.5], "t": [3, 3.2]}, {"x": [1, 2], "t": [3.1, 3.1]}]},
+                "region.1.t",
+            ),
+            ("detector-compare", {"band": [3.0, 3.4]}, "band"),
+            ("detector-compare", {"band": [3.9, 3.5]}, "band"),
+            ("detector-compare", {"readout_time": 3.1}, "readout_time"),
+            ("detector-compare", {"t0": 3.0}, "t0"),
+            ("two-point", {"band": [3.9, 3.5]}, "band"),
+            ("two-point", {"readout_time": 3.0}, "readout_time"),
+            ("two-point", {"t1": -1.0}, "t1"),
+            ("two-point", {"t0": 3.0}, "t1"),
+        ],
+        ids=[
+            "x-reversed", "x-empty", "t-reversed", "second-t-empty", "band-early",
+            "band-reversed", "readout-early", "t0-late", "two-band", "two-readout",
+            "two-t1-early", "two-t0-late",
+        ],
+    )
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, command, name, params, field):
+        cfg = TestRegionOnGrid.config(name, **params)
+        path = write_config(tmp_path, "cfg.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert f"config error: params.{field}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"t0": 3.0}, "t0"),
+            ({"readout_time": 3.2}, "readout_time"),
+            ({"band": (3.5, 3.5)}, "band"),
+        ],
+    )
+    def test_config_names_the_experiment_check(self, tmp_path, params, field):
+        # the message is the experiment's own, with the field it names
+        with pytest.raises(NumericalValidationError) as want:
+            cli.postulates.benchmark_experiment(**params)
+        assert want.value.field == field
+        cfg = TestRegionOnGrid.config("detector-compare", **params)
+        path = write_config(tmp_path, "det.json", cfg)
+        with pytest.raises(ConfigError) as got:
+            cli.load_config(path)
+        assert str(got.value) == f"params.{field}: {want.value}"
 
 
 class TestChainOverlapShape:
