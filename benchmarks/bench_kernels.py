@@ -170,7 +170,7 @@ def time_band_seed():
     ]
     print("band branch functions, |1> seed from S(k), against the kernel-sum seed")
     for label, exp in cases:
-        _, t_branch = timed(postulates._branch_functions, exp, exp.band)
+        _, t_branch = timed(postulates._branch_functions, exp)
         seed = postulates._spectral_branch(exp, exp.band[0])
         ref, t_sum = timed(postulates.first_order_amplitude, exp, exp.x(), exp.band[0])
         rel = np.linalg.norm(seed - ref) / np.linalg.norm(ref)
@@ -202,15 +202,13 @@ def compare_prepared_state(density=8):
 def compare_partial_trace(refines=(0, 1, 2)):
     for r in refines:
         exp = postulates.benchmark_experiment(r)
-        grid, psi, phi = postulates._branch_functions(exp, exp.band)
+        grid, psi, phi = postulates._branch_functions(exp)
         values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
         values[:, :, 0], values[:, :, 3] = psi, phi
         joint = postulates.JointState(grid.x, grid.t, values, (2, 2))
         print(f"covariant partial trace, refine {r}: {exp.nx} x {exp.band_slices} x 4")
         (rho_raw, _), t_schmidt = timed(covariant_partial_trace_schmidt, joint, exp.kernel)
-        red, t_gram = timed(
-            postulates.covariant_partial_trace, joint, exp.kernel, postulates.BandRegion(*exp.band)
-        )
+        red, t_gram = timed(postulates.covariant_partial_trace, joint, exp.kernel)
         ref = 0.5 * (rho_raw + rho_raw.conj().T) / np.trace(rho_raw).real
         err = np.max(np.abs(red.rho.matrix - ref))
         print(f"  schmidt   : {t_schmidt * 1e3:9.2f} ms")
@@ -221,7 +219,7 @@ def compare_partial_trace(refines=(0, 1, 2)):
 def compare_collapse(refines=(1, 3)):
     for r in refines:
         exp = postulates.benchmark_experiment(r)
-        grid, psi, phi = postulates._branch_functions(exp, exp.band)
+        grid, psi, phi = postulates._branch_functions(exp)
         comps = np.ascontiguousarray(np.stack([psi, phi]).transpose(0, 2, 1))  # (2, nt, nx)
         tw, lags = trapezoid_weights(grid.nt, grid.dt), grid.t[-1] - grid.t
         args = (comps, grid.dx, exp.kernel, lags)

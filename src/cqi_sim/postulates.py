@@ -41,8 +41,6 @@ from .utils import trapezoid_weights
 
 __all__ = [
     "Rect",
-    "SliceRegion",
-    "BandRegion",
     "JointState",
     "CovariantReducedState",
     "DetectorExperiment",
@@ -94,21 +92,6 @@ def overlapping_pair(boxes) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class SliceRegion:
-    t: float
-
-
-@dataclass(frozen=True)
-class BandRegion:
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        if self.t_hi <= self.t_lo:
-            raise NumericalValidationError("band extent must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class JointState:
     """Kinematical state of system x observer factors on a readout region.
@@ -151,7 +134,6 @@ class JointState:
 @dataclass(frozen=True, eq=False)
 class CovariantReducedState:
     rho: DensityOp
-    region: SliceRegion | BandRegion
     schmidt_rank: int
     trace_raw: float  # physical norm squared of the input before normalization
 
@@ -176,7 +158,6 @@ class DetectorExperiment:
     x_min: float = -20.0
     x_max: float = 20.0
     nx: int = 512
-    band_slices: int = 9
     kernel: PropagatorKernel = PropagatorKernel()
     refine_level: int = 0
     pert_tol: ClassVar[float] = 0.05
@@ -210,6 +191,10 @@ class DetectorExperiment:
         return Rect(x_lo, x_hi, min(q.t_lo for q in r), max(q.t_hi for q in r))
 
     @property
+    def band_slices(self) -> int:
+        return 9 * 2**self.refine_level
+
+    @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
@@ -218,13 +203,7 @@ class DetectorExperiment:
 
     def refined(self, k: int = 1) -> "DetectorExperiment":
         """Same experiment with nx, band_slices and the source quadrature doubled k times."""
-        f = 2**k
-        return replace(
-            self,
-            nx=self.nx * f,
-            band_slices=self.band_slices * f,
-            refine_level=self.refine_level + k,
-        )
+        return replace(self, nx=self.nx * 2**k, refine_level=self.refine_level + k)
 
     def validate_perturbative(self) -> None:
         """Fail unless the crude second-to-first-order amplitude ratio of the
@@ -263,7 +242,7 @@ def benchmark_experiment(refine: int = 0, **overrides) -> DetectorExperiment:
 
 def two_point_experiment(
     separation: float = 2.0,
-    eps_pt: float | None = None,
+    eps_pt: float = 80.0 / 511,  # two steps of the default grid, whatever grid is passed
     t1: float = 3.0,
     refine: int = 0,
     **overrides,
@@ -272,14 +251,8 @@ def two_point_experiment(
     packet center, so the evolved wavefunction takes equal values on
     both (the maximal-interference configuration)."""
     base = dict(_DETECTOR_DEFAULTS, **overrides)
-    center = base["packet_center"]
-    nx = base.get("nx", DetectorExperiment.nx)
-    x_min = base.get("x_min", DetectorExperiment.x_min)
-    x_max = base.get("x_max", DetectorExperiment.x_max)
-    if eps_pt is None:
-        eps_pt = 2.0 * (x_max - x_min) / (nx - 1)
-    a = center - separation
-    b = center + separation
+    a = base["packet_center"] - separation
+    b = base["packet_center"] + separation
     base.setdefault("readout_time", t1 + eps_pt + 0.8)
     base.setdefault("band", (t1 + eps_pt + 0.3, t1 + eps_pt + 0.7))
     base["region"] = (
@@ -415,7 +388,6 @@ def _physical_k(exp: DetectorExperiment) -> float:
     return _packet_k(exp) + math.sqrt(2.0 * math.pi * exp.kernel.mass / (exp.kernel.hbar * tau_min))
 
 
-_READOUT_K = 5.0  # the region spectrum S(k) runs on to this many k_phys on coarse grids
 _READOUT_REACH = 2.5  # the readout slice holds the ballistic reach of this many k_phys
 
 
@@ -493,9 +465,10 @@ def _filon_nodes(lo: float, hi: float, rate: float, panels: int = 1) -> np.ndarr
 
 def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
     """FFT wavenumbers 2 pi j / L of the grid's period L = nx dx, and L; past a
-    coarse grid's Nyquist they run on to the readout slice's, ``_READOUT_K`` k_phys."""
+    coarse grid's Nyquist they run on to 2 ``_READOUT_REACH`` k_phys, the band of |phi|^2
+    on the readout slice."""
     length = exp.nx * exp.dx
-    n = max(exp.nx, math.ceil(_READOUT_K * _physical_k(exp) * length / np.pi))
+    n = max(exp.nx, math.ceil(2 * _READOUT_REACH * _physical_k(exp) * length / np.pi))
     return 2.0 * np.pi * np.fft.fftfreq(n, length / n), length
 
 
@@ -606,12 +579,10 @@ def rr_probability(exp: DetectorExperiment) -> float:
 
 
 def covariant_partial_trace(
-    joint: JointState,
-    k: PropagatorKernel,
-    region: SliceRegion | BandRegion,
-    norm_tol: float = 1e-3,
+    joint: JointState, k: PropagatorKernel, norm_tol: float = 1e-3
 ) -> CovariantReducedState:
-    """Observer reduced state from a joint kinematical state on a region.
+    """Observer reduced state from a joint kinematical state on its region, the
+    slices ``joint.t`` over the x sampling ``joint.x``.
 
     rho[a, b] = <P Psi_b, P Psi_a> for the observer-conditioned system
     components Psi_a = ``values[:, :, a]``, all collapsed to the last
@@ -621,13 +592,6 @@ def covariant_partial_trace(
     kinematical Gram matrix would square their condition number).
     Identically zero components are skipped: their rho rows stay zero.
     """
-    if isinstance(region, SliceRegion):
-        inside = np.isclose(joint.t, region.t, rtol=0, atol=1e-9)
-    else:
-        inside = (joint.t >= region.t_lo - 1e-9) & (joint.t <= region.t_hi + 1e-9)
-    if not np.all(inside):
-        raise NumericalValidationError("joint state support leaks outside the region")
-
     nx, nt, d = joint.values.shape
     comps = np.ascontiguousarray(joint.values.transpose(2, 1, 0))  # (d, nt, nx)
     live = np.flatnonzero(np.any(comps.reshape(d, -1), axis=1))
@@ -651,7 +615,7 @@ def covariant_partial_trace(
             f"(trace {trace_raw:.6g})"
         )
     rho = 0.5 * (rho_raw + rho_raw.conj().T) / trace_raw
-    return CovariantReducedState(DensityOp(rho, joint.obs_dims), region, rank, trace_raw)
+    return CovariantReducedState(DensityOp(rho, joint.obs_dims), rank, trace_raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,7 +624,6 @@ class CqiResult:
     rho_observer: DensityOp
     schmidt_rank: int
     normalization_deficit: float
-    band: tuple[float, float]
     band_fold_rel: float  # share of sum |S|^2 folded onto the band grid from past its Nyquist
 
 
@@ -686,18 +649,16 @@ def _band_fold_rel(exp: DetectorExperiment) -> float:
     return float(power[np.abs(m) > exp.nx / 2].sum() / max(power.sum(), 1e-300))
 
 
-def _branch_functions(
-    exp: DetectorExperiment, band: tuple[float, float]
-) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Evolved |0>- and |1>-branch amplitudes on the band slices,
+def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """Evolved |0>- and |1>-branch amplitudes on the slices of ``exp.band``,
     multiplied by the uniform smearing profile (integral one).
 
     The branches are free solutions throughout the band, so each is
     seeded on the first slice, transformed once and stepped to every
     slice spectrally by one batched inverse FFT.
     """
-    n = exp.band_slices
-    grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], n)
+    band = exp.band
+    grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], exp.band_slices)
     g = 1.0 / (band[1] - band[0])
     seeds = np.array(
         [evolved_wavefunction(exp, exp.x(), band[0]), _spectral_branch(exp, band[0])]
@@ -707,10 +668,8 @@ def _branch_functions(
     return grid, psi_vals, phi_vals
 
 
-def cqi_probability_detail(
-    exp: DetectorExperiment, band: tuple[float, float] | None = None
-) -> CqiResult:
-    """Covariant-route activation probability on a readout band.
+def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
+    """Covariant-route activation probability on the readout band ``exp.band``.
 
     Builds the joint kinematical state of system, detector and observer
     (the detector is kept as its own perfectly correlated factor, which
@@ -719,25 +678,19 @@ def cqi_probability_detail(
     and reads the probability from the observer's preferred basis.
     """
     exp.validate_perturbative()
-    if band is None:
-        band = exp.band
-    if band[0] <= exp.span.t_hi:
-        raise NumericalValidationError("readout band must lie after the region")
     fold = _band_fold_rel(exp)
     if fold > exp.fold_tol:
         raise NumericalValidationError(
             f"band grid too coarse at refine level {exp.refine_level}: nx = {exp.nx} folds "
             f"{fold:.3g} of the region spectrum's power (tolerance {exp.fold_tol})"
         )
-    grid, psi_vals, phi_vals = _branch_functions(exp, band)
+    grid, psi_vals, phi_vals = _branch_functions(exp)
 
     values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
     values[:, :, 0] = psi_vals  # detector |0>, observer |0>
     values[:, :, 3] = phi_vals  # detector |1>, observer |1>
     joint = JointState(grid.x, grid.t, values, (2, 2))
-    reduced = covariant_partial_trace(
-        joint, exp.kernel, BandRegion(band[0], band[1])
-    )
+    reduced = covariant_partial_trace(joint, exp.kernel)
     m = hilbert.partial_trace(reduced.rho, {1}).matrix
     if m[0, 1] != 0 or m[1, 0] != 0:  # the kept detector factor makes them exactly 0
         raise InvariantViolation(f"observer state has an off-diagonal entry {abs(m[0, 1]):.3g}")
@@ -752,23 +705,20 @@ def cqi_probability_detail(
         rho_observer=rho_obs,
         schmidt_rank=reduced.schmidt_rank,
         normalization_deficit=reduced.trace_raw - 1.0,
-        band=tuple(band),
         band_fold_rel=fold,
     )
 
 
-def cqi_probability(exp: DetectorExperiment, band: tuple[float, float] | None = None) -> float:
-    return cqi_probability_detail(exp, band).p_cqi
+def cqi_probability(exp: DetectorExperiment) -> float:
+    return cqi_probability_detail(exp).p_cqi
 
 
 def band_invariance_sweep(
     exp: DetectorExperiment, shifts: tuple[float, ...] = (0.0, 0.3, 0.8)
 ) -> list[float]:
     """cqi probability recomputed on time-shifted readout bands."""
-    out = []
-    for s in shifts:
-        out.append(cqi_probability(exp, (exp.band[0] + s, exp.band[1] + s)))
-    return out
+    b0, b1 = exp.band
+    return [cqi_probability(replace(exp, band=(b0 + s, b1 + s))) for s in shifts]
 
 
 # --------------------------------------------------------------------------

@@ -168,24 +168,24 @@ def test_criterion_08_covariant_trace_reduction():
     vals[:, 0, 0] = psi
     vals[:, 0, 3] = phi
     joint = ps.JointState(x, np.array([t_s]), vals, (2, 2))
-    red = ps.covariant_partial_trace(joint, exp.kernel, ps.SliceRegion(t_s))
+    red = ps.covariant_partial_trace(joint, exp.kernel)
     w = np.sqrt(trapezoid_weights(exp.nx, exp.dx))
     amps = (vals[:, 0, :] * w[:, None]).reshape(-1)
     ket = hilbert.Ket(amps / np.linalg.norm(amps), (exp.nx, 2, 2))
     ordinary = hilbert.reduced_state(ket, {1, 2})
     slice_dev = float(np.max(np.abs(red.rho.matrix - ordinary.matrix)))
 
-    grid, psi_v, phi_v = ps._branch_functions(exp, exp.band)
+    grid, psi_v, phi_v = ps._branch_functions(exp)
     vals_b = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
     vals_b[:, :, 0] = psi_v
     vals_b[:, :, 3] = phi_v
     joint_b = ps.JointState(grid.x, grid.t, vals_b, (2, 2))
-    red_b = ps.covariant_partial_trace(joint_b, exp.kernel, ps.BandRegion(*exp.band))
+    red_b = ps.covariant_partial_trace(joint_b, exp.kernel)
     vals_s = np.zeros((exp.nx, 1, 4), dtype=complex)
     vals_s[:, 0, 0] = ps.evolved_wavefunction(exp, x, exp.band[0])
     vals_s[:, 0, 3] = ps.first_order_amplitude(exp, x, exp.band[0])
     joint_s = ps.JointState(x, np.array([exp.band[0]]), vals_s, (2, 2))
-    red_s = ps.covariant_partial_trace(joint_s, exp.kernel, ps.SliceRegion(exp.band[0]))
+    red_s = ps.covariant_partial_trace(joint_s, exp.kernel)
     band_dev = hilbert.trace_distance(red_b.rho, red_s.rho)
 
     ok = slice_dev <= 1e-10 and band_dev <= 1e-4

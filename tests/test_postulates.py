@@ -11,10 +11,8 @@ from cqi_sim import hilbert, postulates as ps
 from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
 from cqi_sim.errors import InvariantViolation, NumericalValidationError
 from cqi_sim.postulates import (
-    BandRegion,
     JointState,
     Rect,
-    SliceRegion,
     benchmark_experiment,
     born_probability,
     born_probability_detail,
@@ -33,8 +31,6 @@ from oracles import (
     CONTINUUM_BORN,
     CONTINUUM_RR,
     born_double_region_gauss,
-    born_double_region_pairwise,
-    born_double_region_trapezoid,
     carrier_rate_readout_grid,
     covariant_partial_trace_schmidt,
     evolved_by_quadrature,
@@ -118,6 +114,42 @@ class TestExperimentValidation:
         with pytest.raises(NumericalValidationError, match="overlap"):
             two_point_experiment(separation=0.49 * eps)
         assert len(two_point_experiment(separation=0.5 * eps).region) == 2  # they share an edge
+
+
+class TestDetectorInputs:
+    """Each input stated once: the squares by ``eps_pt``, the band slices by
+    the refine level."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"nx": 64}, {"nx": 256}, {"nx": 512}, {"nx": 1024}, {"x_min": -30.0, "x_max": 25.0}],
+        ids=["nx64", "nx256", "nx512", "nx1024", "x-range"],
+    )
+    def test_two_point_squares_independent_of_grid(self, grid):
+        want = two_point_experiment()
+        exp = two_point_experiment(**grid)
+        assert exp.region == want.region
+        assert (exp.readout_time, exp.band) == (want.readout_time, want.band)
+        for r in exp.region:  # two steps of the default grid
+            assert r.x_hi - r.x_lo == pytest.approx(80.0 / 511, rel=1e-12, abs=0)
+
+    def test_explicit_eps_pt_honoured(self):
+        exp = two_point_experiment(eps_pt=0.15, t1=3.0, nx=1024)
+        for r in exp.region:
+            assert r.x_hi - r.x_lo == pytest.approx(0.15, rel=1e-12, abs=0)
+            assert (r.t_lo, r.t_hi) == (3.0, 3.15)
+        assert exp.readout_time == 3.0 + 0.15 + 0.8
+        assert exp.band == (3.0 + 0.15 + 0.3, 3.0 + 0.15 + 0.7)
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_band_slices_follow_refine(self, r):
+        assert benchmark_experiment(r).band_slices == 9 * 2**r
+        assert two_point_experiment(refine=r).band_slices == 9 * 2**r
+        assert BENCH.refined(r).band_slices == 9 * 2**r
+
+    def test_band_slices_not_settable(self):
+        with pytest.raises(TypeError):
+            replace(BENCH, band_slices=18)
 
 
 class TestEvolvedWavefunction:
@@ -320,7 +352,7 @@ class TestBornProbability:
         amp = np.abs(first_order_amplitude(exp, xr, exp.readout_time))
         detail = born_probability_detail(exp)
         want = max(amp[0], amp[-1]) / amp.max()
-        assert detail.readout_edge_rel == pytest.approx(want, rel=1e-12)
+        assert detail.readout_edge_rel == pytest.approx(want, rel=1e-12, abs=0)
         assert 0 < detail.readout_edge_rel < 1e-3
 
     def test_zero_coupling_detail(self):
@@ -377,17 +409,6 @@ class TestReadoutGrid:
             assert_array_equal(ps._readout_grid(build(refine=r)), want)
 
 
-SUM_CASES = [
-    (BENCH, 1),
-    (BENCH, 2),
-    (benchmark_experiment(1), 1),
-    (two_point_experiment(), 1),
-    (two_point_experiment(), 2),
-    (shifted(BENCH, 50.0), 1),
-]
-SUM_IDS = ["bench-1", "bench-2", "bench-refine1-1", "two-point-1", "two-point-2", "shifted-1"]
-LADDER_CASES = [(two_point_experiment(), 4), (BENCH, 4), (BENCH, 8)]
-LADDER_IDS = ["two-point-4", "bench-4", "bench-8"]
 TWO_GRIDS = benchmark_experiment(
     region=(Rect(-0.5, 0.5, 3.0, 3.2), Rect(1.0, 1.5, 3.3, 3.6)), band=(3.7, 3.95)
 )
@@ -419,13 +440,7 @@ def gauss_legendre(f, lo, hi, panels=400, nodes=20):
 
 class TestDoubleRegion:
     """The Filon-Simpson double-region sum against composite Gauss-Legendre
-    quadrature of the same S(k), and against the continuum values; the
-    fine-grid trapezoid oracle against its pairwise slice sum."""
-
-    @pytest.mark.parametrize("exp, density", SUM_CASES, ids=SUM_IDS)
-    def test_factorized_sum_matches_pairwise(self, exp, density):
-        got = born_double_region_trapezoid(exp, density)
-        assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
+    quadrature of the same S(k), and against the continuum values."""
 
     @pytest.mark.parametrize(
         "theta",
@@ -447,7 +462,7 @@ class TestDoubleRegion:
     def test_matches_gauss_legendre_oracle(self, exp):
         k, length = ps._spectral_k(exp)
         want = born_double_region_gauss(exp, k, length)
-        assert ps._born_double_region(exp) == pytest.approx(want, rel=1e-5)
+        assert ps._born_double_region(exp) == pytest.approx(want, rel=1e-5, abs=0)
 
     @pytest.mark.parametrize(
         "name, exp",
@@ -458,18 +473,20 @@ class TestDoubleRegion:
         # twice the grid's wavenumber range and period: |k| <= 80 and 160
         k = 2.0 * np.pi * np.fft.fftfreq(4 * exp.nx, exp.dx / 2)
         got = born_double_region_gauss(exp, k, 2 * exp.nx * exp.dx)
-        assert got == pytest.approx(CONTINUUM_BORN[name], rel=1e-8)
+        assert got == pytest.approx(CONTINUUM_BORN[name], rel=1e-8, abs=0)
 
     @pytest.mark.parametrize(
         "name, exp", CONTINUUM_CASES.values(), ids=CONTINUUM_CASES.keys()
     )
     def test_near_continuum(self, name, exp):
-        assert ps._born_double_region(exp) == pytest.approx(CONTINUUM_BORN[name], rel=1e-5)
+        assert ps._born_double_region(exp) == pytest.approx(
+            CONTINUUM_BORN[name], rel=1e-5, abs=0
+        )
 
     @pytest.mark.parametrize("exp", [BENCH, two_point_experiment()], ids=["slab", "two-point"])
     def test_node_doubling(self, exp):
         got = ps._born_double_region_raw(exp, 2)
-        assert got == pytest.approx(ps._born_double_region_raw(exp, 1), rel=1e-5)
+        assert got == pytest.approx(ps._born_double_region_raw(exp, 1), rel=1e-5, abs=0)
 
     def test_memory_grows_linearly_with_the_grid(self):
         # one (wavenumbers x nodes) weight array per rectangle: a grid-wide
@@ -487,8 +504,7 @@ class TestDoubleRegion:
 
 
 class TestDoubleRegionLadder:
-    """The slices of the Filon-Simpson sum, and the trapezoid oracle at
-    ladder densities."""
+    """The slices of the Filon-Simpson sum."""
 
     def test_each_slice_evolved_once(self, monkeypatch):
         seen = []
@@ -503,17 +519,12 @@ class TestDoubleRegionLadder:
         ps._born_double_region(exp)
         assert len(seen) == len(set(seen)) == 2 * 7  # the 7 t nodes of each square, once
 
-    @pytest.mark.parametrize("exp, density", LADDER_CASES, ids=LADDER_IDS)
-    def test_nested_ladder_matches_pairwise(self, exp, density):
-        got = born_double_region_trapezoid(exp, density)
-        assert got == pytest.approx(born_double_region_pairwise(exp, density), rel=1e-10)
-
 
 class TestRrProbability:
     def test_alpha_independent(self):
         p1 = rr_probability(BENCH)
         p2 = rr_probability(benchmark_experiment(coupling_alpha=2 * BENCH.coupling_alpha))
-        assert p2 == pytest.approx(p1, rel=1e-12)
+        assert p2 == pytest.approx(p1, rel=1e-12, abs=0)
 
     def test_small_region_value(self):
         # tiny region: |int Psi|^2 / meas ~ |Psi(center)|^2 * meas
@@ -535,8 +546,8 @@ class TestRrProbability:
     def test_continuum_oracle(self, name, exp):
         # closed-form x integral, Gauss-Legendre in t: node doubling changes nothing
         p32, p64 = rr_probability_continuum(exp), rr_probability_continuum(exp, nodes=64)
-        assert p64 == pytest.approx(p32, rel=2e-15)
-        assert p32 == pytest.approx(CONTINUUM_RR[name], rel=1e-12)
+        assert p64 == pytest.approx(p32, rel=2e-15, abs=0)
+        assert p32 == pytest.approx(CONTINUUM_RR[name], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "name, make, bound",
@@ -570,9 +581,8 @@ def _joint_state_on_slice(exp, t):
     return JointState(x, np.array([t]), vals, (2, 2))
 
 
-def _joint_state_on_band(exp, band=None):
-    band = band or exp.band
-    grid, psi_vals, phi_vals = ps._branch_functions(exp, band)
+def _joint_state_on_band(exp):
+    grid, psi_vals, phi_vals = ps._branch_functions(exp)
     vals = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
     vals[:, :, 0] = psi_vals
     vals[:, :, 3] = phi_vals
@@ -582,7 +592,7 @@ def _joint_state_on_band(exp, band=None):
 class TestCovariantPartialTrace:
     def test_slice_region_reduces_to_ordinary_trace(self):
         joint = _joint_state_on_slice(BENCH, 3.6)
-        red = covariant_partial_trace(joint, BENCH.kernel, SliceRegion(3.6))
+        red = covariant_partial_trace(joint, BENCH.kernel)
         w = np.sqrt(trapezoid_weights(BENCH.nx, BENCH.dx))
         amps = (joint.values[:, 0, :] * w[:, None]).reshape(-1)
         amps = amps / np.linalg.norm(amps)
@@ -595,15 +605,15 @@ class TestCovariantPartialTrace:
         vals = np.zeros((BENCH.nx, 1, 2), dtype=complex)
         vals[:, 0, 0] = psi
         joint = JointState(x, np.array([3.6]), vals, (2,))
-        red = covariant_partial_trace(joint, BENCH.kernel, SliceRegion(3.6))
+        red = covariant_partial_trace(joint, BENCH.kernel)
         assert red.schmidt_rank == 1
         assert hilbert.von_neumann_entropy(red.rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_band_matches_slice(self):
         joint_b = _joint_state_on_band(BENCH)
-        red_b = covariant_partial_trace(joint_b, BENCH.kernel, BandRegion(*BENCH.band))
+        red_b = covariant_partial_trace(joint_b, BENCH.kernel)
         joint_s = _joint_state_on_slice(BENCH, BENCH.band[0])
-        red_s = covariant_partial_trace(joint_s, BENCH.kernel, SliceRegion(BENCH.band[0]))
+        red_s = covariant_partial_trace(joint_s, BENCH.kernel)
         assert hilbert.trace_distance(red_b.rho, red_s.rho) < 1e-4
 
     def test_gram_assembly_matches_pairwise_products(self):
@@ -613,7 +623,7 @@ class TestCovariantPartialTrace:
 
         exp = BENCH
         joint = _joint_state_on_band(exp)
-        red = covariant_partial_trace(joint, exp.kernel, BandRegion(*exp.band))
+        red = covariant_partial_trace(joint, exp.kernel)
         grid = Grid(exp.x_min, exp.x_max, exp.nx, exp.band[0], exp.band[1], exp.band_slices)
         rho_oracle = np.zeros((4, 4), dtype=complex)
         branches = [GridFunction(grid, joint.values[:, :, a]) for a in range(4)]
@@ -626,16 +636,11 @@ class TestCovariantPartialTrace:
         rho_oracle /= np.trace(rho_oracle).real
         assert np.max(np.abs(red.rho.matrix - rho_oracle)) < 1e-10
 
-    def test_support_leak_rejected(self):
-        joint = _joint_state_on_slice(BENCH, 3.6)
-        with pytest.raises(NumericalValidationError):
-            covariant_partial_trace(joint, BENCH.kernel, SliceRegion(3.7))
-
     def test_normalization_failure_rejected(self):
         joint = _joint_state_on_slice(BENCH, 3.6)
         bad = JointState(joint.x, joint.t, joint.values * 2.0, joint.obs_dims)
         with pytest.raises(NumericalValidationError):
-            covariant_partial_trace(bad, BENCH.kernel, SliceRegion(3.6))
+            covariant_partial_trace(bad, BENCH.kernel)
 
     @pytest.mark.parametrize("axis", ["x", "t"])
     def test_nonuniform_sampling_rejected(self, axis):
@@ -661,7 +666,7 @@ class TestCovariantPartialTrace:
         monkeypatch.setattr(
             ps, "spectral_collapse", lambda v, *a: shapes.append(v.shape) or collapse(v, *a)
         )
-        red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(*BENCH.band))
+        red = covariant_partial_trace(joint, BENCH.kernel)
         live = [0, 2, 3] if touched else [0, 3]
         assert shapes == [(len(live), BENCH.band_slices, BENCH.nx)]
         dead = [a for a in range(4) if a not in live]
@@ -681,7 +686,7 @@ class TestCovariantPartialTrace:
         coef = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
         values = np.einsum("ar,rxt->xta", coef, basis)
         joint = JointState(np.linspace(-3.0, 3.0, nx), np.linspace(4.0, 4.6, nt), values, (4,))
-        red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(4.0, 4.6), norm_tol=np.inf)
+        red = covariant_partial_trace(joint, BENCH.kernel, norm_tol=np.inf)
         sqw = np.sqrt(np.outer(joint.x_weights(), joint.t_weights())).reshape(-1)
         s = np.linalg.svd(values.reshape(nx * nt, 4).T * sqw, compute_uv=False)
         assert red.schmidt_rank == int(np.sum(s > 1e-12 * s[0])) == rank
@@ -690,10 +695,10 @@ class TestCovariantPartialTrace:
     def test_matches_schmidt_oracle(self, case):
         exp = {"r1": benchmark_experiment(1), "two-point": two_point_experiment()}.get(case, BENCH)
         if case == "slice":
-            joint, region = _joint_state_on_slice(exp, 3.6), SliceRegion(3.6)
+            joint = _joint_state_on_slice(exp, 3.6)
         else:
-            joint, region = _joint_state_on_band(exp), BandRegion(*exp.band)
-        red = covariant_partial_trace(joint, exp.kernel, region)
+            joint = _joint_state_on_band(exp)
+        red = covariant_partial_trace(joint, exp.kernel)
         rho_raw, rank = covariant_partial_trace_schmidt(joint, exp.kernel)
         trace_raw = np.trace(rho_raw).real
         rho = 0.5 * (rho_raw + rho_raw.conj().T) / trace_raw
@@ -705,7 +710,7 @@ class TestCovariantPartialTrace:
 @pytest.fixture(scope="module")
 def mixture_basis():
     """Band branch functions of BENCH, each of unit kinematical norm."""
-    grid, psi, phi = ps._branch_functions(BENCH, BENCH.band)
+    grid, psi, phi = ps._branch_functions(BENCH)
     w = np.outer(trapezoid_weights(grid.nx, grid.dx), trapezoid_weights(grid.nt, grid.dt))
     return grid, [f / np.sqrt(np.sum(w * np.abs(f) ** 2)) for f in (psi, phi)]
 
@@ -730,7 +735,7 @@ def test_covariant_trace_invariants_hypothesis(mixture_basis, seed, d, dependent
         mix = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
         coef[-1] = mix @ coef[:-1]
     joint = JointState(grid.x, grid.t, np.einsum("ab,bxt->xta", coef, basis), (d,))
-    red = covariant_partial_trace(joint, BENCH.kernel, BandRegion(*BENCH.band), norm_tol=np.inf)
+    red = covariant_partial_trace(joint, BENCH.kernel, norm_tol=np.inf)
     m = red.rho.matrix
     assert abs(np.trace(m).real - 1.0) < 1e-12
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
@@ -740,7 +745,7 @@ def test_covariant_trace_invariants_hypothesis(mixture_basis, seed, d, dependent
 
     vals = joint.values[:, j : j + 1, :]
     on_slice = JointState(grid.x, grid.t[j : j + 1], vals, (d,))
-    red_s = covariant_partial_trace(on_slice, BENCH.kernel, SliceRegion(grid.t[j]), norm_tol=np.inf)
+    red_s = covariant_partial_trace(on_slice, BENCH.kernel, norm_tol=np.inf)
     amps = (vals[:, 0, :] * np.sqrt(trapezoid_weights(grid.nx, grid.dx))[:, None]).reshape(-1)
     oracle = hilbert.reduced_state(hilbert.Ket(amps / np.linalg.norm(amps), (grid.nx, d)), {1})
     assert np.max(np.abs(red_s.rho.matrix - oracle.matrix)) < 1e-12
@@ -773,6 +778,12 @@ class TestCqiProbability:
         spread = (max(vals) - min(vals)) / vals[0]
         assert spread < 1e-4
 
+    def test_band_invariance_sweep_shifts_the_experiment(self):
+        shifts = (0.0, 0.3, 0.8)
+        b0, b1 = BENCH.band
+        want = [cqi_probability(replace(BENCH, band=(b0 + s, b1 + s))) for s in shifts]
+        assert ps.band_invariance_sweep(BENCH, shifts) == want
+
     def test_alpha_squared_scaling(self):
         p1 = cqi_probability(BENCH)
         p2 = cqi_probability(benchmark_experiment(coupling_alpha=2 * BENCH.coupling_alpha))
@@ -780,7 +791,7 @@ class TestCqiProbability:
 
     def test_band_must_follow_region(self):
         with pytest.raises(NumericalValidationError):
-            cqi_probability(BENCH, band=(3.0, 3.3))
+            cqi_probability(replace(BENCH, band=(3.0, 3.3)))
 
     @pytest.mark.parametrize(
         "exp", [BENCH, two_point_experiment(packet_momentum=0.15)], ids=["slab", "two-point"]
@@ -804,7 +815,8 @@ class TestCqiProbability:
     @pytest.mark.parametrize("exp", [BENCH, benchmark_experiment(packet_momentum=0.6)])
     def test_batched_band_steps_equal_per_slice_evolution(self, exp):
         band = (exp.band[0] + 0.3, exp.band[1] + 0.3)
-        grid, psi_vals, phi_vals = ps._branch_functions(exp, band)
+        exp = replace(exp, band=band)
+        grid, psi_vals, phi_vals = ps._branch_functions(exp)
         g = 1.0 / (band[1] - band[0])
         for vals, seed in (
             (psi_vals, evolved_wavefunction(exp, exp.x(), band[0])),
@@ -849,7 +861,7 @@ class TestCqiProbability:
     def test_near_continuum(self, name, exp, tol):
         # trace_raw = |psi|^2 + |phi|^2 normalizes p_cqi: its continuum value is p / (1 + p)
         p = CONTINUUM_BORN[name]
-        assert cqi_probability(exp) == pytest.approx(p / (1.0 + p), rel=tol)
+        assert cqi_probability(exp) == pytest.approx(p / (1.0 + p), rel=tol, abs=0)
 
     def test_one_region_spectrum_per_experiment(self):
         # the double-region check and the band seed share one cached S(k); the
@@ -875,7 +887,7 @@ class TestCqiProbability:
         power = np.abs(spec) ** 2
         ref = power[np.abs(k) > np.pi / exp.dx * (1 + 1e-12)].sum() / power.sum()
         got = cqi_probability_detail(exp).band_fold_rel
-        assert got == pytest.approx(ref, rel=1e-12) and got <= exp.fold_tol
+        assert got == pytest.approx(ref, rel=1e-12, abs=0) and got <= exp.fold_tol
         assert cqi_probability_detail(benchmark_experiment(1)).band_fold_rel == 0.0
 
     @pytest.mark.parametrize("nx", [16, 24, 32])
@@ -950,7 +962,7 @@ class TestTwoPoint:
 
     def test_p_born_is_slice_norm(self):
         exp = two_point_experiment()
-        assert two_point_report(exp).p_born == pytest.approx(ps._born_slice_norm(exp), rel=1e-14)
+        assert two_point_report(exp).p_born == pytest.approx(ps._born_slice_norm(exp), rel=1e-14, abs=0)
 
     def test_one_kernel_sum_per_rectangle(self, monkeypatch):
         # two readout sums, one per square; the union's readout is their
