@@ -24,9 +24,10 @@ counts and the relative difference of p_slice.
 The Born double-region sum ``postulates._born_double_region_raw``
 (Filon-Simpson, density 1) is timed on ``two_point_experiment()`` and on
 ``benchmark_experiment`` at refine 1 and 2, with its (x nodes x t nodes)
-per rectangle, its wavenumber count and its relative deviation from the
-composite Gauss-Legendre oracle of ``tests/oracles.py`` on the same
-wavenumbers (about 0.5 s at refine 2); each timing builds S(k) afresh.
+per rectangle (``Resolution.filon``), its wavenumber count and its
+relative deviation from the composite Gauss-Legendre oracle of
+``tests/oracles.py`` on the same wavenumbers (about 0.5 s at refine 2);
+each timing builds S(k) afresh.
 
 The band branch functions ``postulates._branch_functions`` (warm, with
 S(k) cached from the double-region sum, as in a detector pass) on the
@@ -36,8 +37,9 @@ to the kernel-sum seed ``first_order_amplitude(exp, exp.x(), band[0])``
 and that kernel sum's own time.
 
 On ``two_point_experiment()``, the prepared state on the region slices
-at time density 8 by kernel quadrature of psi0 (one ``propagate`` call
-per region slice) against the closed form of ``evolved_wavefunction``.
+(``Resolution.sources``) at time density 8 by kernel quadrature of psi0
+(one ``propagate`` call per region slice) against the closed form of
+``evolved_wavefunction``.
 
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
@@ -149,15 +151,9 @@ def time_double_region():
     print("double-region sum, Filon-Simpson at density 1, against the Gauss-Legendre oracle")
     for label, exp in cases:
         k, length = postulates._spectral_k(exp)
-        kp, hb_m = postulates._packet_k(exp), exp.kernel.hbar / exp.kernel.mass
-        nodes = [
-            (postulates._filon_nodes(r.x_lo, r.x_hi, kp).size,
-             postulates._filon_nodes(r.t_lo, r.t_hi, 0.5 * hb_m * kp**2).size)
-            for r in exp.region
-        ]
         got, t_sum = timed(uncached, postulates._born_double_region_raw, exp, 1)
         ref = born_double_region_gauss(exp, k, length)
-        shape = " + ".join(f"{nx} x {nt}" for nx, nt in nodes)
+        shape = " + ".join(f"{nx} x {nt}" for nx, nt in exp.resolution.filon)
         print(f"  {label:<19}: {t_sum * 1e3:9.2f} ms   nodes {shape}, {k.size} k"
               f"   rel deviation {(got - ref) / ref:+.1e}")
 
@@ -183,7 +179,10 @@ def compare_prepared_state(density=8):
     k = exp.kernel
     amp = postulates.psi0_values(exp) * trapezoid_weights(exp.nx, exp.dx)
     src = (exp.x(), np.full(exp.nx, exp.t0), amp, k.mass, k.hbar, k.regularization_eta)
-    slices = [postulates._rect_subgrid(exp, rect, density)[:2] for rect in exp.region]
+    slices = [
+        (np.linspace(r.x_lo, r.x_hi, nqx), np.linspace(r.t_lo, r.t_hi, (nqt - 1) * density + 1))
+        for r, (nqx, nqt) in zip(exp.region, exp.resolution.sources)
+    ]
     n_slices = sum(tq.size for _, tq in slices)
     print(f"prepared state, two-point at time density {density}: {n_slices} slices of"
           f" {slices[0][0].size} points")

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -450,6 +450,7 @@ def _run_detector_compare(cfg: ExperimentConfig, refine: int):
                 "schmidt_rank": cqi.schmidt_rank,
                 "normalization_deficit": cqi.normalization_deficit,
                 "band_fold_rel": cqi.band_fold_rel,
+                "resolution": asdict(exp.resolution),
             }
         )
     cols = [
@@ -485,7 +486,8 @@ def _run_two_point(cfg: ExperimentConfig, refine: int):
     rows = []
     diagnostics = {"levels": []}
     for level in range(refine + 1):
-        rep = postulates.two_point_report(postulates.two_point_experiment(refine=level, **over))
+        exp = postulates.two_point_experiment(refine=level, **over)
+        rep = postulates.two_point_report(exp)
         rows.append([level, *(getattr(rep, col) for col in _TWO_POINT_COLS)])
         diagnostics["levels"].append(
             {
@@ -493,6 +495,7 @@ def _run_two_point(cfg: ExperimentConfig, refine: int):
                 "cross_born": rep.cross_born,
                 "band_fold_rel": rep.band_fold_rel,
                 **_born_margin(rep.born),
+                "resolution": asdict(exp.resolution),
             }
         )
     keys = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")

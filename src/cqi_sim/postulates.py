@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -44,6 +44,8 @@ __all__ = [
     "JointState",
     "CovariantReducedState",
     "DetectorExperiment",
+    "Resolution",
+    "resolve",
     "BornDetail",
     "CqiResult",
     "TwoPointReport",
@@ -201,6 +203,11 @@ class DetectorExperiment:
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
+    @cached_property
+    def resolution(self) -> "Resolution":
+        """Every discretization choice of this experiment, made once by ``resolve``."""
+        return resolve(self)
+
     def refined(self, k: int = 1) -> "DetectorExperiment":
         """Same experiment with nx, band_slices and the source quadrature doubled k times."""
         return replace(self, nx=self.nx * 2**k, refine_level=self.refine_level + k)
@@ -263,6 +270,52 @@ def two_point_experiment(
     return exp.refined(refine) if refine else exp
 
 
+@dataclass(frozen=True)
+class Resolution:
+    """Every discretization choice of one detector experiment, made by ``resolve``."""
+
+    packet_k: float  # wavenumber scale of the prepared packet over the region
+    physical_k: float  # that of the |1>-branch: packet_k + sqrt(2 pi m / hbar tau_min)
+    sources: tuple[tuple[int, int], ...]  # (x, t) trapezoid source nodes per rectangle;
+    # at time density d a rectangle has (n_t - 1) d + 1 slices, here and in ``filon``
+    readout: tuple[float, float, int]  # Born readout slice: its ends and points
+    filon: tuple[tuple[int, int], ...]  # (x, t) Filon-Simpson nodes of S(k) per rectangle
+    spectral_n: int  # wavenumbers of S(k)
+    t_density: int  # source time density at the readout; the node counts above are at 1
+
+
+def resolve(exp: DetectorExperiment) -> Resolution:
+    """The discretization of ``exp``, by its every rule; read it as ``exp.resolution``."""
+    m, hb, span = exp.kernel.mass, exp.kernel.hbar, exp.span
+    # the packet: its momentum, the chirp of its spreading across the region, its envelope
+    t = 0.5 * (span.t_lo + span.t_hi) - exp.t0  # from the preparation to the region's middle
+    chirp = t * m / hb / (t**2 + (m * exp.packet_width**2 / hb) ** 2)
+    x_far = max(abs(span.x_lo - exp.packet_center), abs(span.x_hi - exp.packet_center))
+    packet_k = abs(exp.packet_momentum) + chirp * x_far + 4.0 / exp.packet_width
+    tau_min = min(r.t_hi - r.t_lo for r in exp.region)
+    physical_k = packet_k + math.sqrt(2.0 * math.pi * m / (hb * tau_min))
+    # sources: a quarter of the unrefined grid step, at least 33 nodes, then 2^refine finer
+    scale = 2**exp.refine_level
+    step = 0.25 * (exp.dx * scale)
+    sides = [(r.x_hi - r.x_lo, r.t_hi - r.t_lo) for r in exp.region]
+    sources = tuple(tuple(max(33, int(np.ceil(s / step)) + 1) * scale for s in xt) for xt in sides)
+    # the readout slice holds the ballistic reach of `reach` k_phys, and samples |phi|^2,
+    # of twice that band, exactly up to aliasing at pi / (reach k_phys), whatever nx
+    reach = 2.5
+    pad = reach * hb * physical_k * (exp.readout_time - span.t_lo) / m + 4.0
+    lo, hi = span.x_lo - pad, span.x_hi + pad
+    readout = (lo, hi, int(np.ceil((hi - lo) * reach * physical_k / np.pi)) + 1)
+    # Filon nodes keep the packet's phase within 0.35 rad per step (0.7 per panel), in x and t
+    rates = (packet_k, 0.5 * hb * packet_k**2 / m)
+    filon = tuple(tuple(2 * math.ceil(s * q / 0.7) + 1 for s, q in zip(xt, rates)) for xt in sides)
+    # S(k) on the grid's FFT wavenumbers, past a coarse grid's Nyquist up to 2 reach k_phys
+    spectral_n = max(exp.nx, math.ceil(2 * reach * physical_k * (exp.nx * exp.dx) / np.pi))
+    res = Resolution(packet_k, physical_k, sources, readout, filon, spectral_n, t_density=0)
+    vars(exp)["resolution"] = res  # ``_t_density_for`` reads physical_k and sources from it
+    vars(exp)["resolution"] = res = replace(res, t_density=_t_density_for(exp, exp.readout_time))
+    return res
+
+
 # --------------------------------------------------------------------------
 # wavefunction and first-order amplitude
 
@@ -298,26 +351,21 @@ def evolved_wavefunction(
     return out if np.ndim(t) else out[0]
 
 
-def _rect_subgrid(exp: DetectorExperiment, rect: Rect, t_density: int = 1):
-    """Tensor trapezoid sub-quadrature (xq, tq, wx, wt) for one rectangle."""
-    scale = 2**exp.refine_level
-    base_dx = exp.dx * scale
-    nqx = max(33, int(np.ceil((rect.x_hi - rect.x_lo) / (0.25 * base_dx))) + 1) * scale
-    nqt = max(33, int(np.ceil((rect.t_hi - rect.t_lo) / (0.25 * base_dx))) + 1) * scale
-    nqt = (nqt - 1) * t_density + 1
+def _rect_subgrid(exp: DetectorExperiment, i: int, t_density: int = 1):
+    """Tensor trapezoid sub-quadrature (xq, tq, wx, wt) on rectangle i's recorded nodes."""
+    rect, (nqx, nqt) = exp.region[i], exp.resolution.sources[i]
     xq = np.linspace(rect.x_lo, rect.x_hi, nqx)
-    tq = np.linspace(rect.t_lo, rect.t_hi, nqt)
-    wx = trapezoid_weights(nqx, xq[1] - xq[0])
-    wt = trapezoid_weights(nqt, tq[1] - tq[0])
+    tq = np.linspace(rect.t_lo, rect.t_hi, (nqt - 1) * t_density + 1)
+    wx, wt = (trapezoid_weights(a.size, a[1] - a[0]) for a in (xq, tq))
     return xq, tq, wx, wt
 
 
 @lru_cache(maxsize=64)
 def _region_sources(exp: DetectorExperiment, t_density: int = 1):
-    """Flattened (x, t, V * Psi * weight) source points over all rectangles."""
+    """Flattened (x, t, V * Psi * weight) source points over all rectangles, in order."""
     xs, ts, amps = [], [], []
-    for rect in exp.region:
-        xq, tq, wx, wt = _rect_subgrid(exp, rect, t_density)
+    for i in range(len(exp.region)):
+        xq, tq, wx, wt = _rect_subgrid(exp, i, t_density)
         psi = evolved_wavefunction(exp, xq, tq)
         xs.append(np.tile(xq, tq.size))
         ts.append(np.repeat(tq, xq.size))
@@ -332,15 +380,13 @@ def _t_density_for(exp: DetectorExperiment, t: float) -> int:
     with D the amplitude-carrying distance from the region; close
     readouts (small dT) therefore need denser source slices.
     """
-    m, hb = exp.kernel.mass, exp.kernel.hbar
-    span = exp.span
+    m, hb, res, span = exp.kernel.mass, exp.kernel.hbar, exp.resolution, exp.span
     d_t = max(t - span.t_hi, 1e-12)
-    reach = 1.5 * hb * _physical_k(exp) * (t - span.t_lo) / m + (span.x_hi - span.x_lo) + 2.0
+    reach = 1.5 * hb * res.physical_k * (t - span.t_lo) / m + (span.x_hi - span.x_lo) + 2.0
     rate = m * reach**2 / (2.0 * hb * d_t**2)
     density = 1
-    for rect in exp.region:
-        _, tq, _, _ = _rect_subgrid(exp, rect)
-        dt_sub = (rect.t_hi - rect.t_lo) / (tq.size - 1)
+    for rect, (_, nqt) in zip(exp.region, res.sources):
+        dt_sub = (rect.t_hi - rect.t_lo) / (nqt - 1)
         density = max(density, int(np.ceil(dt_sub * rate / (np.pi / 3.0))))
     return min(density, 8)
 
@@ -350,10 +396,9 @@ def _rect_amplitudes(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.nda
     the union's time density: by linearity the rows add to the union's amplitude."""
     density, k = _t_density_for(exp, t), exp.kernel
     kern = (k.mass, k.hbar, k.regularization_eta)
-    rows = [
-        _kernels.propagate(x, t, *_region_sources(replace(exp, region=(r,)), density), *kern)
-        for r in exp.region
-    ]
+    ends = np.cumsum([nqx * ((nqt - 1) * density + 1) for nqx, nqt in exp.resolution.sources])
+    rects = zip(*(np.split(a, ends[:-1]) for a in _region_sources(exp, density)))
+    rows = [_kernels.propagate(x, t, *src, *kern) for src in rects]
     return np.array(rows) * (exp.coupling_alpha / (1j * k.hbar))
 
 
@@ -366,40 +411,9 @@ def first_order_amplitude(exp: DetectorExperiment, x: np.ndarray, t: float) -> n
     return _rect_amplitudes(exp, x, float(t)).sum(axis=0)
 
 
-# --------------------------------------------------------------------------
-# readout grid heuristics
-
-
-def _packet_k(exp: DetectorExperiment) -> float:
-    """Wavenumber scale of the prepared packet over the region: its momentum,
-    the chirp of its spreading across the region, and its envelope."""
-    m, hb, span = exp.kernel.mass, exp.kernel.hbar, exp.span
-    t_mid = 0.5 * (span.t_lo + span.t_hi)
-    a2 = exp.packet_width**2
-    chirp = (t_mid - exp.t0) * m / hb / ((t_mid - exp.t0) ** 2 + (m * a2 / hb) ** 2)
-    x_far = max(abs(span.x_lo - exp.packet_center), abs(span.x_hi - exp.packet_center))
-    return abs(exp.packet_momentum) + chirp * x_far + 4.0 / exp.packet_width
-
-
-def _physical_k(exp: DetectorExperiment) -> float:
-    """Wavenumber scale actually populated by the |1>-branch: the packet's, plus
-    sqrt(2 pi m / hbar tau) of the shortest rectangle duration tau."""
-    tau_min = min(r.t_hi - r.t_lo for r in exp.region)
-    return _packet_k(exp) + math.sqrt(2.0 * math.pi * exp.kernel.mass / (exp.kernel.hbar * tau_min))
-
-
-_READOUT_REACH = 2.5  # the readout slice holds the ballistic reach of this many k_phys
-
-
 def _readout_grid(exp: DetectorExperiment) -> np.ndarray:
-    """Born readout slice, independent of nx: it holds wavenumbers up to reach k_phys, so the
-    trapezoid rule is exact, up to aliasing, on |phi|^2 (twice that band) at pi / (reach k_phys)."""
-    m, hb = exp.kernel.mass, exp.kernel.hbar
-    k_phys, span = _physical_k(exp), exp.span
-    pad = _READOUT_REACH * hb * k_phys * (exp.readout_time - span.t_lo) / m + 4.0
-    lo, hi = span.x_lo - pad, span.x_hi + pad
-    n = int(np.ceil((hi - lo) * _READOUT_REACH * k_phys / np.pi)) + 1
-    return np.linspace(lo, hi, n)
+    """Born readout slice, independent of nx: ``Resolution.readout``."""
+    return np.linspace(*exp.resolution.readout)
 
 
 # --------------------------------------------------------------------------
@@ -454,21 +468,9 @@ def _filon_simpson(kappa: np.ndarray, y: np.ndarray, y_ref: float) -> np.ndarray
     return c
 
 
-_FILON_PHASE = 0.35  # rad per node step of the packet's phase, in x and in t
-
-
-def _filon_nodes(lo: float, hi: float, rate: float, panels: int = 1) -> np.ndarray:
-    """Uniform nodes over [lo, hi], ``panels`` times the panels that keep a phase
-    growing at ``rate`` within ``_FILON_PHASE`` per step."""
-    return np.linspace(lo, hi, 2 * panels * math.ceil((hi - lo) * rate / (2 * _FILON_PHASE)) + 1)
-
-
 def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
-    """FFT wavenumbers 2 pi j / L of the grid's period L = nx dx, and L; past a
-    coarse grid's Nyquist they run on to 2 ``_READOUT_REACH`` k_phys, the band of |phi|^2
-    on the readout slice."""
-    length = exp.nx * exp.dx
-    n = max(exp.nx, math.ceil(2 * _READOUT_REACH * _physical_k(exp) * length / np.pi))
+    """``Resolution.spectral_n`` FFT wavenumbers 2 pi j / L of the period L = nx dx, and L."""
+    length, n = exp.nx * exp.dx, exp.resolution.spectral_n
     return 2.0 * np.pi * np.fft.fftfreq(n, length / n), length
 
 
@@ -478,15 +480,14 @@ def _region_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(k, S, L): S(k) = int_R exp(i omega (t - t_ref)) Psi exp(-i k x) dx dt, omega =
     hbar k^2 / 2m and t_ref the earliest region time, at ``_spectral_k``'s k and period
-    L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on Filon-Simpson nodes
-    resolving ``_packet_k`` in x and its frequency in t, whatever nx."""
+    L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on its Filon-Simpson nodes
+    (``Resolution.filon``), whatever nx."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k, length = _spectral_k(exp)
-    kp = _packet_k(exp)
     spec = np.zeros(k.size, dtype=complex)
-    for rect in exp.region:
-        x = _filon_nodes(rect.x_lo, rect.x_hi, kp)
-        t = _filon_nodes(rect.t_lo, rect.t_hi, 0.5 * hb * kp**2 / m, t_density)
+    for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
+        x = np.linspace(rect.x_lo, rect.x_hi, nfx)
+        t = np.linspace(rect.t_lo, rect.t_hi, (nft - 1) * t_density + 1)
         f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
         spec += np.einsum("kt,tk->k", _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo), f)
     k.flags.writeable = spec.flags.writeable = False
@@ -554,9 +555,9 @@ def born_probability(exp: DetectorExperiment) -> float:
     return born_probability_detail(exp).p_slice
 
 
-def _rect_overlap(exp: DetectorExperiment, rect: Rect) -> complex:
-    """int_rect Psi dx dt by the tensor trapezoid rule."""
-    xq, tq, wx, wt = _rect_subgrid(exp, rect)
+def _rect_overlap(exp: DetectorExperiment, i: int) -> complex:
+    """int Psi dx dt over rectangle i by the tensor trapezoid rule."""
+    xq, tq, wx, wt = _rect_subgrid(exp, i)
     return complex(sum(wt * np.sum(wx * evolved_wavefunction(exp, xq, tq), axis=1)))
 
 
@@ -567,7 +568,7 @@ def rr_probability(exp: DetectorExperiment) -> float:
     Carries no kernel factor and no coupling constant; comparisons with
     the Born value therefore go through normalized ratios.
     """
-    total = sum(_rect_overlap(exp, rect) for rect in exp.region)
+    total = sum(_rect_overlap(exp, i) for i in range(len(exp.region)))
     meas = sum(rect.measure for rect in exp.region)
     if meas <= 0:
         raise NumericalValidationError("region has zero measure")
@@ -754,7 +755,7 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
         raise NumericalValidationError("two_point_report needs exactly two rectangles")
     r_a, r_b = exp.region
 
-    j_a, j_b = (_rect_overlap(exp, rect) for rect in (r_a, r_b))
+    j_a, j_b = (_rect_overlap(exp, i) for i in (0, 1))
     meas = r_a.measure + r_b.measure
     p_rr = abs(j_a + j_b) ** 2 / meas
     incoherent = abs(j_a) ** 2 + abs(j_b) ** 2

@@ -122,25 +122,21 @@ def time_reversed_zeno(cfg: ZenoConfig) -> TrajectoryResult:
     return TrajectoryResult(times, states, d1 / w if th.ndim else float(d1 / w))
 
 
-def zeno_cancellation(cfg: ZenoConfig, inverse_delay: float = 0.0) -> float:
+def zeno_cancellation(cfg: ZenoConfig) -> float:
     """Entangling CNOT followed by its inverse: distance from free evolution.
 
     With the inverse applied on the same slice the pair of CNOTs is the
     identity and the returned maximal trace distance is numerically
-    zero.  A nonzero ``inverse_delay`` evolves the system between the
-    two CNOTs; the resulting distance is reported, not asserted.
+    zero.
     """
     w, eps = cfg.omega, cfg.epsilon
     qa = np.zeros((2, 2), dtype=complex)
     qa[:, 0] = free_evolution_matrix(eps, w)[:, 0]
-    qa = hilbert.cnot(qa, 0, 1)
-    if inverse_delay:
-        qa = _evolve_factor0(qa, free_evolution_matrix(inverse_delay, w))
-    qa = hilbert.cnot(qa, 0, 1)
+    qa = hilbert.cnot(hilbert.cnot(qa, 0, 1), 0, 1)
 
     times = np.linspace(0.0, np.pi / w, 17)
     rho_q = hilbert.reduced_matrix(free_evolution_matrix(times, w) @ qa, {0}, 2)  # per sample
-    q = free_evolution_matrix(eps + inverse_delay + times, w)[..., 0]
+    q = free_evolution_matrix(eps + times, w)[..., 0]
     q /= np.linalg.norm(q, axis=-1, keepdims=True)
     free = q[..., :, None] * q.conj()[..., None, :]
     hilbert.check_density(np.stack([rho_q, free]))

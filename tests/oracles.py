@@ -123,10 +123,10 @@ def carrier_rate_readout_grid(exp):
     """The Born readout slice by the rule that resolves phi itself, not |phi|^2:
     the ends of ``postulates._readout_grid`` at steps min(pi / (5 k_phys), dx),
     the packet carrier's rate or the x grid's step where that is finer."""
-    from cqi_sim.postulates import _physical_k, _readout_grid
+    from cqi_sim.postulates import _readout_grid
 
     xr = _readout_grid(exp)
-    step = min(np.pi / (5.0 * _physical_k(exp)), exp.dx)
+    step = min(np.pi / (5.0 * exp.resolution.physical_k), exp.dx)
     return np.linspace(xr[0], xr[-1], int(np.ceil((xr[-1] - xr[0]) / step)) + 1)
 
 
@@ -277,7 +277,7 @@ def general_interaction_probe_loop(seed, n_cases=50, d=2):
     }
 
 
-def zeno_cancellation_loop(cfg, inverse_delay=0.0, n_samples=17):
+def zeno_cancellation_loop(cfg, n_samples=17):
     """``zeno.zeno_cancellation`` one sample time at a time: each evolved
     pair is reduced with ``hilbert.reduced_state`` and compared with the
     density operator of the freely evolved qubit."""
@@ -292,15 +292,12 @@ def zeno_cancellation_loop(cfg, inverse_delay=0.0, n_samples=17):
     w, eps = cfg.omega, cfg.epsilon
     qa = np.zeros((2, 2), dtype=complex)  # (Q, A)
     qa[:, 0] = zeno.free_evolution_matrix(eps, w)[:, 0]
-    qa = cnot(qa)
-    if inverse_delay:
-        qa = zeno.free_evolution_matrix(inverse_delay, w) @ qa
-    qa = cnot(qa)
+    qa = cnot(cnot(qa))
     worst = 0.0
     for t in np.linspace(0.0, np.pi / w, n_samples):
         evolved = zeno.free_evolution_matrix(t, w) @ qa
         rho_q = hilbert.reduced_state(Ket(evolved.reshape(-1), (2, 2)), {0})
-        free = hilbert.density(zeno.free_qubit(eps + inverse_delay + t, w))
+        free = hilbert.density(zeno.free_qubit(eps + t, w))
         worst = max(worst, hilbert.trace_distance(rho_q, free))
     return worst
 

@@ -1,13 +1,15 @@
+import csv
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cqi_sim import hilbert, postulates as ps
+from cqi_sim import cli, hilbert, postulates as ps
 from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
 from cqi_sim.errors import InvariantViolation, NumericalValidationError
 from cqi_sim.postulates import (
@@ -394,7 +396,7 @@ class TestReadoutGrid:
     def test_step_resolves_the_norm(self, exp):
         xr = ps._readout_grid(exp)
         assert_allclose(np.diff(xr), xr[1] - xr[0], rtol=1e-9)
-        assert xr[1] - xr[0] <= np.pi / (2.5 * ps._physical_k(exp))
+        assert xr[1] - xr[0] <= np.pi / (2.5 * exp.resolution.physical_k)
 
     @pytest.mark.parametrize(
         "build",
@@ -407,6 +409,97 @@ class TestReadoutGrid:
             assert_array_equal(ps._readout_grid(build(nx=nx)), want)
         for r in (1, 2):
             assert_array_equal(ps._readout_grid(build(refine=r)), want)
+
+
+def run_detector(tmp_path, kind, refine=0, grid=None):
+    """(JSON diagnostics levels, CSV rows) of a detector config run through ``cli.run``."""
+    cfg = {"kind": kind, "output": {"path": "o"}, **({"grid": grid} if grid else {})}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    cli.run(path, refine=refine, out_dir=tmp_path)
+    levels = json.loads((tmp_path / "o.json").read_text())["diagnostics"]["levels"]
+    lines = (tmp_path / "o.csv").read_text().splitlines()
+    return levels, list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+
+TWO_POINT_FAR = two_point_experiment(separation=4.0)  # read at time density 3
+
+
+class TestResolution:
+    """``resolve`` makes every discretization choice of an experiment once; each stage
+    reads its sizes from that record, and each detector level's JSON reports it."""
+
+    @pytest.mark.parametrize(
+        "kind, build, grid",
+        [
+            ("detector-compare", benchmark_experiment, {}),
+            ("two-point", two_point_experiment, {}),
+            ("detector-compare", benchmark_experiment, {"nx": 64}),
+            ("detector-compare", benchmark_experiment, {"nx": 128}),
+        ],
+        ids=["slab", "two-point", "slab-nx64", "slab-nx128"],
+    )
+    def test_json_records_each_level(self, tmp_path, kind, build, grid):
+        levels, _ = run_detector(tmp_path, kind, refine=2, grid=grid)
+        assert [lv["refine"] for lv in levels] == [0, 1, 2]
+        for lv in levels:
+            record = build(refine=lv["refine"], **grid).resolution
+            assert lv["resolution"] == json.loads(json.dumps(asdict(record)))
+
+    @pytest.mark.parametrize(
+        "exp",
+        [BENCH, benchmark_experiment(1), two_point_experiment(), TWO_POINT_FAR],
+        ids=["slab", "slab-refine1", "two-point", "two-point-separation4"],
+    )
+    def test_stage_sizes_follow_the_record(self, monkeypatch, exp):
+        res = exp.resolution
+        xr = ps._readout_grid(exp)
+        assert (xr[0], xr[-1], xr.size) == res.readout
+        for density in {1, 3, res.t_density}:
+            x, t, amp = ps._region_sources(exp, density)
+            want = sum(nqx * ((nqt - 1) * density + 1) for nqx, nqt in res.sources)
+            assert x.size == t.size == amp.size == want
+        for i, nodes in enumerate(res.sources):
+            assert tuple(a.size for a in ps._rect_subgrid(exp, i)[:2]) == nodes
+        assert ps._spectral_k(exp)[0].size == res.spectral_n
+        seen = []  # the x then t nodes of each rectangle, as the Filon weights get them
+        real = ps._filon_simpson
+
+        def filon_simpson(kappa, y, y_ref):
+            seen.append(y.size)
+            return real(kappa, y, y_ref)
+
+        monkeypatch.setattr(ps, "_filon_simpson", filon_simpson)
+        ps._region_spectrum(exp, 2)
+        assert seen == [n for nfx, nft in res.filon for n in (nfx, 2 * (nft - 1) + 1)]
+
+    def test_resolved_once_per_experiment(self, monkeypatch):
+        calls = []
+        real = ps.resolve
+        monkeypatch.setattr(ps, "resolve", lambda exp: calls.append(exp) or real(exp))
+        exps = [benchmark_experiment(), benchmark_experiment(1), two_point_experiment()]
+        for exp in exps[:2]:
+            born_probability_detail(exp)
+            cqi_probability_detail(exp)
+            rr_probability(exp)
+        two_point_report(exps[2])
+        assert [id(exp) for exp in calls] == [id(exp) for exp in exps]
+        assert exps[0].resolution is exps[0].resolution
+        assert "resolution" not in {f.name for f in fields(exps[0])}
+        with pytest.raises(FrozenInstanceError):
+            exps[0].resolution = exps[1].resolution
+
+    def test_coarse_nx_changes_neither_born_nor_rr(self, tmp_path):
+        # below nx = 322 the slab's sources sit on the 33-node floor on both axes and the
+        # readout slice follows no grid, so grid.nx moves p_cqi alone
+        values = []
+        for nx in (64, 128):
+            (level,), (row,) = run_detector(tmp_path, "detector-compare", grid={"nx": nx})
+            assert level["resolution"]["sources"] == [[33, 33]]
+            values.append((row["p_born"], row["p_rr"]))
+        assert values[0] == values[1]
+        want = (2.2806340793912244e-07, 0.0027674956693593323)
+        assert tuple(map(float, values[0])) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 TWO_GRIDS = benchmark_experiment(
