@@ -128,8 +128,8 @@ class ChainParams:
 class ZenoParams:
     omega: float = _param(_POSITIVE)
     epsilon: float = _param(_POSITIVE)
-    halvings: int = _param(_COUNT, 4)
-    n_ancillas: int | None = _param(_COUNT, None)
+    halvings: int = _param({**_COUNT, "maximum": 1024}, 4)
+    n_ancillas: int | None = _param({**_COUNT, "maximum": zeno.MAX_ANCILLAS}, None)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -202,6 +202,7 @@ _BOUNDS = {  # keyword -> the test an instance of the keyword's type must pass
     "minItems": lambda x, v: len(x) >= v,
     "maxItems": lambda x, v: len(x) <= v,
     "minimum": lambda x, v: x >= v,
+    "maximum": lambda x, v: x <= v,
     "exclusiveMinimum": lambda x, v: x > v,
 }
 _Error = namedtuple("_Error", "path keyword message context mismatch")
@@ -263,9 +264,9 @@ def _validate(instance, schema: dict, prefix: str = "") -> None:
     Covers the JSON Schema 2020-12 keywords these schemas use, each but enum
     (of strings) and oneOf beside the type it constrains: type, enum,
     required, properties, additionalProperties (false), items (one schema),
-    minItems, maxItems, minimum, exclusiveMinimum, oneOf.  Stricter than JSON
-    Schema in one rule: numbers must be finite, as RFC 8259 requires of JSON,
-    and an integer must lie within the float range.
+    minItems, maxItems, minimum, maximum, exclusiveMinimum, oneOf.  Stricter
+    than JSON Schema in one rule: numbers must be finite, as RFC 8259 requires
+    of JSON, and an integer must lie within the float range.
     """
     err = _best_error(instance, schema)
     if err is None:
@@ -507,12 +508,16 @@ def _run_zeno(cfg: ExperimentConfig, refine: int):
     p = cfg.spec
     omega = float(p.omega)
     eps0 = float(p.epsilon)
-    rows = []
-    for k in range(int(p.halvings) + 1):
-        eps = eps0 / 2**k
-        z = zeno.ZenoConfig(omega=omega, epsilon=eps)
-        p_plain, p_zeno = zeno.zeno_pair(z)
-        rows.append([eps, p_plain, p_zeno, p_zeno / p_plain if p_plain else 0.0])
+    eps = np.ldexp(eps0, -np.arange(int(p.halvings) + 1))  # eps0 / 2**k, exactly
+    p_plain, p_zeno = zeno.zeno_pair(zeno.ZenoConfig(omega=omega, epsilon=eps))
+    # below the smallest normal float the probabilities lose precision and the ratio drifts
+    if (low := np.flatnonzero(np.minimum(p_plain, p_zeno) < np.finfo(float).tiny)).size:
+        k = int(low[0])
+        raise NumericalValidationError(
+            f"zeno ladder underflows at halving k = {k} (epsilon = {eps[k]:.3g}): p_without "
+            f"{p_plain[k]:.3g} or p_with {p_zeno[k]:.3g} is below the smallest normal float"
+        )
+    rows = np.stack([eps, p_plain, p_zeno, p_zeno / p_plain], axis=-1).tolist()
     cancel = zeno.zeno_cancellation(zeno.ZenoConfig(omega=omega, epsilon=eps0))
     diagnostics = {"cancellation_trace_distance": cancel}
     if p.n_ancillas is not None:

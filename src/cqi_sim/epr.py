@@ -102,21 +102,20 @@ def realism_scenario(alpha: complex, beta: complex) -> dict:
     v[:, 0, 0] = a, b
     v1 = hilbert.cnot(v, 0, 1)  # t1: Bob's copy interaction
     v2 = hilbert.cnot(v1, 1, 2)  # t2: Alice correlates with Bob
+    slices = np.stack([v, v1, v2])  # (slice, Q, B, A)
 
-    report = {"slices": []}
-    for label, amps in (("t0", v), ("t1", v1), ("t2", v2)):
-        ket = Ket(amps, (2, 2, 2))
-        rho_b = hilbert.reduced_state(ket, {1})
-        rho_a = hilbert.reduced_state(ket, {2})
-        rho_ab = hilbert.reduced_state(ket, {1, 2})
-        report["slices"].append(
-            {
-                "slice": label,
-                "entropy_alice_bits": hilbert.von_neumann_entropy(rho_a),
-                "entropy_bob_bits": hilbert.von_neumann_entropy(rho_b),
-                "conditional_entropy_bits": hilbert.conditional_entropy(rho_ab, 0),
-            }
-        )
+    rho_ab = hilbert.reduced_matrix(slices, {1, 2}, 3)
+    stacks = [hilbert.reduced_matrix(slices, {2}, 3), hilbert.reduced_matrix(slices, {1}, 3)]
+    # S(A|B) = S(AB) - S(B), B traced out of rho_ab as conditional_entropy does
+    stacks += [rho_ab, np.trace(rho_ab.reshape(3, 2, 2, 2, 2), axis1=2, axis2=4)]
+    for rho in stacks:
+        hilbert.check_density(rho)
+    s_a, s_b, s_ab, s_ab_b = (hilbert.von_neumann_entropy(rho) for rho in stacks)
+    report = {"slices": [
+        {"slice": label, "entropy_alice_bits": float(s_a[i]), "entropy_bob_bits": float(s_b[i]),
+         "conditional_entropy_bits": float(s_ab[i] - s_ab_b[i])}
+        for i, label in enumerate(("t0", "t1", "t2"))
+    ]}
     t1 = report["slices"][1]
     t2 = report["slices"][2]
     if t1["entropy_alice_bits"] > 1e-9:

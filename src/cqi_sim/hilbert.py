@@ -8,7 +8,7 @@ Entropies are reported in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,24 +79,30 @@ class Ket:
             raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {tol}")
 
 
-def check_density(m: np.ndarray) -> None:
-    """Raise ValueError unless each matrix of the (..., d, d) stack m is a density matrix."""
-    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0) > HERM_TOL:
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Raise ValueError unless each matrix of the (..., d, d) stack m is a density matrix.
+
+    Returns the stack's (..., d) eigenvalues, ascending, computed for the test."""
+    if abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) > HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.maximum(np.abs(tr.real - 1.0), np.abs(tr.imag)) > TRACE_TOL
-    if np.any(bad):
+    tr = m.trace(axis1=-2, axis2=-1)
+    bad = np.maximum(abs(tr.real - 1.0), abs(tr.imag)) > TRACE_TOL
+    if bad.any():
         raise ValueError(f"trace {tr[bad][0]} deviates from 1 beyond tolerance")
-    if np.min(np.linalg.eigvalsh(m), initial=np.inf) < -PSD_TOL:
+    lam = np.linalg.eigvalsh(m)
+    if lam.min(initial=np.inf) < -PSD_TOL:
         raise ValueError("matrix has an eigenvalue below -psd_tol")
+    return lam
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOp:
-    """Hermitian, unit-trace operator with tensor-factor structure."""
+    """Hermitian, unit-trace operator with tensor-factor structure; read-only
+    ``eigenvalues`` (ascending) come from the check that admits ``matrix``."""
 
     matrix: np.ndarray
     factor_dims: tuple[int, ...]
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -104,7 +110,7 @@ class DensityOp:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} incompatible with dims {dims}")
-        check_density(m)
+        object.__setattr__(self, "eigenvalues", _freeze(check_density(m)))
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "factor_dims", dims)
 
@@ -242,9 +248,10 @@ def schmidt_decompose(
 
 
 def von_neumann_entropy(rho: DensityOp | np.ndarray) -> float | np.ndarray:
-    """-sum(p log2 p) over the eigenvalues, 0 log 0 = 0, in bits; also of a (..., d, d) stack."""
-    m = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho)
-    lam = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    """-sum(p log2 p) over the eigenvalues (a DensityOp's stored ones), 0 log 0 = 0,
+    in bits; also of a (..., d, d) stack."""
+    lam = rho.eigenvalues if isinstance(rho, DensityOp) else np.linalg.eigvalsh(np.asarray(rho))
+    lam = np.clip(lam, 0.0, 1.0)
     log = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
     s = -np.sum(lam * log, axis=-1) + 0.0
     return float(s) if s.ndim == 0 else s

@@ -35,16 +35,16 @@ MAX_ANCILLAS = 20
 @dataclass(frozen=True)
 class ZenoConfig:
     omega: float
-    epsilon: float
+    epsilon: float | np.ndarray  # an array batches zeno_pair and iterated_zeno
     theta: float | np.ndarray = 0.0  # an array batches time_reversed_zeno
     n_ancillas: int = 0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.epsilon < 0:
+        if self.omega <= 0 or np.any(np.asarray(self.epsilon) < 0):
             raise NumericalValidationError("omega must be positive and epsilon nonnegative")
         if self.n_ancillas < 0:
             raise NumericalValidationError("n_ancillas must be nonnegative")
-        if self.omega * self.epsilon > 0.3:
+        if np.any(self.omega * np.asarray(self.epsilon) > 0.3):
             warnings.warn(
                 "omega*epsilon > 0.3: leading-order Zeno statements degrade",
                 stacklevel=2,
@@ -63,18 +63,20 @@ def free_qubit(t: float, omega: float) -> Ket:
 
 
 def _evolve_factor0(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 unitary to the first factor of a multi-qubit state."""
-    shape = state.shape
-    return (u @ state.reshape(2, -1)).reshape(shape)
+    """Apply a 2x2 unitary to the first factor of a multi-qubit state; a
+    (..., 2, 2) stack of unitaries acts on the same leading batch axes of the state."""
+    lead = state.shape[: u.ndim - 2]
+    return (u @ state.reshape(lead + (2, -1))).reshape(state.shape)
 
 
-def zeno_pair(cfg: ZenoConfig) -> tuple[float, float]:
+def zeno_pair(cfg: ZenoConfig) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Transition probability seen by the final observer, without and with
     an intermediate entangling CNOT at t = epsilon.
 
     Both values come from explicit evolution of the full state vector
     followed by a partial trace onto the observer: they are the iterated
-    case with n = 0 and n = 1 ancillas.
+    case with n = 0 and n = 1 ancillas.  An array ``cfg.epsilon`` is
+    evolved as one batch, with the scalar arithmetic, and gives two arrays.
     """
     return _transition(cfg.omega, cfg.epsilon, 0), _transition(cfg.omega, cfg.epsilon, 1)
 
@@ -143,7 +145,7 @@ def zeno_cancellation(cfg: ZenoConfig) -> float:
     return float(np.max(hilbert.trace_distance(rho_q, free), initial=0.0))
 
 
-def iterated_zeno(cfg: ZenoConfig) -> float:
+def iterated_zeno(cfg: ZenoConfig) -> float | np.ndarray:
     """Transition probability with n fresh ancillas at equal spacing.
 
     Total evolution time is fixed at 2*epsilon; the n ancilla CNOTs act
@@ -158,15 +160,20 @@ def iterated_zeno(cfg: ZenoConfig) -> float:
     return _transition(cfg.omega, cfg.epsilon, n)
 
 
-def _transition(omega: float, epsilon: float, n: int) -> float:
-    """Observer's transition probability after 2*epsilon with n ancilla CNOTs on the way."""
-    seg = free_evolution_matrix(2 * epsilon / (n + 1), omega)
-    state = np.zeros((2,) * (n + 2), dtype=complex)
-    state[(0,) * (n + 2)] = 1.0
+def _transition(omega: float, epsilon: float | np.ndarray, n: int) -> float | np.ndarray:
+    """Observer's transition probability after 2*epsilon with n ancilla CNOTs
+    on the way; the epsilon axes lead the state's n + 2 qubit axes."""
+    eps = np.asarray(epsilon, dtype=float)
+    b = eps.ndim  # batch axes
+    seg = free_evolution_matrix(2 * eps / (n + 1), omega)
+    state = np.zeros(eps.shape + (2,) * (n + 2), dtype=complex)
+    state[(...,) + (0,) * (n + 2)] = 1.0
     for k in range(n):
         state = _evolve_factor0(state, seg)
-        state = hilbert.cnot(state, 0, 1 + k)
+        state = hilbert.cnot(state, b, b + 1 + k)
     state = _evolve_factor0(state, seg)
-    state = hilbert.cnot(state, 0, n + 1)
-    rho_b = hilbert.reduced_state(Ket(state.reshape(-1), (2,) * (n + 2)), {n + 1})
-    return float(rho_b.matrix[1, 1].real)
+    state = hilbert.cnot(state, b, b + n + 1)
+    rho_b = hilbert.reduced_matrix(state, {n + 1}, n + 2)
+    hilbert.check_density(rho_b)
+    p = rho_b[..., 1, 1].real
+    return float(p) if b == 0 else p

@@ -421,3 +421,28 @@ def partial_trace_indexsum(psi, dims, keep):
             j = np.ravel_multi_index(col, [dims[k] for k in keep]) if keep else 0
             rho[i, j] = acc
     return rho
+
+
+def realism_scenario_loop(alpha, beta):
+    """The three slices of ``epr.realism_scenario`` one at a time: a Ket per
+    slice, a DensityOp per reduced state and ``conditional_entropy``'s own
+    partial trace, as the scenario was first computed."""
+    from cqi_sim import hilbert
+
+    v = np.zeros((2, 2, 2), dtype=complex)  # (Q, B, A)
+    v[:, 0, 0] = alpha, beta
+    v1 = hilbert.cnot(v, 0, 1)
+    v2 = hilbert.cnot(v1, 1, 2)
+    slices = []
+    for label, amps in (("t0", v), ("t1", v1), ("t2", v2)):
+        ket = hilbert.Ket(amps, (2, 2, 2))
+        rho_ab = hilbert.reduced_state(ket, {1, 2})
+        slices.append(
+            {
+                "slice": label,
+                "entropy_alice_bits": hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {2})),
+                "entropy_bob_bits": hilbert.von_neumann_entropy(hilbert.reduced_state(ket, {1})),
+                "conditional_entropy_bits": hilbert.conditional_entropy(rho_ab, 0),
+            }
+        )
+    return {"slices": slices}

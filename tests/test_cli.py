@@ -613,6 +613,41 @@ class TestGeometry:
         assert str(got.value) == f"params.{field}: {want.value}"
 
 
+class TestZenoBounds:
+    """A ladder rung whose probability falls below the smallest normal float
+    exits 2 naming it; fields above their schema maximum exit 1 naming them."""
+
+    @pytest.mark.parametrize(
+        "epsilon, halvings, first_bad",
+        [(0.05, 507, None), (0.05, 508, "k = 508 (epsilon = 5.97e-155)"), (1e-160, 0, "k = 0")],
+    )
+    def test_underflowing_rung_exits_2(self, tmp_path, capsys, epsilon, halvings, first_bad):
+        cfg = dict(ZENO_CFG, params={"omega": 1.0, "epsilon": epsilon, "halvings": halvings})
+        path = write_config(tmp_path, "z.json", cfg)
+        code = cli.main(["run", str(path), "--out", str(tmp_path)])
+        if first_bad is None:
+            assert code == 0
+            rows = (tmp_path / "zeno.csv").read_text().splitlines()[-halvings - 1 :]
+            assert all(float(r.split(",")[3]) == pytest.approx(0.5, abs=1e-3) for r in rows)
+        else:
+            assert code == 2
+            assert f"zeno ladder underflows at halving {first_bad}" in capsys.readouterr().err
+            assert not (tmp_path / "zeno.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field, bound", [("halvings", 1024), ("n_ancillas", 20)])
+    def test_above_maximum_exits_1(self, tmp_path, capsys, command, field, bound):
+        cfg = dict(ZENO_CFG, params={"omega": 1.0, "epsilon": 0.05, field: bound + 1})
+        path = write_config(tmp_path, "z.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert f"config error: params.{field}: {bound + 1} fails maximum {bound}" in err
+        assert not (tmp_path / "zeno.csv").exists()
+        cfg["params"][field] = bound
+        assert cli.main(["validate", str(write_config(tmp_path, "z.json", cfg))]) == 0
+
+
 class TestChainOverlapShape:
     """A chain overlap that is ragged or not d x d (d = len(initial)) exits
     1 naming its entry, from validate and from run alike."""
@@ -779,8 +814,8 @@ _PARAM_SCHEMAS = {
         "properties": {
             "omega": {"type": "number", "exclusiveMinimum": 0},
             "epsilon": {"type": "number", "exclusiveMinimum": 0},
-            "halvings": {"type": "integer", "minimum": 0},
-            "n_ancillas": {"type": "integer", "minimum": 0},
+            "halvings": {"type": "integer", "minimum": 0, "maximum": 1024},
+            "n_ancillas": {"type": "integer", "minimum": 0, "maximum": 20},
         },
         "additionalProperties": False,
     },

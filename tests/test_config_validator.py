@@ -107,8 +107,9 @@ def test_oneof_message_and_required_message():
         cli.ExperimentConfig.from_dict({"kind": "epr", "params": {"alpha": "x", "beta": 0.8}})
 
 
-# values that break a field's type or bound, or that are valid for another field
-WRONG = ["x", True, None, {}, [], -1, 0, 2.0, 1.5, [1], [1, 2, 3], [1, "x"], [True, 1],
+# values that break a field's type or bound (21 and 1025 are one above the maxima
+# of n_ancillas and halvings), or that are valid for another field
+WRONG = ["x", True, None, {}, [], -1, 0, 2.0, 1.5, 21, 1025, [1], [1, 2, 3], [1, "x"], [True, 1],
          [{"x": [0, 1], "t": [0]}]]
 
 
@@ -161,7 +162,7 @@ def test_mutated_configs_agree():
 
 def test_only_supported_keywords():
     supported = {"type", "enum", "required", "properties", "additionalProperties", "items",
-                 "minItems", "maxItems", "minimum", "exclusiveMinimum", "oneOf"}
+                 "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "oneOf"}
     typed = {"type", "enum", "oneOf"}
 
     def walk(schema):

@@ -7,7 +7,7 @@ from cqi_sim.epr import EprConfig
 from cqi_sim.errors import NumericalValidationError
 from cqi_sim.utils import haar_unitary, is_unitary
 
-from oracles import haar_unitary_single, no_communication_loop
+from oracles import haar_unitary_single, no_communication_loop, realism_scenario_loop
 
 RNG = np.random.default_rng(11)
 
@@ -174,3 +174,46 @@ class TestBatchedNoCommunication:
 def test_amplitude_normalization_enforced():
     with pytest.raises(NumericalValidationError):
         EprConfig(1.0, 1.0)
+
+
+class TestRealismScenario:
+    def test_stack_matches_slice_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        pairs = [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (2**-0.5, 2**-0.5)]
+        pairs += [random_pair(rng) for _ in range(40)]
+        for a, b in pairs:
+            got = epr.realism_scenario(a, b)
+            want = realism_scenario_loop(complex(a), complex(b))
+            assert got == want, (a, b)
+            assert all(type(v) is float for s in got["slices"] for k, v in s.items() if k != "slice")
+
+    @pytest.mark.parametrize("keep", [{1}, {2}, {1, 2}])
+    @pytest.mark.parametrize("member", [0, 1, 2])
+    def test_each_slice_of_each_stack_is_checked(self, monkeypatch, keep, member):
+        real = hilbert.reduced_matrix
+
+        def corrupt(amps, k, n):
+            out = real(amps, k, n)
+            if set(k) == keep:
+                out[member] *= 1.0 + 1e-8
+            return out
+
+        monkeypatch.setattr(epr.hilbert, "reduced_matrix", corrupt)
+        with pytest.raises(ValueError, match="trace .* deviates from 1"):
+            epr.realism_scenario(0.6, 0.8)
+
+    def test_traced_out_joint_state_is_checked(self, monkeypatch):
+        # 6e-11 on two entries of rho_AB passes its Hermitian test; tracing out
+        # Alice adds them into one entry of rho_B, 1.2e-10 above its transpose
+        real = hilbert.reduced_matrix
+
+        def skew(amps, k, n):
+            out = real(amps, k, n)
+            if set(k) == {1, 2}:
+                out[1, 0, 2] += 6e-11
+                out[1, 1, 3] += 6e-11
+            return out
+
+        monkeypatch.setattr(epr.hilbert, "reduced_matrix", skew)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            epr.realism_scenario(0.6, 0.8)

@@ -355,3 +355,34 @@ def test_batched_entropy_and_distance_match_single():
     assert von_neumann_entropy(m).tolist() == [von_neumann_entropy(r) for r in rhos]
     assert trace_distance(m, m[0]).tolist() == [trace_distance(r, rhos[0]) for r in rhos]
     assert isinstance(von_neumann_entropy(rhos[1]), float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+    st.data(),
+)
+def test_density_op_keeps_the_checked_spectrum(seed, dims, data):
+    psi = Ket(random_ket(np.random.default_rng(seed), dims), tuple(dims))
+    keep = data.draw(st.sets(st.integers(0, len(dims) - 1), min_size=1))
+    rho = reduced_state(psi, keep)
+    assert rho.eigenvalues.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+    assert von_neumann_entropy(rho) == von_neumann_entropy(rho.matrix)
+
+
+def test_density_op_spectrum_is_read_only():
+    rho = DensityOp(np.diag([0.36, 0.64]).astype(complex), (2,))
+    assert_allclose(rho.eigenvalues, [0.36, 0.64], atol=1e-15)
+    assert not rho.eigenvalues.flags.writeable
+    with pytest.raises(AttributeError):
+        rho.eigenvalues = np.array([0.5, 0.5])
+    with pytest.raises(TypeError):
+        DensityOp(np.eye(2) / 2, (2,), eigenvalues=np.array([0.5, 0.5]))
+
+
+def test_check_density_returns_the_stack_spectrum():
+    for d in (1, 2, 4):
+        assert check_density(np.zeros((0, d, d), dtype=complex)).shape == (0, d)
+    m = TestCheckDensity.reduced_stack(5)
+    assert check_density(m).tobytes() == np.linalg.eigvalsh(m).tobytes()

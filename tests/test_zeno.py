@@ -73,6 +73,50 @@ class TestZenoPair:
         devs = [abs(r - 0.5) for r in ratios]
         assert all(devs[i + 1] <= devs[i] + 1e-15 for i in range(len(devs) - 1))
 
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 2.3])
+    def test_batch_matches_scalar_loop_bit_for_bit(self, omega):
+        rng = np.random.default_rng(3)
+        eps = np.concatenate(
+            [0.05 / 2.0 ** np.arange(40), [0.0, 1e-300, 0.13], rng.uniform(1e-4, 0.1, 200)]
+        )
+        p_plain, p_zeno = zeno.zeno_pair(ZenoConfig(omega, eps))
+        loop = [zeno.zeno_pair(ZenoConfig(omega, float(e))) for e in eps]
+        assert all(type(p) is float for pair in loop for p in pair)
+        assert p_plain.tobytes() == np.array([p for p, _ in loop]).tobytes()
+        assert p_zeno.tobytes() == np.array([p for _, p in loop]).tobytes()
+        grid = zeno.zeno_pair(ZenoConfig(omega, eps[:12].reshape(3, 4)))
+        assert [g.shape for g in grid] == [(3, 4), (3, 4)]
+        assert grid[0].tobytes() == p_plain[:12].tobytes()
+        assert grid[1].tobytes() == p_zeno[:12].tobytes()
+        iterated = zeno.iterated_zeno(ZenoConfig(omega, eps[::10], n_ancillas=3))
+        loop3 = [zeno.iterated_zeno(ZenoConfig(omega, float(e), n_ancillas=3)) for e in eps[::10]]
+        assert iterated.tobytes() == np.array(loop3).tobytes()
+
+    @pytest.mark.parametrize("ancillas", [0, 1])  # the plain and the Zeno case
+    def test_batch_checks_each_epsilon(self, monkeypatch, ancillas):
+        real = zeno.hilbert.reduced_matrix
+
+        def corrupt_member(amps, keep, n_factors):
+            out = real(amps, keep, n_factors)
+            if n_factors == ancillas + 2:
+                out[2] *= 1.0 + 1e-8
+            return out
+
+        cfg = ZenoConfig(1.0, np.array([0.05, 0.02, 0.01, 0.005]))
+        zeno.zeno_pair(cfg)
+        monkeypatch.setattr(zeno.hilbert, "reduced_matrix", corrupt_member)
+        with pytest.raises(ValueError, match="trace .* deviates from 1"):
+            zeno.zeno_pair(cfg)
+
+    def test_array_epsilon_checked_per_member(self):
+        with pytest.raises(NumericalValidationError, match="epsilon nonnegative"):
+            ZenoConfig(1.0, np.array([0.05, -1e-3, 0.01]))
+        with pytest.warns(UserWarning, match="omega\\*epsilon > 0.3"):
+            ZenoConfig(1.0, np.array([0.05, 0.31, 0.01]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ZenoConfig(1.0, np.array([0.05, 0.3, 0.0]))
+
 
 class TestTimeReversedZeno:
     def test_no_entanglement_no_shift(self):
