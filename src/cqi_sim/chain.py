@@ -173,8 +173,7 @@ def general_interaction_probe(seed: int, n_cases: int = 50, d: int = 2) -> dict:
     v = v.swapaxes(2, 3)  # bring (Q, O2) together
     v = (u[:, 1] @ v.reshape(n_cases, d * d, d)).reshape(v.shape).swapaxes(2, 3)
     rho = np.stack([hilbert.reduced_matrix(v, {k}, 3) for k in (1, 2)])  # O1, O2 per case
-    hilbert.check_density(rho)
-    s1, s2 = hilbert.von_neumann_entropy(rho)
+    s1, s2 = hilbert.spectral_entropy(hilbert.check_density(rho))
     monotone = int(np.count_nonzero(s2 >= s1 - 1e-9))
     worst = float(np.min(s2 - s1, initial=0.0))
     return {

@@ -24,7 +24,9 @@ import sys
 from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,52 +35,12 @@ from .errors import ConfigError, InvariantViolation, NumericalValidationError
 from .postulates import Rect
 from .utils import complex_of, haar_unitary
 
-KINDS = {
-    "chain": "sequential measurement chain: observer states, entropies, effective collapse",
-    "detector-compare": "slab detector: born vs overlap-rule vs covariant probabilities",
-    "two-point": "two-point region counterexample: interference bookkeeping",
-    "zeno": "entangling-interaction slowdown of a precessing qubit",
-    "time-reversed-zeno": "disentangling advance: shift of the evolution clock",
-    "epr": "entangled pair with observers: correlations and no-communication check",
-    "realism-scenario": "observer-observed sequence analyzed on three time slices",
-}
-
 _COMPLEX = {
     "oneOf": [
         {"type": "number"},
         {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
     ]
 }
-
-_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": sorted(KINDS)},
-        "seed": {"type": "integer"},
-        "params": {"type": "object"},
-        "grid": {
-            "type": "object",
-            "properties": {
-                "x_min": {"type": "number"},
-                "x_max": {"type": "number"},
-                "nx": {"type": "integer", "minimum": 2},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
-# the kinds whose experiments sit on an x grid: only they take "grid" and --refine
-_GRID_KINDS = ("detector-compare", "two-point")
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 _MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX}}  # rows of entries
@@ -155,7 +117,9 @@ class EprParams(PairParams):
 
 @dataclass(frozen=True, kw_only=True)
 class DetectorParams:
-    """Overrides of the slab experiment's defaults; None keeps the default."""
+    """Overrides of the slab experiment's defaults; None keeps the default.  A
+    subclass is a grid kind: it builds its experiment, measures one level as
+    (Born detail, named values) and names the values that its outputs report."""
 
     packet_center: float | None = _param(_NUMBER, None)
     packet_width: float | None = _param(_POSITIVE, None)
@@ -165,12 +129,32 @@ class DetectorParams:
     potential_v: float | None = _param(_NUMBER, None)
     readout_time: float | None = _param(_NUMBER, None)
     band: list | None = _param(_PAIR, None)
+    columns: ClassVar[tuple[str, ...]]
+    results: ClassVar[tuple[str, ...]]
+    diagnostics: ClassVar[tuple[str, ...]]
 
 
 @dataclass(frozen=True, kw_only=True)
 class DetectorCompareParams(DetectorParams):
     region: list | None = _param(_REGION, None)
     id: str | None = _param({"type": "string"}, None)
+    columns = ("experiment", "refine", "nx", "p_born", "p_rr", "p_cqi", "cqi_born_ratio",
+               "cqi_born_absdev")
+    results = ("p_born", "p_rr", "p_cqi", "cqi_born_ratio")
+    diagnostics = ("schmidt_rank", "normalization_deficit", "band_fold_rel")
+
+    @staticmethod
+    def build(**overrides) -> postulates.DetectorExperiment:
+        return postulates.benchmark_experiment(**overrides)
+
+    @staticmethod
+    def measure(exp: postulates.DetectorExperiment) -> tuple[postulates.BornDetail, dict]:
+        born = postulates.born_probability_detail(exp)
+        cqi = postulates.cqi_probability_detail(exp)
+        ratio = cqi.p_cqi / born.p_slice
+        values = {"p_born": born.p_slice, "p_rr": postulates.rr_probability(exp),
+                  "cqi_born_ratio": ratio, "cqi_born_absdev": abs(ratio - 1.0)}
+        return born, {**vars(cqi), **values}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -178,6 +162,19 @@ class TwoPointParams(DetectorParams):
     separation: float | None = _param(_NUMBER, None)
     eps_pt: float | None = _param(_POSITIVE, None)
     t1: float | None = _param(_NUMBER, None)
+    columns = ("refine", "p_rr", "p_born", "p_cqi", "ratio_rr_born", "cross_rr_measured",
+               "cross_rr_predicted", "cross_born", "cqi_born_ratio")
+    results = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")
+    diagnostics = ("cross_born", "band_fold_rel")
+
+    @staticmethod
+    def build(**overrides) -> postulates.DetectorExperiment:
+        return postulates.two_point_experiment(**overrides)
+
+    @staticmethod
+    def measure(exp: postulates.DetectorExperiment) -> tuple[postulates.BornDetail, dict]:
+        rep = postulates.two_point_report(exp)
+        return rep.born, vars(rep)
 
 
 # the scalar keys shared by both detector kinds
@@ -281,7 +278,7 @@ def _validate(instance, schema: dict, prefix: str = "") -> None:
 def _check_grid(kind: str, grid: dict) -> None:
     """A grid only for the grid kinds, with x_max above x_min (a side the
     config leaves out takes the experiment's default)."""
-    if kind not in _GRID_KINDS:
+    if not issubclass(KINDS[kind].spec, DetectorParams):
         raise ConfigError(f"grid: kind {kind!r} has no grid")
     x_min = grid.get("x_min", postulates.DetectorExperiment.x_min)
     x_max = grid.get("x_max", postulates.DetectorExperiment.x_max)
@@ -289,13 +286,16 @@ def _check_grid(kind: str, grid: dict) -> None:
         raise ConfigError(f"grid.x_max: {x_max} must exceed x_min {x_min}")
 
 
-def _check_geometry(cfg: ExperimentConfig) -> None:
-    """The detector experiment's own checks, each ConfigError naming the field
-    at fault: no empty or reversed rectangle side, no overlapping rectangles
-    (every route would count the common part twice; a shared edge is fine),
-    the region after t0 (two-point: t1) and before the readout and the band.
-    Every rectangle must lie on the x grid, since the Born double-region sum
-    sees only the part on the grid and would fail by a misleading margin."""
+def _check_geometry(cfg: ExperimentConfig) -> postulates.DetectorExperiment:
+    """The refine-0 detector experiment of ``cfg``, after its own checks, each
+    ConfigError naming the field at fault: no empty or reversed rectangle side,
+    no overlapping rectangles (every route would count the common part twice; a
+    shared edge is fine), the region after t0 (two-point: t1) and before the
+    readout and the band, and on the x grid.  The last keeps the region where the
+    output's grid says; no route is known to need it: the Born routes read no
+    grid, and the covariant route sees a rectangle past the grid's ends as its
+    image under the period nx dx (slabs at x in [19.5, 20.5] and [25, 26] gave
+    p_cqi / p_born of 0.99941 and 0.99994), whose cost elsewhere is unverified."""
     two_point, params = cfg.kind == "two-point", cfg.params
     if "region" in params:
         boxes = [(*sorted(r["x"]), *sorted(r["t"])) for r in params["region"]]
@@ -306,9 +306,8 @@ def _check_geometry(cfg: ExperimentConfig) -> None:
                 Rect(*r["x"], *r["t"])
             except NumericalValidationError as err:
                 raise ConfigError(f"params.region.{i}.{err.field}: {err}") from None
-    build = postulates.two_point_experiment if two_point else postulates.benchmark_experiment
     try:
-        exp = build(**_detector_overrides(cfg))
+        exp = cfg.spec.build(**_detector_overrides(cfg))
     except NumericalValidationError as err:
         if two_point and err.field == "region":  # the one check the square geometry can fail
             raise ConfigError(f"params.separation: {err}: 2 |separation| < eps_pt") from None
@@ -320,6 +319,7 @@ def _check_geometry(cfg: ExperimentConfig) -> None:
             x, grid = [r.x_lo, r.x_hi], [exp.x_min, exp.x_max]
             name = "params." + placed_by.format(i)
             raise ConfigError(f"{name}: region x {x} leaves the x grid {grid}")
+    return exp
 
 
 def _check_overlaps(params: dict) -> None:
@@ -353,17 +353,21 @@ class ExperimentConfig:
             seed=int(data.get("seed", 0)),
             output=dict(data.get("output", {})),
         )
-        if cfg.kind in _GRID_KINDS:
-            _check_geometry(cfg)
+        cfg.experiment  # a grid kind's geometry is checked at load time
         return cfg
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
+    @cached_property
     def spec(self):
-        """The params as the kind's typed spec, defaults filled in."""
-        return _RUNNERS[self.kind][0](**self.params)
+        """The params as the kind's typed spec, defaults filled in; built once."""
+        return KINDS[self.kind].spec(**self.params)
+
+    @cached_property
+    def experiment(self) -> postulates.DetectorExperiment | None:
+        """A grid kind's refine-0 detector experiment, checked; None for the others."""
+        return _check_geometry(self) if isinstance(self.spec, DetectorParams) else None
 
 
 def _fmt(v) -> str:
@@ -419,89 +423,30 @@ def _detector_overrides(cfg: ExperimentConfig) -> dict:
     return over
 
 
-def _born_margin(detail: postulates.BornDetail) -> dict:
-    return {
-        "born_xcheck_rel": detail.rel_diff,
-        "born_double_region": detail.p_double_region,
-        "readout_edge_rel": detail.readout_edge_rel,
-        "readout_points": detail.readout_points,
-    }
-
-
-def _run_detector_compare(cfg: ExperimentConfig, refine: int):
-    over = _detector_overrides(cfg)
-    exp_id = cfg.spec.id
-    if exp_id is None:
-        exp_id = cfg.output.get("path", cfg.kind)
-    rows = []
-    diagnostics = {"levels": []}
+def _run_detector(cfg: ExperimentConfig, refine: int):
+    """Either grid kind: one row, and one ``levels`` entry, per refine level of
+    ``cfg.experiment``; the spec names the columns and the reported values."""
+    spec = cfg.spec
+    rows, levels = [], []
+    exp_id = getattr(spec, "id", None)
+    exp_id = cfg.output.get("path", cfg.kind) if exp_id is None else exp_id
     for level in range(refine + 1):
-        exp = postulates.benchmark_experiment(refine=level, **over)
-        detail = postulates.born_probability_detail(exp)
-        cqi = postulates.cqi_probability_detail(exp)
-        p_rr = postulates.rr_probability(exp)
-        ratio = cqi.p_cqi / detail.p_slice
-        rows.append(
-            [exp_id, level, exp.nx, detail.p_slice, p_rr, cqi.p_cqi, ratio, abs(ratio - 1.0)]
-        )
-        diagnostics["levels"].append(
+        exp = cfg.experiment.refined(level)
+        born, values = spec.measure(exp)
+        values = {"experiment": exp_id, "refine": level, "nx": exp.nx, **values}
+        rows.append([values[key] for key in spec.columns])
+        levels.append(
             {
-                "refine": level,
-                **_born_margin(detail),
-                "schmidt_rank": cqi.schmidt_rank,
-                "normalization_deficit": cqi.normalization_deficit,
-                "band_fold_rel": cqi.band_fold_rel,
+                **{key: values[key] for key in ("refine", *spec.diagnostics)},
+                "born_xcheck_rel": born.rel_diff,
+                "born_double_region": born.p_double_region,
+                "readout_edge_rel": born.readout_edge_rel,
+                "readout_points": born.readout_points,
                 "resolution": asdict(exp.resolution),
             }
         )
-    cols = [
-        "experiment",
-        "refine",
-        "nx",
-        "p_born",
-        "p_rr",
-        "p_cqi",
-        "cqi_born_ratio",
-        "cqi_born_absdev",
-    ]
-    last = dict(zip(cols, rows[-1]))
-    results = {key: last[key] for key in ("p_born", "p_rr", "p_cqi", "cqi_born_ratio")}
-    return cols, rows, results, diagnostics
-
-
-# the TwoPointReport fields of the table, in column order
-_TWO_POINT_COLS = (
-    "p_rr",
-    "p_born",
-    "p_cqi",
-    "ratio_rr_born",
-    "cross_rr_measured",
-    "cross_rr_predicted",
-    "cross_born",
-    "cqi_born_ratio",
-)
-
-
-def _run_two_point(cfg: ExperimentConfig, refine: int):
-    over = _detector_overrides(cfg)
-    rows = []
-    diagnostics = {"levels": []}
-    for level in range(refine + 1):
-        exp = postulates.two_point_experiment(refine=level, **over)
-        rep = postulates.two_point_report(exp)
-        rows.append([level, *(getattr(rep, col) for col in _TWO_POINT_COLS)])
-        diagnostics["levels"].append(
-            {
-                "refine": level,
-                "cross_born": rep.cross_born,
-                "band_fold_rel": rep.band_fold_rel,
-                **_born_margin(rep.born),
-                "resolution": asdict(exp.resolution),
-            }
-        )
-    keys = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")
-    results = {key: getattr(rep, key) for key in keys}
-    return ["refine", *_TWO_POINT_COLS], rows, results, diagnostics
+    results = {key: values[key] for key in spec.results}
+    return list(spec.columns), rows, results, {"levels": levels}
 
 
 def _run_zeno(cfg: ExperimentConfig, refine: int):
@@ -521,14 +466,14 @@ def _run_zeno(cfg: ExperimentConfig, refine: int):
     cancel = zeno.zeno_cancellation(zeno.ZenoConfig(omega=omega, epsilon=eps0))
     diagnostics = {"cancellation_trace_distance": cancel}
     if p.n_ancillas is not None:
+        top = int(p.n_ancillas)
+        # n = 0 and 1 are the ladder's k = 0 row, bit for bit; n_ancillas 0 keeps only n = 0
+        probs = [rows[0][1], rows[0][2]] + [
+            zeno.iterated_zeno(zeno.ZenoConfig(omega, eps0, n_ancillas=n))
+            for n in range(2, top + 1)
+        ]
         diagnostics["iterated"] = [
-            {
-                "n_ancillas": n,
-                "p_transition": zeno.iterated_zeno(
-                    zeno.ZenoConfig(omega=omega, epsilon=eps0, n_ancillas=n)
-                ),
-            }
-            for n in range(int(p.n_ancillas) + 1)
+            {"n_ancillas": n, "p_transition": q} for n, q in enumerate(probs[: top + 1])
         ]
     results = {"ratio_at_epsilon": rows[0][3]}
     return ["epsilon", "p_without", "p_with", "ratio"], rows, results, diagnostics
@@ -581,17 +526,51 @@ def _run_realism(cfg: ExperimentConfig, refine: int):
     return cols, rows, results, {}
 
 
-# kind -> (params spec, driver)
-_RUNNERS = {
-    "chain": (ChainParams, _run_chain),
-    "detector-compare": (DetectorCompareParams, _run_detector_compare),
-    "two-point": (TwoPointParams, _run_two_point),
-    "zeno": (ZenoParams, _run_zeno),
-    "time-reversed-zeno": (TimeReversedZenoParams, _run_time_reversed_zeno),
-    "epr": (EprParams, _run_epr),
-    "realism-scenario": (PairParams, _run_realism),
+# a kind whose spec is a DetectorParams sits on an x grid, and only it takes "grid" and --refine
+Kind = namedtuple("Kind", "description spec driver")
+KINDS = {
+    "chain": Kind("sequential measurement chain: observer states, entropies, effective collapse",
+                  ChainParams, _run_chain),
+    "detector-compare": Kind("slab detector: born vs overlap-rule vs covariant probabilities",
+                             DetectorCompareParams, _run_detector),
+    "two-point": Kind("two-point region counterexample: interference bookkeeping",
+                      TwoPointParams, _run_detector),
+    "zeno": Kind("entangling-interaction slowdown of a precessing qubit", ZenoParams, _run_zeno),
+    "time-reversed-zeno": Kind("disentangling advance: shift of the evolution clock",
+                               TimeReversedZenoParams, _run_time_reversed_zeno),
+    "epr": Kind("entangled pair with observers: correlations and no-communication check",
+                EprParams, _run_epr),
+    "realism-scenario": Kind("observer-observed sequence analyzed on three time slices",
+                             PairParams, _run_realism),
 }
-_PARAM_SCHEMAS = {kind: _schema(spec) for kind, (spec, _) in _RUNNERS.items()}
+_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": sorted(KINDS)},
+        "seed": {"type": "integer"},
+        "params": {"type": "object"},
+        "grid": {
+            "type": "object",
+            "properties": {
+                "x_min": {"type": "number"},
+                "x_max": {"type": "number"},
+                "nx": {"type": "integer", "minimum": 2},
+            },
+            "additionalProperties": False,
+        },
+        "output": {
+            "type": "object",
+            "properties": {
+                "path": {"type": "string"},
+                "format": {"enum": ["csv", "json"]},
+            },
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+}
+_PARAM_SCHEMAS = {kind: _schema(k.spec) for kind, k in KINDS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -646,9 +625,9 @@ def run(config_path: str | Path, refine: int = 0, out_dir: str | Path = ".") -> 
     cfg = load_config(config_path)
     if refine < 0:
         raise ConfigError(f"--refine {refine}: must be nonnegative")
-    if refine and cfg.kind not in _GRID_KINDS:
+    if refine and cfg.experiment is None:
         raise ConfigError(f"--refine {refine}: kind {cfg.kind!r} has no grid to refine")
-    columns, rows, results, diagnostics = _RUNNERS[cfg.kind][1](cfg, refine)
+    columns, rows, results, diagnostics = KINDS[cfg.kind].driver(cfg, refine)
     return _write_outputs(cfg, Path(out_dir), columns, rows, results, diagnostics)
 
 
@@ -668,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "list-experiments":
             for kind in sorted(KINDS):
-                print(f"{kind}: {KINDS[kind]}")
+                print(f"{kind}: {KINDS[kind].description}")
             return 0
         if args.command == "validate":
             cfg = load_config(args.config)

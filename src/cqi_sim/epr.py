@@ -108,9 +108,7 @@ def realism_scenario(alpha: complex, beta: complex) -> dict:
     stacks = [hilbert.reduced_matrix(slices, {2}, 3), hilbert.reduced_matrix(slices, {1}, 3)]
     # S(A|B) = S(AB) - S(B), B traced out of rho_ab as conditional_entropy does
     stacks += [rho_ab, np.trace(rho_ab.reshape(3, 2, 2, 2, 2), axis1=2, axis2=4)]
-    for rho in stacks:
-        hilbert.check_density(rho)
-    s_a, s_b, s_ab, s_ab_b = (hilbert.von_neumann_entropy(rho) for rho in stacks)
+    s_a, s_b, s_ab, s_ab_b = (hilbert.spectral_entropy(hilbert.check_density(r)) for r in stacks)
     report = {"slices": [
         {"slice": label, "entropy_alice_bits": float(s_a[i]), "entropy_bob_bits": float(s_b[i]),
          "conditional_entropy_bits": float(s_ab[i] - s_ab_b[i])}

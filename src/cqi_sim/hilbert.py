@@ -33,6 +33,7 @@ __all__ = [
     "reduced_state",
     "schmidt_decompose",
     "von_neumann_entropy",
+    "spectral_entropy",
     "conditional_entropy",
     "mutual_information",
     "preferred_basis",
@@ -248,9 +249,15 @@ def schmidt_decompose(
 
 
 def von_neumann_entropy(rho: DensityOp | np.ndarray) -> float | np.ndarray:
-    """-sum(p log2 p) over the eigenvalues (a DensityOp's stored ones), 0 log 0 = 0,
-    in bits; also of a (..., d, d) stack."""
+    """``spectral_entropy`` of the eigenvalues (a DensityOp's stored ones); also of a
+    (..., d, d) stack."""
     lam = rho.eigenvalues if isinstance(rho, DensityOp) else np.linalg.eigvalsh(np.asarray(rho))
+    return spectral_entropy(lam)
+
+
+def spectral_entropy(lam: np.ndarray) -> float | np.ndarray:
+    """-sum(p log2 p) over the last axis of eigenvalues ``lam``, 0 log 0 = 0, in bits:
+    the entropy of a density matrix (stack) from the spectrum ``check_density`` returns."""
     lam = np.clip(lam, 0.0, 1.0)
     log = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
     s = -np.sum(lam * log, axis=-1) + 0.0

@@ -310,10 +310,8 @@ def resolve(exp: DetectorExperiment) -> Resolution:
     filon = tuple(tuple(2 * math.ceil(s * q / 0.7) + 1 for s, q in zip(xt, rates)) for xt in sides)
     # S(k) on the grid's FFT wavenumbers, past a coarse grid's Nyquist up to 2 reach k_phys
     spectral_n = max(exp.nx, math.ceil(2 * reach * physical_k * (exp.nx * exp.dx) / np.pi))
-    res = Resolution(packet_k, physical_k, sources, readout, filon, spectral_n, t_density=0)
-    vars(exp)["resolution"] = res  # ``_t_density_for`` reads physical_k and sources from it
-    vars(exp)["resolution"] = res = replace(res, t_density=_t_density_for(exp, exp.readout_time))
-    return res
+    t_density = _t_density(exp, exp.readout_time, physical_k, sources)
+    return Resolution(packet_k, physical_k, sources, readout, filon, spectral_n, t_density)
 
 
 # --------------------------------------------------------------------------
@@ -374,18 +372,23 @@ def _region_sources(exp: DetectorExperiment, t_density: int = 1):
 
 
 def _t_density_for(exp: DetectorExperiment, t: float) -> int:
-    """Source time-density needed to resolve the kernel chirp at readout t.
+    """Source time-density needed to resolve the kernel chirp at readout t."""
+    return _t_density(exp, t, exp.resolution.physical_k, exp.resolution.sources)
+
+
+def _t_density(exp: DetectorExperiment, t: float, physical_k: float, sources) -> int:
+    """The density rule of ``_t_density_for``, given ``Resolution.physical_k`` and ``sources``.
 
     The kernel phase rate in the source time is m * D^2 / (2 hbar dT^2)
     with D the amplitude-carrying distance from the region; close
     readouts (small dT) therefore need denser source slices.
     """
-    m, hb, res, span = exp.kernel.mass, exp.kernel.hbar, exp.resolution, exp.span
+    m, hb, span = exp.kernel.mass, exp.kernel.hbar, exp.span
     d_t = max(t - span.t_hi, 1e-12)
-    reach = 1.5 * hb * res.physical_k * (t - span.t_lo) / m + (span.x_hi - span.x_lo) + 2.0
+    reach = 1.5 * hb * physical_k * (t - span.t_lo) / m + (span.x_hi - span.x_lo) + 2.0
     rate = m * reach**2 / (2.0 * hb * d_t**2)
     density = 1
-    for rect, (_, nqt) in zip(exp.region, res.sources):
+    for rect, (_, nqt) in zip(exp.region, sources):
         dt_sub = (rect.t_hi - rect.t_lo) / (nqt - 1)
         density = max(density, int(np.ceil(dt_sub * rate / (np.pi / 3.0))))
     return min(density, 8)

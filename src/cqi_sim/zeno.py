@@ -32,7 +32,7 @@ __all__ = [
 MAX_ANCILLAS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZenoConfig:
     omega: float
     epsilon: float | np.ndarray  # an array batches zeno_pair and iterated_zeno

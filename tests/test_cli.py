@@ -56,6 +56,16 @@ class TestConfigValidation:
 
 
 class TestRunners:
+    @pytest.mark.parametrize("omega, epsilon", [(1.0, 0.05), (0.7, 0.2), (2.0, 1e-3)])
+    def test_zeno_iterated_rows_are_iterated_zeno(self, tmp_path, omega, epsilon):
+        # n = 0 and 1 are read off the ladder's first rung: the bits of their own runs
+        params = {"omega": omega, "epsilon": epsilon, "halvings": 3, "n_ancillas": 3}
+        path = write_config(tmp_path, "z.json", {"kind": "zeno", "params": params})
+        cli.run(path, out_dir=tmp_path)
+        rows = json.loads((tmp_path / "zeno.json").read_text())["diagnostics"]["iterated"]
+        cfgs = (cli.zeno.ZenoConfig(omega, epsilon, n_ancillas=n) for n in range(4))
+        assert [row["p_transition"] for row in rows] == list(map(cli.zeno.iterated_zeno, cfgs))
+
     def test_zeno_run(self, tmp_path):
         path = write_config(tmp_path, "zeno.json", ZENO_CFG)
         out = cli.run(path, out_dir=tmp_path)
@@ -482,17 +492,17 @@ class TestRegionOnGrid:
         # builds (at separation 0 they coincide, which it refuses) and which
         # lie on the grid
         cfg = dict(self.config("two-point", separation=separation), grid=grid)
-        spec = cli.ExperimentConfig(kind="two-point", params=cfg["params"], grid=grid)
         try:
-            exp = cli.postulates.two_point_experiment(**cli._detector_overrides(spec))
+            exp = cli.postulates.two_point_experiment(separation=separation, **grid)
         except NumericalValidationError as err:
             assert separation == 0.0 and "overlap" in str(err)
             inside = False
         else:
             inside = all(exp.x_min <= r.x_lo and r.x_hi <= exp.x_max for r in exp.region)
         path = write_config(tmp_path, "tp.json", cfg)
-        if inside:
-            cli.load_config(path)
+        if inside:  # and the config keeps the experiment that its check built
+            kept = cli.load_config(path).experiment
+            assert (kept.region, kept.x_min, kept.nx) == (exp.region, exp.x_min, exp.nx)
         else:
             with pytest.raises(ConfigError, match=r"params\.separation"):
                 cli.load_config(path)
@@ -892,9 +902,44 @@ def test_spec_defaults():
 def test_committed_configs_build_specs(path):
     cfg = cli.load_config(path)
     spec = cfg.spec
-    assert isinstance(spec, cli._RUNNERS[cfg.kind][0])
+    assert isinstance(spec, cli.KINDS[cfg.kind].spec)
     for key, value in cfg.params.items():
         assert getattr(spec, key) == value
+    # only a grid kind keeps an experiment: the refine-0 one that its check built
+    assert (cfg.experiment is not None) == isinstance(spec, cli.DetectorParams)
+    assert cfg.experiment is None or cfg.experiment.refine_level == 0
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("detector-compare", "benchmark_experiment"), ("two-point", "two_point_experiment")],
+)
+def test_refined_run_builds_its_experiment_once(tmp_path, monkeypatch, name, build):
+    # the config check builds the refine-0 experiment; every level refines that one
+    calls = []
+    real = getattr(cli.postulates, build)
+    monkeypatch.setattr(cli.postulates, build, lambda **kw: calls.append(kw) or real(**kw))
+    cli.run(CONFIGS / f"{name}.json", refine=2, out_dir=tmp_path)
+    assert len(calls) == 1 and "refine" not in calls[0]
+    levels = json.loads((tmp_path / f"{name}.json").read_text())["diagnostics"]["levels"]
+    assert [lv["refine"] for lv in levels] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["detector-compare", "two-point", "zeno"])
+def test_config_built_directly_runs_and_refines(name):
+    # spec and experiment are worked out from kind, params and grid: a config
+    # built without from_dict runs like the loaded one, and replace() moves them
+    data = json.loads((CONFIGS / f"{name}.json").read_text())
+    loaded = cli.ExperimentConfig.from_dict(data)
+    cfg = cli.ExperimentConfig(kind=data["kind"], params=data["params"], grid=data.get("grid", {}))
+    refine = 1 if cfg.experiment is not None else 0
+    assert cfg.spec == loaded.spec and (cfg.experiment is None) == (name == "zeno")
+    assert cli.KINDS[name].driver(cfg, refine)[1] == cli.KINDS[name].driver(loaded, refine)[1]
+    if name == "zeno":
+        return
+    moved = dataclasses.replace(cfg, params={**cfg.params, "t0": -0.5}, grid={"nx": 256})
+    assert moved.spec.t0 == -0.5 and (moved.experiment.t0, moved.experiment.nx) == (-0.5, 256)
+    assert (cfg.spec.t0, cfg.experiment.nx) != (-0.5, 256)
 
 
 def test_realism_unnormalized_amplitudes_exit_2(tmp_path, capsys):

@@ -248,3 +248,12 @@ def test_global_purity_through_pipeline():
         state = zeno._evolve_factor0(state, seg)
         state = hilbert.cnot(state, 0, 1 + k)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_config_with_array_fields_compares_and_hashes():
+    # identity equality and hash, like EprConfig and DensityOp: a field-wise
+    # comparison of array fields would raise instead of answering
+    cfg = ZenoConfig(1.0, np.array([0.1, 0.05]), theta=np.array([0.0, 0.2]))
+    twin = ZenoConfig(1.0, np.array([0.1, 0.05]), theta=np.array([0.0, 0.2]))
+    assert cfg == cfg and cfg != twin
+    assert hash(cfg) == hash(cfg) and len({cfg, twin}) == 2
