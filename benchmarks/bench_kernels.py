@@ -7,11 +7,15 @@ shapes of the detector pipeline: the Born readout (682 outputs x 60
 uniform source slices of 66 points) and one evolved-wavefunction call
 (61 outputs x one prepared slice of 1024 points).  Each line reports the
 best of three timings of both paths and their max relative deviation.
-The readout's convolution chirp exp(i r q^2) (60 runs x 682 lags) is
-timed as one complex ``np.exp`` per element against the recurrence of
-``_kernels._chirp``, with their max deviation; at these arguments (up to
-400 rad) that is mostly the rounding of the exp arguments.
-``double_quad`` (dense only) is timed on a 3919 x 3919 pair sum.
+The readout's convolution chirp exp(i r q^2) spans the FFT length, from
+lag q = -(n - 1) (60 runs x 750 lags), and is timed as one complex
+``np.exp`` per element against the recurrence of ``_kernels._chirp``, with
+their max deviation; at these arguments (up to 400 rad) that is mostly the
+rounding of the exp arguments.  ``double_quad`` is timed on a 3919 x 3919
+pair sum of scattered points (the dense sum), and on the band of
+``tests/test_contspace.py``'s eta-halving test (6,467 points on one uniform
+(x, t) grid, eta = 0.01) by both paths: the dense sum and the lattice-lag
+convolution, with their relative deviation.
 
 The Born readout itself, the kernel sums of ``postulates._readout_branches``
 (one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
@@ -110,17 +114,47 @@ def compare(label, args):
 
 
 def compare_chirp(x_out, t_out, x_src, t_src):
-    """The convolution chirp exp(i r q^2) of ``compare``'s readout call, one
-    row per source slice, r = D d / (2 (t_out - t)) at m = hbar = 1."""
+    """The convolution chirp exp(i r q^2) of ``compare``'s readout call over its FFT
+    length from q = -(n - 1), one row per source slice of n points, r = D d / (2 (t_out
+    - t)) at m = hbar = 1."""
     r = 0.5 / (t_out - np.unique(t_src)[:, None]) * (x_out[1] - x_out[0]) * (x_src[1] - x_src[0])
-    lags = x_out.size
-    print(f"chirp, readout convolution: {r.size} runs x {lags} lags")
-    q = np.arange(lags)
+    n = x_src.size // r.size
+    size = _kernels._fast_len(x_out.size + n - 1)
+    print(f"chirp, readout convolution: {r.size} runs x {size} lags")
+    q = np.arange(size) - (n - 1)
     ref, t_exp = timed(lambda: np.exp(1j * r * (q * q)))
-    got, t_rec = timed(_kernels._chirp, 0.0, 0.0, r, lags)
+    got, t_rec = timed(_kernels._chirp, r * (n - 1) ** 2, -2.0 * (n - 1) * r, r, size)
     print(f"  np.exp    : {t_exp * 1e3:9.2f} ms")
     print(f"  recurrence: {t_rec * 1e3:9.2f} ms   speedup {t_exp / t_rec:.1f}x"
           f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
+
+
+def compare_double_quad(rng):
+    n_a = n_b = 3919
+    xa, ta = rng.uniform(-1, 1, n_a), rng.uniform(3.0, 3.2, n_a)
+    aa = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+    xb, tb = rng.uniform(-1, 1, n_b), rng.uniform(4.0, 4.2, n_b)
+    ab = rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b)
+    print(f"double_quad, scattered: {n_a} x {n_b} pairs")
+    _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
+    print(f"  dense sum : {t_dq:.3f} s")
+
+    # the eta-halving band: a packet smeared over slices 40 .. 52 of a 512 x 81 grid
+    kern = contspace.PropagatorKernel()
+    grid = contspace.Grid(-20.0, 20.0, 512, 0.0, 4.0, 81)
+    psi0 = contspace.gaussian_packet(grid.x, -5, 1.0)
+    values = np.zeros((grid.nx, grid.nt), dtype=complex)
+    for j in range(40, 53):  # uniform smearing, integral one
+        values[:, j] = contspace.spectral_evolve(psi0, grid.dx, kern, grid.t[j])
+    values /= grid.t[52] - grid.t[40]
+    x, t, v, w = contspace.GridFunction(grid, values).support_points()
+    args = (x, t, v * w, x, t, v * w, kern.mass, kern.hbar, 0.01)
+    print(f"double_quad, eta-halving band: {x.size} x {x.size} pairs on one grid, eta 0.01")
+    ref, t_dense = timed(lambda: np.vdot(v * w, _kernels.propagate_numpy(x, t, *args[3:])), repeat=1)
+    got, t_lag = timed(_kernels.double_quad, *args)
+    print(f"  dense sum  : {t_dense * 1e3:9.2f} ms")
+    print(f"  lag convol.: {t_lag * 1e3:9.2f} ms   speedup {t_dense / t_lag:.0f}x"
+          f"   rel deviation {abs(got - ref) / abs(ref):.1e}")
 
 
 def compare_readout():
@@ -261,17 +295,7 @@ def main():
     compare("single slice", (np.linspace(-0.5, 0.5, 61), 3.1, x_src, np.zeros(x_src.size),
                              amp, 1.0, 1.0, 0.0))
 
-    n_a = n_b = 3919
-    xa = rng.uniform(-1, 1, n_a)
-    ta = rng.uniform(3.0, 3.2, n_a)
-    aa = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-    xb = rng.uniform(-1, 1, n_b)
-    tb = rng.uniform(4.0, 4.2, n_b)
-    ab = rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b)
-    print(f"double_quad: {n_a} x {n_b} pairs")
-    _, t_dq = timed(_kernels.double_quad, xa, ta, aa, xb, tb, ab, 1.0, 1.0, 1e-4)
-    print(f"  dense sum : {t_dq:.3f} s")
-
+    compare_double_quad(rng)
     compare_readout()
     time_double_region()
     time_band_seed()

@@ -15,7 +15,9 @@ FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE
 Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
 All other sources take the dense O(n * m) sum ``propagate_numpy``,
 which the tests keep as the reference.  The double quadrature
-``double_quad`` is a vdot against that same dense sum.
+``double_quad`` has two paths: with eta > 0 and every point on one uniform
+(x, t) lattice, one 2-D FFT convolution over the lattice lags; otherwise a
+vdot against that same dense sum.
 
 Every chirp of that transform is exp(i (alpha + beta j + gamma j^2)) per
 row, and ``_chirp`` builds it by a two-level recurrence instead of one
@@ -61,8 +63,34 @@ def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
 
 
 def double_quad(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
-    """sum_ij conj(amp_a[i]) W(p_a[i]; p_b[j]) amp_b[j] (weights folded in)."""
-    return np.vdot(amp_a, propagate_numpy(x_a, t_a, x_b, t_b, amp_b, mass, hbar, eta))
+    """sum_ij conj(amp_a[i]) W(p_a[i]; p_b[j]) amp_b[j] (weights folded in).  With eta > 0
+    and every point on one uniform (x, t) lattice, W depends on the lattice lag alone, and
+    the b amplitudes scattered onto the lattice take one 2-D FFT convolution with W."""
+    na, most = x_a.size, x_a.size * x_b.size
+    axes = [_lattice(np.r_[a, b], most) for a, b in ((x_a, x_b), (t_a, t_b))] if eta > 0 else [None]
+    if None in axes:
+        return np.vdot(amp_a, propagate_numpy(x_a, t_a, x_b, t_b, amp_b, mass, hbar, eta))
+    (hx, ix), (ht, it) = axes
+    shape = (_fast_len(2 * int(ix.max()) + 1), _fast_len(2 * int(it.max()) + 1))  # no lag wraps
+    lx, lt = (np.fft.fftfreq(s, 1.0 / s) * h for s, h in zip(shape, (hx, ht)))
+    z = np.zeros(1)
+    w = propagate_numpy(np.repeat(lx, lt.size), np.tile(lt, lx.size), z, z, z + 1, mass, hbar, eta)
+    b = np.zeros(shape, dtype=np.complex128)
+    np.add.at(b, (ix[na:], it[na:]), amp_b)
+    conv = np.fft.ifft2(np.fft.fft2(b) * np.fft.fft2(w.reshape(shape)))
+    return np.vdot(amp_a, conv[ix[:na], it[:na]])
+
+
+def _lattice(v, most):
+    """(step, index of each v) on the uniform lattice from min(v) stepping by its least gap,
+    up to 1e-13 max |v|; None off that lattice or when it has ``most`` points or more."""
+    u = np.unique(v)
+    cells = np.rint((u[-1] - u[0]) / np.min(np.diff(u), initial=np.inf)) if u.size else most
+    if not cells < most:
+        return None
+    step = (u[-1] - u[0]) / cells if cells else 1.0
+    i = np.rint((v - u[0]) / step).astype(np.intp)
+    return (step, i) if np.max(np.abs(u[0] + i * step - v)) <= 1e-13 * np.max(np.abs(u)) else None
 
 
 def _uniform_runs(x, starts) -> np.ndarray:
@@ -123,12 +151,11 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
     With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
     k (X_j - Y_i)^2 = [k y0 (y0 - 2 x0) + 2 k d (y0 - x0) i + (k d^2 - r) i^2]
                     + [k x0^2 + 2 k D (x0 - y0) j + (k D^2 - r) j^2] + r (j - i)^2
-    with r = k D d: a pre-chirp on the sources, a post-chirp on the outputs
-    and a linear convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1.
+    with r = k D d: a pre-chirp on the sources, a post-chirp on the outputs and a linear
+    convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1, held in FFT bin q + n - 1.
     """
     m, n = x_out.size, max(e - s for s, e in runs)
     size = _fast_len(m + n - 1)
-    lags = max(m, size - m + 1)  # h_q for |q| < lags fills every FFT bin
     x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
     out = np.zeros(m, dtype=np.complex128)
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
@@ -145,15 +172,11 @@ def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
         r = kap * d_out * d
         a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
         a *= _chirp(kap * y0 * (y0 - 2.0 * x0), 2.0 * kap * d * (y0 - x0), kap * d * d - r, n)
-        c = _chirp(0.0, 0.0, r, lags)
-        h = np.empty((len(part), size), dtype=np.complex128)
-        h[:, :m] = c[:, :m]
-        h[:, m:] = c[:, size - m : 0 : -1]  # bin size - q holds lag -q
         conv = np.fft.fft(a, size, axis=1)
-        conv *= np.fft.fft(h, axis=1)
+        conv *= np.fft.fft(_chirp(r * (n - 1) ** 2, -2.0 * (n - 1) * r, r, size), axis=1)
         conv = np.fft.ifft(conv, axis=1)
         post = _chirp(kap * x0 * x0, 2.0 * kap * d_out * (x0 - y0), kap * d_out * d_out - r, m)
-        post *= conv[:, :m]
+        post *= conv[:, n - 1 : n - 1 + m]
         out += post.sum(axis=0)
     return out
 

@@ -448,7 +448,10 @@ def _filon_panel(theta: np.ndarray) -> np.ndarray:
     mu = np.array(mu)
     m, n = np.arange(3), np.arange(26)[:, None]  # 26 terms: 2^26 / 26! < 1e-18
     series = 2.0 ** (m + n + 1) / ((m + n + 1) * np.cumprod(np.maximum(n, 1), axis=0))
-    mu[:, small] = np.polynomial.polynomial.polyval(1j * theta[small], series)
+    z, acc = 1j * theta[small], series[-1][:, None]
+    for c in series[-2::-1]:
+        acc = c[:, None] + acc * z
+    mu[:, small] = acc
     mu0, mu1, mu2 = mu
     return np.array([(mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0, 2.0 * mu1 - mu2, (mu2 - mu1) / 2.0])
 
@@ -484,15 +487,18 @@ def _region_spectrum(
     """(k, S, L): S(k) = int_R exp(i omega (t - t_ref)) Psi exp(-i k x) dx dt, omega =
     hbar k^2 / 2m and t_ref the earliest region time, at ``_spectral_k``'s k and period
     L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on its Filon-Simpson nodes
-    (``Resolution.filon``), whatever nx."""
+    (``Resolution.filon``), whatever nx; rectangles with one time extent share Wt."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k, length = _spectral_k(exp)
     spec = np.zeros(k.size, dtype=complex)
+    wts = {}
     for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
         x = np.linspace(rect.x_lo, rect.x_hi, nfx)
         t = np.linspace(rect.t_lo, rect.t_hi, (nft - 1) * t_density + 1)
         f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
-        spec += np.einsum("kt,tk->k", _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo), f)
+        if (key := (rect.t_lo, rect.t_hi, t.size)) not in wts:
+            wts[key] = _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo)
+        spec += np.einsum("kt,tk->k", wts[key], f)
     k.flags.writeable = spec.flags.writeable = False
     return k, spec, length
 

@@ -54,6 +54,69 @@ def test_double_quad_matches_pair_loop_damped(shared):
     assert abs(_kernels.double_quad(*args) - ref) <= 1e-12 * abs(ref)
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """(outputs, sources) of each dense sum run, one pair per ``propagate_numpy`` call."""
+    calls = []
+    real = _kernels.propagate_numpy
+
+    def spy(x_out, t_out, x_src, *rest):
+        calls.append((x_out.size, x_src.size))
+        return real(x_out, t_out, x_src, *rest)
+
+    monkeypatch.setattr(_kernels, "propagate_numpy", spy)
+    return calls
+
+
+def lattice_points(rng, x, t, slices, keep=0.75):
+    """Points of the lattice x by t on the given slices, about ``keep`` of each slice's
+    x nodes kept (the rest masked, as ``SUPPORT_EPS`` masks a grid function), with random
+    amplitudes."""
+    mask = rng.random((len(slices), x.size)) < keep
+    xs = np.concatenate([x[m] for m in mask])
+    ts = np.concatenate([np.full(m.sum(), t[j]) for j, m in zip(slices, mask)])
+    return xs, ts, rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-slices", "disjoint-slices"])
+def test_double_quad_lattice_matches_pair_loop(dense_calls, seed, shared):
+    rng = np.random.default_rng(seed)
+    nx, nt = rng.integers(6, 14), rng.integers(5, 10)
+    x0, t0 = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 3.0)
+    x = np.linspace(x0, x0 + (nx - 1) * rng.uniform(0.05, 0.5), nx)
+    t = np.linspace(t0, t0 + (nt - 1) * rng.uniform(0.02, 0.3), nt)
+    order, half = rng.permutation(nt), nt // 2
+    slices_a, slices_b = order[:half], order[half - 2 :] if shared else order[half:]
+    xa, ta, aa = lattice_points(rng, x, t, slices_a)
+    xb, tb, ab = lattice_points(rng, x, t, slices_b)
+    args = (xa, ta, aa, xb, tb, ab, 1.3, 0.7, rng.uniform(0.01, 0.1))
+    ref = double_quad_pairs(*args)
+    assert abs(_kernels.double_quad(*args) - ref) <= 1e-12 * abs(ref)
+    assert len(dense_calls) == 1 and dense_calls[0][1] == 1  # one lag table, one source
+
+
+def test_double_quad_dense_off_the_lattice(dense_calls):
+    rng = np.random.default_rng(21)
+    x, t = np.linspace(-2.0, 2.0, 9), np.linspace(1.0, 2.0, 6)
+    xa, ta, aa = lattice_points(rng, x, t, [0, 1, 2])
+    xb, tb, ab = lattice_points(rng, x, t, [3, 4, 5])
+    xs, ts, amps = random_points(40, rng)
+    jittered = xb.copy()
+    jittered[0] += 1e-9
+    cases = [
+        (xa, ta, aa, xb, tb, ab, 1.0, 1.0, 0.0),  # eta = 0, on the lattice
+        (xa, ta, aa, xs, ts + 5.0, amps, 1.0, 1.0, 0.05),  # scattered points
+        (xa, ta, aa, jittered, tb, ab, 1.0, 1.0, 0.05),  # one point off the lattice
+        (*[np.empty(0)] * 6, 1.0, 1.0, 0.05),  # no points
+    ]
+    for args in cases:
+        dense_calls.clear()
+        ref = double_quad_pairs(*args)
+        assert abs(_kernels.double_quad(*args) - ref) <= 1e-12 * abs(ref)
+        assert dense_calls == [(args[0].size, args[3].size)]
+
+
 def test_dense_sum_with_a_time_per_output():
     rng = np.random.default_rng(12)
     x_src, t_src, amp = random_points(200, rng)
@@ -144,16 +207,27 @@ def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
 
 
 def test_chirp_z_at_pipeline_size(chirp_calls):
-    # the refine-1 readout call: 66 slices of 106 points onto 1952 outputs,
-    # large enough that every chirp takes several recurrence blocks
+    # (rows, points per row, source x and t ends, outputs, output time, FFT length)
+    calls = [
+        # the slab's refine-1 readout call, large enough that every chirp takes
+        # several recurrence blocks
+        (66, 106, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 1952), 4.2, 2160),
+        # the two-point readout call: one square's 65 slices of 33 points onto 563
+        # outputs, m + n - 1 = 595 in an FFT of 600
+        (65, 33, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
+        # m + n - 1 = 600 fills the FFT: the last output reads its last bin
+        (65, 38, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
+    ]
     rng = np.random.default_rng(3)
-    x_src = np.tile(np.linspace(-0.5, 0.5, 106), 66)
-    t_src = np.repeat(np.linspace(3.0, 3.2, 66), 106)
-    amp = rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)
-    args = (np.linspace(-38.136, 38.136, 1952), 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0)
-    ref = _kernels.propagate_numpy(*args)
-    assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert chirp_calls == [[(106 * i, 106 * (i + 1)) for i in range(66)]]
+    for rows, n, x_src, t_src, x_out, t_out, fft in calls:
+        assert _kernels._fast_len(x_out[2] + n - 1) == fft
+        x_src = np.tile(np.linspace(*x_src, n), rows)
+        t_src = np.repeat(np.linspace(*t_src, rows), n)
+        amp = rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)
+        args = (np.linspace(*x_out), t_out, x_src, t_src, amp, 1.0, 1.0, 0.0)
+        ref = _kernels.propagate_numpy(*args)
+        assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert chirp_calls[-1] == [(n * i, n * (i + 1)) for i in range(rows)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000, 4097, 2**17])

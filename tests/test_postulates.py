@@ -56,6 +56,18 @@ def shifted(exp, s):
     )
 
 
+def mirrored(exp):
+    """The experiment reflected through x = 0: packet centre and momentum, region and grid."""
+    return replace(
+        exp,
+        packet_center=-exp.packet_center,
+        packet_momentum=-exp.packet_momentum,
+        region=tuple(Rect(-r.x_hi, -r.x_lo, r.t_lo, r.t_hi) for r in exp.region),
+        x_min=-exp.x_max,
+        x_max=-exp.x_min,
+    )
+
+
 class TestExperimentValidation:
     def test_region_must_follow_preparation(self):
         with pytest.raises(NumericalValidationError):
@@ -423,6 +435,11 @@ def run_detector(tmp_path, kind, refine=0, grid=None):
 
 
 TWO_POINT_FAR = two_point_experiment(separation=4.0)  # read at time density 3
+# three rectangles over two time extents of one length (so of one node count): the first
+# two share one Filon time table, the third needs its own
+THREE_RECTS = benchmark_experiment(
+    region=(Rect(-1.0, -0.5, 3.0, 3.2), Rect(0.5, 1.0, 3.0, 3.2), Rect(-0.25, 0.25, 3.25, 3.45))
+)
 
 
 class TestResolution:
@@ -448,8 +465,8 @@ class TestResolution:
 
     @pytest.mark.parametrize(
         "exp",
-        [BENCH, benchmark_experiment(1), two_point_experiment(), TWO_POINT_FAR],
-        ids=["slab", "slab-refine1", "two-point", "two-point-separation4"],
+        [BENCH, benchmark_experiment(1), two_point_experiment(), TWO_POINT_FAR, THREE_RECTS],
+        ids=["slab", "slab-refine1", "two-point", "two-point-separation4", "three-rectangles"],
     )
     def test_stage_sizes_follow_the_record(self, monkeypatch, exp):
         res = exp.resolution
@@ -462,7 +479,8 @@ class TestResolution:
         for i, nodes in enumerate(res.sources):
             assert tuple(a.size for a in ps._rect_subgrid(exp, i)[:2]) == nodes
         assert ps._spectral_k(exp)[0].size == res.spectral_n
-        seen = []  # the x then t nodes of each rectangle, as the Filon weights get them
+        seen = []  # the x nodes of each rectangle, then its t nodes unless an earlier
+        # rectangle had the same time extent, as the Filon weights get them
         real = ps._filon_simpson
 
         def filon_simpson(kappa, y, y_ref):
@@ -471,7 +489,13 @@ class TestResolution:
 
         monkeypatch.setattr(ps, "_filon_simpson", filon_simpson)
         ps._region_spectrum(exp, 2)
-        assert seen == [n for nfx, nft in res.filon for n in (nfx, 2 * (nft - 1) + 1)]
+        want, extents = [], set()
+        for rect, (nfx, nft) in zip(exp.region, res.filon):
+            nt = 2 * (nft - 1) + 1  # at time density 2
+            want += [nfx] if (rect.t_lo, rect.t_hi, nt) in extents else [nfx, nt]
+            extents.add((rect.t_lo, rect.t_hi, nt))
+        assert seen == want
+        assert len(extents) == len({(r.t_lo, r.t_hi) for r in exp.region})
 
     def test_resolved_once_per_experiment(self, monkeypatch):
         calls = []
@@ -550,6 +574,32 @@ class TestDoubleRegion:
             gauss_legendre(lambda s: q(s) * np.exp(1j * theta * s), 0.0, 2.0) for q in quadratics
         ]
         assert_allclose(ps._filon_panel(np.array([theta]))[:, 0], want, rtol=0, atol=1e-12)
+
+    def test_filon_series_is_polyval_bit_for_bit(self):
+        # below |theta| = 1 the moments are the Taylor series, here summed by numpy's polyval
+        theta = np.linspace(-0.999, 0.999, 41)
+        m, n = np.arange(3), np.arange(26)[:, None]
+        series = 2.0 ** (m + n + 1) / ((m + n + 1) * np.cumprod(np.maximum(n, 1), axis=0))
+        mu = np.polynomial.polynomial.polyval(1j * theta, series)
+        mu0, mu1, mu2 = mu
+        want = [(mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0, 2.0 * mu1 - mu2, (mu2 - mu1) / 2.0]
+        assert_array_equal(ps._filon_panel(theta), want)
+
+    @pytest.mark.parametrize(
+        "exp", [two_point_experiment(), THREE_RECTS], ids=["two-point", "three-rectangles"]
+    )
+    def test_shared_time_tables_change_no_bit(self, exp):
+        # the same sum with its own Filon time table built for every rectangle
+        m, hb = exp.kernel.mass, exp.kernel.hbar
+        k, _ = ps._spectral_k(exp)
+        want = np.zeros(k.size, dtype=complex)
+        for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
+            x = np.linspace(rect.x_lo, rect.x_hi, nfx)
+            t = np.linspace(rect.t_lo, rect.t_hi, nft)
+            f = evolved_wavefunction(exp, x, t) @ ps._filon_simpson(-k, x, 0.0).T
+            wt = ps._filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo)
+            want += np.einsum("kt,tk->k", wt, f)
+        assert_array_equal(ps._region_spectrum(exp, 1)[1], want)
 
     @pytest.mark.parametrize("exp", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_gauss_legendre_oracle(self, exp):
@@ -1078,3 +1128,47 @@ class TestShrinkingRegion:
         rows = ps.shrinking_region_sweep(BENCH, steps=3)
         raw = [r["ratio_raw"] for r in rows]
         assert raw[2] > raw[1] > raw[0]
+
+
+SYMMETRY_CASES = {
+    "slab-momentum0.6": benchmark_experiment(packet_momentum=0.6),
+    "two-point-momentum0.15": two_point_experiment(packet_momentum=0.15),
+    "slab-refine1": benchmark_experiment(1),
+}
+
+
+def four_values(exp):
+    detail = born_probability_detail(exp)
+    return {
+        "p_born": detail.p_slice,
+        "born_double_region": detail.p_double_region,
+        "p_cqi": cqi_probability(exp),
+        "p_rr": rr_probability(exp),
+    }
+
+
+class TestSymmetries:
+    """The free kernel is invariant under time translation and parity, so every route's
+    value must be too: an oracle that needs no closed form.  Each bound is pinned above
+    the largest residue measured on these three experiments."""
+
+    @pytest.mark.parametrize("s", [7.3, 1000.1])
+    @pytest.mark.parametrize("name", SYMMETRY_CASES)
+    def test_time_translation(self, name, s):
+        # measured at most 2.9e-11 (p_born at s = 1000.1)
+        exp = SYMMETRY_CASES[name]
+        base, moved = four_values(exp), four_values(shifted(exp, s))
+        for key, value in base.items():
+            assert moved[key] == pytest.approx(value, rel=1e-10, abs=0), key
+
+    @pytest.mark.parametrize("name", SYMMETRY_CASES)
+    def test_parity(self, name):
+        # measured at most: p_born 3.1e-14, p_rr 3.3e-16, born_double_region 3.4e-9;
+        # p_cqi 2.6e-9 on the slab and 8.5e-7 on two-point, below that route's error
+        # but far above round-off: the two-point residue is untraced
+        rel = {"p_born": 1e-13, "born_double_region": 1e-8, "p_rr": 1e-14}
+        rel["p_cqi"] = 2e-6 if name.startswith("two-point") else 1e-8
+        exp = SYMMETRY_CASES[name]
+        base, mirror = four_values(exp), four_values(mirrored(exp))
+        for key, value in base.items():
+            assert mirror[key] == pytest.approx(value, rel=rel[key], abs=0), key
