@@ -17,6 +17,14 @@ pair sum of scattered points (the dense sum), and on the band of
 (x, t) grid, eta = 0.01) by both paths: the dense sum and the lattice-lag
 convolution, with their relative deviation.
 
+The readout kernel sum of one rectangle, at the sizes of the slab's
+readout at refine 0 (65 x 53 sources onto 682 outputs) and 1 (66 x 106
+onto 682) and of two-point's at refine 0 (65 x 33 onto 563), is timed in
+both input forms of ``propagate`` (best of 20): the flattened point cloud,
+whose equal-time runs are found and gathered into rows, and the (rows, n)
+block of ``np.broadcast_to`` views that ``postulates._rect_amplitudes``
+passes, with their max relative deviation.
+
 The Born readout itself, the kernel sums of ``postulates._readout_branches``
 (one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
 ``tests/oracles.py``, is timed on the slab at refine 0, 1 and 2 and on
@@ -155,6 +163,28 @@ def compare_double_quad(rng):
     print(f"  dense sum  : {t_dense * 1e3:9.2f} ms")
     print(f"  lag convol.: {t_lag * 1e3:9.2f} ms   speedup {t_dense / t_lag:.0f}x"
           f"   rel deviation {abs(got - ref) / abs(ref):.1e}")
+
+
+def compare_readout_forms():
+    cases = [
+        ("slab, refine 0", postulates.benchmark_experiment()),
+        ("slab, refine 1", postulates.benchmark_experiment(1)),
+        ("two-point, refine 0", postulates.two_point_experiment()),
+    ]
+    print("readout kernel sum of one rectangle: point cloud against (rows, n) block")
+    for label, exp in cases:
+        xq, tq, wx, wt, psi = postulates._region_sources(exp, exp.resolution.t_density)[0]
+        amp = exp.potential_v * psi * wx * wt[:, None]
+        x, t = np.broadcast_to(xq, psi.shape), np.broadcast_to(tq[:, None], psi.shape)
+        x_out, t_out, k = postulates._readout_grid(exp), exp.readout_time, exp.kernel
+        kern = (k.mass, k.hbar, k.regularization_eta)
+        flat = (x.ravel(), t.ravel(), amp.ravel())
+        pts, t_pts = timed(_kernels.propagate, x_out, t_out, *flat, *kern, repeat=20)
+        blk, t_blk = timed(_kernels.propagate, x_out, t_out, x, t, amp, *kern, repeat=20)
+        dev = np.max(np.abs(blk - pts)) / np.max(np.abs(pts))
+        print(f"  {label:<19}: {psi.shape[0]} x {psi.shape[1]} -> {x_out.size}"
+              f"   points {t_pts * 1e3:6.2f} ms   block {t_blk * 1e3:6.2f} ms"
+              f"   max rel deviation {dev:.1e}")
 
 
 def compare_readout():
@@ -296,6 +326,7 @@ def main():
                              amp, 1.0, 1.0, 0.0))
 
     compare_double_quad(rng)
+    compare_readout_forms()
     compare_readout()
     time_double_region()
     time_band_seed()

@@ -9,10 +9,10 @@ with dt = t - t' and an optional damping parameter eta >= 0 that
 rotates the time difference slightly into the complex plane.  Callers
 must keep dt != 0 whenever eta == 0.
 
-With eta == 0, ``propagate`` sums each run of uniformly spaced sources
-at one time onto uniform outputs as a chirp-z transform, by Bluestein's
-FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE
-Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
+With eta == 0, ``propagate`` sums each row of uniformly spaced sources at one time
+(a (rows, n) block's rows, or a point cloud's equal-time runs) onto uniform outputs as a
+chirp-z transform, by Bluestein's FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer
+& Rader, IEEE Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
 All other sources take the dense O(n * m) sum ``propagate_numpy``,
 which the tests keep as the reference.  The double quadrature
 ``double_quad`` has two paths: with eta > 0 and every point on one uniform
@@ -105,6 +105,12 @@ def _uniform_runs(x, starts) -> np.ndarray:
     return (size >= 2) & (dev <= 1e-13 * np.maximum.reduceat(np.abs(x), starts))
 
 
+def _uniform(x) -> np.ndarray:
+    """For each row of the (..., n) array x, n >= 2: equally spaced up to 1e-13 of its max |x|."""
+    grid = x[..., :1] + (x[..., -1:] - x[..., :1]) / (x.shape[-1] - 1) * np.arange(x.shape[-1])
+    return np.max(np.abs(x - grid), axis=-1) <= 1e-13 * np.max(np.abs(x), axis=-1)
+
+
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: an FFT length numpy transforms fast."""
     best = 1 << (n - 1).bit_length()
@@ -143,53 +149,59 @@ def _chirp(alpha, beta, gamma, n):
     return out.transpose(1, 0, 2).reshape(rows, -1)[:, :n]
 
 
-def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
-    """Sum of the eta = 0 kernel over the uniform source runs [s, e) onto
-    the uniform outputs at the time ``t_out``; each run is one row of a
-    batched 2-D FFT.
+def _chirp_rows(x_out, t_out, y0, d, t_src, a, mass, hbar):
+    """Sum of the eta = 0 kernel from the (rows, n) sources a, row r at y0[r] + d[r] i and
+    time t_src[r], onto the uniform outputs at the time ``t_out``: one batched 2-D FFT.
 
-    With Y_i = y0 + i d on a run, X_j = x0 + j D and k = m / (2 hbar dt),
+    With Y_i = y0 + i d on a row, X_j = x0 + j D and k = m / (2 hbar dt),
     k (X_j - Y_i)^2 = [k y0 (y0 - 2 x0) + 2 k d (y0 - x0) i + (k d^2 - r) i^2]
                     + [k x0^2 + 2 k D (x0 - y0) j + (k D^2 - r) j^2] + r (j - i)^2
     with r = k D d: a pre-chirp on the sources, a post-chirp on the outputs and a linear
     convolution with h_q = exp(i r q^2), q = -(n-1) .. m-1, held in FFT bin q + n - 1.
     """
-    m, n = x_out.size, max(e - s for s, e in runs)
+    m, n = x_out.size, a.shape[1]
     size = _fast_len(m + n - 1)
     x0, d_out = x_out[0], (x_out[-1] - x_out[0]) / (m - 1)
     out = np.zeros(m, dtype=np.complex128)
     batch = max(1, _CHUNK // (4 * size))  # six (batch, size) temporaries at most
-    for b in range(0, len(runs), batch):
-        part = runs[b : b + batch]
-        first, end = np.array(part).T
-        j = np.arange(n)  # row r holds amp[first[r] : end[r]], zero-padded to n
-        src = np.minimum(first[:, None] + j, amp.size - 1)
-        a = np.where(j < (end - first)[:, None], amp[src], 0j)
-        y0 = x_src[first][:, None]
-        d = ((x_src[end - 1] - x_src[first]) / (end - first - 1))[:, None]
-        dt = t_out - t_src[first]
+    for b in range(0, a.shape[0], batch):
+        y, dy = y0[b : b + batch, None], d[b : b + batch, None]
+        dt = t_out - t_src[b : b + batch]
         kap = (mass / (2.0 * hbar)) / dt[:, None]
-        r = kap * d_out * d
-        a *= np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
-        a *= _chirp(kap * y0 * (y0 - 2.0 * x0), 2.0 * kap * d * (y0 - x0), kap * d * d - r, n)
-        conv = np.fft.fft(a, size, axis=1)
+        r = kap * d_out * dy
+        rows = a[b : b + batch] * np.sqrt(mass / (_TWO_PI * hbar * 1j * dt))[:, None]
+        rows *= _chirp(kap * y * (y - 2.0 * x0), 2.0 * kap * dy * (y - x0), kap * dy * dy - r, n)
+        conv = np.fft.fft(rows, size, axis=1)
         conv *= np.fft.fft(_chirp(r * (n - 1) ** 2, -2.0 * (n - 1) * r, r, size), axis=1)
         conv = np.fft.ifft(conv, axis=1)
-        post = _chirp(kap * x0 * x0, 2.0 * kap * d_out * (x0 - y0), kap * d_out * d_out - r, m)
+        post = _chirp(kap * x0 * x0, 2.0 * kap * d_out * (x0 - y), kap * d_out * d_out - r, m)
         post *= conv[:, n - 1 : n - 1 + m]
         out += post.sum(axis=0)
     return out
 
 
+def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
+    """``_chirp_rows`` over a point cloud's uniform runs [s, e), zero-padded to the longest."""
+    first, end = np.array(runs).T
+    j = np.arange(np.max(end - first))
+    a = np.where(j < (end - first)[:, None], amp[np.minimum(first[:, None] + j, amp.size - 1)], 0j)
+    d = (x_src[end - 1] - x_src[first]) / (end - first - 1)
+    return _chirp_rows(x_out, t_out, x_src[first], d, t_src[first], a, mass, hbar)
+
+
 def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
-    """Same sum as ``propagate_numpy`` at the scalar output time ``t_out``.
-    When eta == 0 and x_out is uniform, each run of at least two uniformly
-    spaced sources at one time takes the chirp-z transform; every other
-    source takes the dense sum."""
+    """Same sum as ``propagate_numpy`` at the scalar output time ``t_out``, from points or
+    (rows, n) blocks.  With eta == 0 and uniform x_out, each equal-time run of two or more
+    uniform points, or a block of such rows, takes the chirp-z transform; the rest the dense sum."""
+    chirp = eta == 0 and min(x_out.size, x_src.shape[-1]) >= 2 and _uniform(x_out)
+    if x_src.ndim == 2:
+        if chirp and np.all(t_src == t_src[:, :1]) and np.all(_uniform(x_src)):
+            d = (x_src[:, -1] - x_src[:, 0]) / (x_src.shape[1] - 1)
+            return _chirp_rows(x_out, t_out, x_src[:, 0], d, t_src[:, 0], amp, mass, hbar)
+        x_src, t_src, amp, chirp = x_src.ravel(), t_src.ravel(), amp.ravel(), False
     runs = []
     dense = np.ones(x_src.size, dtype=bool)
-    uniform_out = min(x_out.size, x_src.size) >= 2 and _uniform_runs(x_out, np.array([0]))[0]
-    if eta == 0 and uniform_out:
+    if chirp:
         starts = np.r_[0, np.flatnonzero(np.diff(t_src)) + 1]
         ok = _uniform_runs(x_src, starts)
         ends = np.append(starts[1:], x_src.size)

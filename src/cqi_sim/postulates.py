@@ -339,7 +339,8 @@ def evolved_wavefunction(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     late = times > exp.t0
     out = np.empty((times.size, x.size), dtype=complex)
-    out[~late] = psi0_values(exp, x)
+    if not late.all():
+        out[~late] = psi0_values(exp, x)
     if late.any():
         k = exp.kernel
         tau = k.hbar * (times[late, None] - exp.t0 - 1j * k.regularization_eta) / k.mass
@@ -360,15 +361,13 @@ def _rect_subgrid(exp: DetectorExperiment, i: int, t_density: int = 1):
 
 @lru_cache(maxsize=64)
 def _region_sources(exp: DetectorExperiment, t_density: int = 1):
-    """Flattened (x, t, V * Psi * weight) source points over all rectangles, in order."""
-    xs, ts, amps = [], [], []
+    """Per rectangle, its ``_rect_subgrid`` (xq, tq, wx, wt) and Psi on the tq x xq lattice:
+    the readout's sources, and every t_density-th row the overlap rule's."""
+    table = []
     for i in range(len(exp.region)):
         xq, tq, wx, wt = _rect_subgrid(exp, i, t_density)
-        psi = evolved_wavefunction(exp, xq, tq)
-        xs.append(np.tile(xq, tq.size))
-        ts.append(np.repeat(tq, xq.size))
-        amps.append((exp.potential_v * psi * wx * wt[:, None]).reshape(-1))
-    return np.concatenate(xs), np.concatenate(ts), np.concatenate(amps)
+        table.append((xq, tq, wx, wt, evolved_wavefunction(exp, xq, tq)))
+    return tuple(table)
 
 
 def _t_density_for(exp: DetectorExperiment, t: float) -> int:
@@ -399,9 +398,11 @@ def _rect_amplitudes(exp: DetectorExperiment, x: np.ndarray, t: float) -> np.nda
     the union's time density: by linearity the rows add to the union's amplitude."""
     density, k = _t_density_for(exp, t), exp.kernel
     kern = (k.mass, k.hbar, k.regularization_eta)
-    ends = np.cumsum([nqx * ((nqt - 1) * density + 1) for nqx, nqt in exp.resolution.sources])
-    rects = zip(*(np.split(a, ends[:-1]) for a in _region_sources(exp, density)))
-    rows = [_kernels.propagate(x, t, *src, *kern) for src in rects]
+    rows = []
+    for xq, tq, wx, wt, psi in _region_sources(exp, density):
+        block = np.broadcast_to(xq, psi.shape), np.broadcast_to(tq[:, None], psi.shape)
+        amp = exp.potential_v * psi * wx * wt[:, None]
+        rows.append(_kernels.propagate(x, t, *block, amp, *kern))
     return np.array(rows) * (exp.coupling_alpha / (1j * k.hbar))
 
 
@@ -565,9 +566,11 @@ def born_probability(exp: DetectorExperiment) -> float:
 
 
 def _rect_overlap(exp: DetectorExperiment, i: int) -> complex:
-    """int Psi dx dt over rectangle i by the tensor trapezoid rule."""
-    xq, tq, wx, wt = _rect_subgrid(exp, i)
-    return complex(sum(wt * np.sum(wx * evolved_wavefunction(exp, xq, tq), axis=1)))
+    """int Psi dx dt over rectangle i by the tensor trapezoid rule, Psi read off every
+    t_density-th row of the readout's ``_region_sources`` (its density-1 nodes)."""
+    _, _, wx, wt = _rect_subgrid(exp, i)
+    psi = _region_sources(exp, exp.resolution.t_density)[i][-1][:: exp.resolution.t_density]
+    return complex(sum(wt * np.sum(wx * psi, axis=1)))
 
 
 def rr_probability(exp: DetectorExperiment) -> float:

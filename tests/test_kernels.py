@@ -230,6 +230,76 @@ def test_chirp_z_at_pipeline_size(chirp_calls):
         assert chirp_calls[-1] == [(n * i, n * (i + 1)) for i in range(rows)]
 
 
+@pytest.fixture
+def row_calls(monkeypatch):
+    """Arguments handed to the Bluestein routine ``_chirp_rows``, one tuple per call."""
+    calls = []
+    original = _kernels._chirp_rows
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "_chirp_rows", spy)
+    return calls
+
+
+def source_block(rng, rows, n, x_src, t_src):
+    """A tensor grid's sources as (rows, n) blocks: n points over x_src at each of rows
+    times over t_src, the nodes as broadcast views, random amplitudes."""
+    x = np.broadcast_to(np.linspace(*x_src, n), (rows, n))
+    t = np.broadcast_to(np.linspace(*t_src, rows)[:, None], (rows, n))
+    return x, t, rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+@pytest.mark.parametrize(
+    "rows, n, x_src, t_src, x_out, t_out",
+    [
+        # the readout calls: slab at refine 0 (33 slices at time density 2) and 1, and
+        # one square of two-point at refine 0
+        (65, 53, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 682), 4.2),
+        (66, 106, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 682), 4.2),
+        (65, 33, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566),
+    ],
+    ids=["slab-refine0", "slab-refine1", "two-point"],
+)
+def test_block_rows_match_dense_sum(row_calls, chirp_calls, rows, n, x_src, t_src, x_out, t_out):
+    x, t, amp = source_block(np.random.default_rng(rows * n), rows, n, x_src, t_src)
+    x_out = np.linspace(*x_out)
+    ref = _kernels.propagate_numpy(x_out, t_out, x.ravel(), t.ravel(), amp.ravel(), 1.0, 1.0, 0.0)
+    got = _kernels.propagate(x_out, t_out, x, t, amp, 1.0, 1.0, 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert chirp_calls == []  # the rows are not searched for or gathered
+    ((_, _, y0, d, t_rows, a, _, _),) = row_calls
+    assert a is amp
+    assert_array_equal(y0, x[:, 0])
+    assert_array_equal(t_rows, t[:, 0])
+    assert_allclose(d, x[0, 1] - x[0, 0], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case", ["uneven-row", "two-times-in-a-row", "one-point-rows", "damped", "nonuniform-outputs"]
+)
+def test_block_failing_a_precondition_takes_dense_sum(row_calls, case):
+    x, t, amp = source_block(np.random.default_rng(11), 8, 40, (-0.5, 0.5), (3.0, 3.2))
+    x_out, eta = np.linspace(-8.0, 8.0, 257), 0.0
+    if case == "uneven-row":
+        x = x.copy()
+        x[3, 7] += 1e-3
+    elif case == "two-times-in-a-row":
+        t = t.copy()
+        t[5, -1] += 1e-3
+    elif case == "one-point-rows":
+        x, t, amp = x[:, :1], t[:, :1], amp[:, :1]
+    elif case == "damped":
+        eta = 1e-3
+    else:
+        x_out = x_out**3 / 64
+    ref = _kernels.propagate_numpy(x_out, 4.2, x.ravel(), t.ravel(), amp.ravel(), 1.0, 1.0, eta)
+    assert_array_equal(_kernels.propagate(x_out, 4.2, x, t, amp, 1.0, 1.0, eta), ref)
+    assert row_calls == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 33, 1000, 4097, 2**17])
 def test_chirp_matches_exact_exp(n):
     # dyadic coefficients keep alpha + beta j + gamma j^2 exact in float64,

@@ -44,6 +44,17 @@ from oracles import (
 BENCH = benchmark_experiment()
 
 
+def flat_sources(exp, density):
+    """The Born readout's sources at time density ``density`` as one point cloud (x, t,
+    V * Psi * weight) over all rectangles, in order, from ``_region_sources``'s table."""
+    xs, ts, amps = [], [], []
+    for xq, tq, wx, wt, psi in ps._region_sources(exp, density):
+        xs.append(np.tile(xq, tq.size))
+        ts.append(np.repeat(tq, xq.size))
+        amps.append((exp.potential_v * psi * wx * wt[:, None]).reshape(-1))
+    return np.concatenate(xs), np.concatenate(ts), np.concatenate(amps)
+
+
 def shifted(exp, s):
     """The experiment with preparation, region, readout and band all
     moved later by s."""
@@ -244,6 +255,20 @@ class TestEvolvedWavefunction:
         assert got.shape == (times.size, x.size)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_prepared_state_only_for_rows_at_t0(self, monkeypatch):
+        x = np.linspace(-8, 4, 200)
+        late = BENCH.t0 + np.array([0.7, 3.1, 2.0])
+        want_late, want_t0 = evolved_wavefunction(BENCH, x, late), ps.psi0_values(BENCH, x)
+        calls, real = [], ps.psi0_values
+        monkeypatch.setattr(ps, "psi0_values", lambda *a: calls.append(a) or real(*a))
+        evolved_wavefunction(BENCH, x, late)
+        evolved_wavefunction(BENCH, x, float(late[0]))
+        assert calls == []
+        got = evolved_wavefunction(BENCH, x, np.r_[BENCH.t0, late[:2], BENCH.t0, late[2]])
+        assert len(calls) == 1
+        assert_array_equal(got[[0, 3]], [want_t0, want_t0])
+        assert_array_equal(got[[1, 2, 4]], want_late)
+
     def test_batched_time_before_preparation_rejected(self):
         with pytest.raises(NumericalValidationError):
             evolved_wavefunction(BENCH, np.array([0.0, 1.0]), np.array([1.0, -0.5, 2.0]))
@@ -353,12 +378,28 @@ class TestBornProbability:
         ((x, t_out, *sources, mass, hbar, eta),) = calls
         assert_array_equal(x, ps._readout_grid(BENCH))
         assert t_out == t
-        for got, want in zip(sources, ps._region_sources(BENCH, ps._t_density_for(BENCH, t))):
-            assert_array_equal(got, want)
+        for got, want in zip(sources, flat_sources(BENCH, ps._t_density_for(BENCH, t))):
+            assert_array_equal(np.ravel(got), want)
         k = BENCH.kernel
         assert (mass, hbar, eta) == (k.mass, k.hbar, k.regularization_eta)
         assert_array_equal(phis[0], first_order_amplitude(BENCH, x, t))
         assert_array_equal(w, trapezoid_weights(x.size, x[1] - x[0]))
+
+    @pytest.mark.parametrize("exp", [BENCH, two_point_experiment()], ids=["slab", "two-point"])
+    def test_readout_hands_each_rectangle_its_rows(self, monkeypatch, exp):
+        def fail(*args):
+            raise AssertionError("equal-time runs searched for")
+
+        calls, real = [], ps._kernels._chirp_rows
+        monkeypatch.setattr(ps._kernels, "_uniform_runs", fail)
+        monkeypatch.setattr(ps._kernels, "_chirp_rows", lambda *a: calls.append(a) or real(*a))
+        ps._readout_branches(exp)
+        table = ps._region_sources(exp, exp.resolution.t_density)
+        assert len(calls) == len(table) == len(exp.region)
+        for (_, _, y0, _, t_rows, amp, _, _), (xq, tq, wx, wt, psi) in zip(calls, table):
+            assert_array_equal(amp, exp.potential_v * psi * wx * wt[:, None])
+            assert_array_equal(y0, np.full(tq.size, xq[0]))
+            assert_array_equal(t_rows, tq)
 
     @pytest.mark.parametrize("exp", [BENCH, two_point_experiment()], ids=["slab", "two-point"])
     def test_readout_edge_margin(self, exp):
@@ -473,7 +514,7 @@ class TestResolution:
         xr = ps._readout_grid(exp)
         assert (xr[0], xr[-1], xr.size) == res.readout
         for density in {1, 3, res.t_density}:
-            x, t, amp = ps._region_sources(exp, density)
+            x, t, amp = flat_sources(exp, density)
             want = sum(nqx * ((nqt - 1) * density + 1) for nqx, nqt in res.sources)
             assert x.size == t.size == amp.size == want
         for i, nodes in enumerate(res.sources):
@@ -712,6 +753,28 @@ class TestRrProbability:
         assert all(e < 0 for e in err) and abs(err[0]) <= bound
         for coarse, fine in zip(err, err[1:]):
             assert 3.8 <= coarse / fine <= 4.3
+
+    @pytest.mark.parametrize(
+        "exp, density, rel",
+        [
+            (benchmark_experiment(1), 1, 0.0),
+            (BENCH, 2, 0.0),
+            (THREE_RECTS, 4, 0.0),
+            (TWO_POINT_FAR, 3, 1e-15),  # a third of a node step is not exact in binary
+        ],
+        ids=["slab-refine1", "slab", "three-rectangles", "two-point-separation4"],
+    )
+    def test_overlap_reads_the_readout_source_table(self, exp, density, rel):
+        assert exp.resolution.t_density == density
+        for i in range(len(exp.region)):
+            xq, tq, wx, wt = ps._rect_subgrid(exp, i)
+            fresh = complex(sum(wt * np.sum(wx * evolved_wavefunction(exp, xq, tq), axis=1)))
+            assert abs(ps._rect_overlap(exp, i) - fresh) <= rel * abs(fresh)
+
+    def test_source_table_shared_by_readout_and_overlap(self, tmp_path):
+        hits = ps._region_sources.cache_info().hits
+        levels, _ = run_detector(tmp_path, "detector-compare", refine=1)
+        assert ps._region_sources.cache_info().hits - hits >= len(levels) == 2
 
 
 def _joint_state_on_slice(exp, t):
@@ -1078,7 +1141,7 @@ class TestTwoPoint:
         union = ps._kernels.propagate(
             ps._readout_grid(exp),
             t,
-            *ps._region_sources(exp, ps._t_density_for(exp, t)),
+            *flat_sources(exp, ps._t_density_for(exp, t)),
             k.mass,
             k.hbar,
             k.regularization_eta,
