@@ -56,8 +56,11 @@ On ``two_point_experiment()``, the prepared state on the region slices
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
 decomposition with per-slice collapse of ``tests/oracles.py`` against
-the d x d physical Gram matrix of ``postulates`` (one batched spectral
-evolution), with the max deviation of the normalized density matrices.
+the d x d physical Gram matrix of ``postulates.covariant_partial_trace``,
+with the max deviation of the normalized density matrices; then the x
+route (the band's x view by ``_branch_functions``, then that trace)
+against the whole of ``cqi_probability_detail``, which builds the band and
+traces it in k, with its guards and observer algebra.
 The collapse inside it is timed on its own at refine 1 and 3: every band
 slice of both branches evolved to the last slice (one batched
 ``spectral_evolve``) and summed with the trapezoid weights, against
@@ -265,7 +268,7 @@ def compare_prepared_state(density=8):
 def compare_partial_trace(refines=(0, 1, 2)):
     for r in refines:
         exp = postulates.benchmark_experiment(r)
-        grid, psi, phi = postulates._branch_functions(exp)
+        (grid, psi, phi), t_branch = timed(postulates._branch_functions, exp)
         values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
         values[:, :, 0], values[:, :, 3] = psi, phi
         joint = postulates.JointState(grid.x, grid.t, values, (2, 2))
@@ -274,9 +277,12 @@ def compare_partial_trace(refines=(0, 1, 2)):
         red, t_gram = timed(postulates.covariant_partial_trace, joint, exp.kernel)
         ref = 0.5 * (rho_raw + rho_raw.conj().T) / np.trace(rho_raw).real
         err = np.max(np.abs(red.rho.matrix - ref))
+        _, t_detail = timed(postulates.cqi_probability_detail, exp)
         print(f"  schmidt   : {t_schmidt * 1e3:9.2f} ms")
         print(f"  gram      : {t_gram * 1e3:9.2f} ms   speedup {t_schmidt / t_gram:.1f}x"
               f"   max |drho| {err:.1e}")
+        print(f"  x route   : {(t_branch + t_gram) * 1e3:9.2f} ms   (branch functions + gram)")
+        print(f"  k route   : {t_detail * 1e3:9.2f} ms   (all of cqi_probability_detail)")
 
 
 def compare_collapse(refines=(1, 3)):

@@ -434,11 +434,14 @@ def _run_detector(cfg: ExperimentConfig, refine: int):
         exp = cfg.experiment.refined(level)
         born, values = spec.measure(exp)
         values = {"experiment": exp_id, "refine": level, "nx": exp.nx, **values}
+        dr = born.p_double_region  # by Parseval p_cqi restates dr / (1 + dr)
         rows.append([values[key] for key in spec.columns])
         levels.append(
             {
                 **{key: values[key] for key in ("refine", *spec.diagnostics)},
                 "born_xcheck_rel": born.rel_diff,
+                "cqi_xcheck_rel": values["p_cqi"] / (dr / (1.0 + dr)) - 1.0,
+                "perturbation_ratio": exp.validate_perturbative(),
                 "born_double_region": born.p_double_region,
                 "readout_edge_rel": born.readout_edge_rel,
                 "readout_points": born.readout_points,

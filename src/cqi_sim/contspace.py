@@ -45,6 +45,7 @@ __all__ = [
     "physical_norm",
     "spectral_evolve",
     "spectral_collapse",
+    "spectral_collapse_k",
     "gaussian_packet",
 ]
 
@@ -343,8 +344,14 @@ def spectral_evolve(
 def spectral_collapse(values, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
     """sum_t weights[t] spectral_evolve(values[..., t, :], lags[t]) for slices (..., nt, nx):
     the slices are transformed once and summed in k-space, one inverse FFT per row."""
-    phase = np.asarray(weights)[:, None] * _kinetic_phase(values.shape[-1], dx, k, lags)
-    return np.fft.ifft(np.einsum("...tk,tk->...k", np.fft.fft(values), phase))
+    return np.fft.ifft(spectral_collapse_k(np.fft.fft(values), dx, k, lags, weights))
+
+
+def spectral_collapse_k(coefs, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
+    """The k-space core of ``spectral_collapse``: FFT coefficients (..., nt, nx) of the
+    slices in, those (..., nx) of the collapsed rows out."""
+    phase = np.asarray(weights)[:, None] * _kinetic_phase(coefs.shape[-1], dx, k, lags)
+    return np.einsum("...tk,tk->...k", coefs, phase)
 
 
 def _kinetic_phase(nx: int, dx: float, k: PropagatorKernel, t: np.ndarray) -> np.ndarray:

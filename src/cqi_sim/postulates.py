@@ -28,13 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _kernels, hilbert
-from .contspace import (
-    Grid,
-    PropagatorKernel,
-    gaussian_packet,
-    spectral_collapse,
-    spectral_evolve,
-)
+from .contspace import Grid, PropagatorKernel, _kinetic_phase, gaussian_packet, spectral_collapse_k
 from .errors import InvariantViolation, NumericalValidationError
 from .hilbert import DensityOp
 from .utils import trapezoid_weights
@@ -100,9 +94,10 @@ class JointState:
 
     ``values`` has shape (nx, nt, d_obs) over the x sampling and the
     slice times; ``obs_dims`` records the tensor structure of the
-    observer side.  A single slice (nt == 1) is delta-normalized in
-    time, a band uses trapezoid weights (any smearing profile is folded
-    into the values).  Both axes must be uniformly sampled.
+    observer side.  The x grid is periodic, with equal weights dx.  A
+    single slice (nt == 1) is delta-normalized in time, a band uses
+    trapezoid weights (any smearing profile is folded into the values).
+    Both axes must be uniformly sampled.
     """
 
     x: np.ndarray
@@ -125,7 +120,7 @@ class JointState:
         object.__setattr__(self, "values", v)
 
     def x_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.x.size, float(self.x[1] - self.x[0]))
+        return np.full(self.x.size, float(self.x[1] - self.x[0]))
 
     def t_weights(self) -> np.ndarray:
         if self.t.size == 1:
@@ -212,15 +207,16 @@ class DetectorExperiment:
         """Same experiment with nx, band_slices and the source quadrature doubled k times."""
         return replace(self, nx=self.nx * 2**k, refine_level=self.refine_level + k)
 
-    def validate_perturbative(self) -> None:
-        """Fail unless the crude second-to-first-order amplitude ratio of the
-        coupling is within ``pert_tol``."""
+    def validate_perturbative(self) -> float:
+        """The crude second-to-first-order amplitude ratio r of the coupling;
+        fails unless it is within ``pert_tol``."""
         t_extent = sum(r.t_hi - r.t_lo for r in self.region)
         r = 0.5 * self.coupling_alpha * abs(self.potential_v) * t_extent / self.kernel.hbar
         if r > self.pert_tol:
             raise NumericalValidationError(
                 f"perturbation ratio {r:.3g} exceeds tolerance {self.pert_tol}"
             )
+        return r
 
 
 # packet and coupling shared by the slab and the two-point experiments
@@ -591,6 +587,37 @@ def rr_probability(exp: DetectorExperiment) -> float:
 # covariant partial trace and the cqi probability
 
 
+def _covariant_trace(
+    coefs, live, obs_dims, t, tw, dx: float, k: PropagatorKernel, norm_tol: float = 1e-3
+) -> CovariantReducedState:
+    """The covariant partial trace on the FFT coefficients (n, nt, nx) of a joint state's
+    components ``live`` (the others are identically zero: their rho rows stay 0) on the
+    slices t, with time weights tw and x step dx.  The x weights dx are equal on the
+    periodic grid, so each x sum is a Parseval sum, sum_x dx f* g = (dx / nx) sum_k F* G.
+    The Schmidt rank counts singular values of the t-weighted n x (nt nx) coefficients
+    above 1e-12 of the largest, from their n x n R factor (the kinematical Gram matrix
+    would square their condition number).  rho_raw = (dx / nx) C C^H, with C the
+    components collapsed to the last slice by one ``spectral_collapse_k``."""
+    n, nt, nx = coefs.shape
+    r = np.linalg.qr((coefs * np.sqrt(tw)[:, None]).reshape(n, nt * nx).T, mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
+    if rank == 0:
+        raise NumericalValidationError("joint state is numerically zero")
+
+    cols = np.zeros((math.prod(obs_dims), nx), dtype=complex)  # d x d, one summation order
+    cols[live] = spectral_collapse_k(coefs, dx, k, t[-1] - t, tw)
+    rho_raw = (dx / nx) * (cols @ cols.conj().T)
+    trace_raw = float(np.trace(rho_raw).real)
+    if abs(trace_raw - 1.0) > norm_tol:
+        raise NumericalValidationError(
+            f"joint state is not normalized under the physical inner product "
+            f"(trace {trace_raw:.6g})"
+        )
+    rho = 0.5 * (rho_raw + rho_raw.conj().T) / trace_raw
+    return CovariantReducedState(DensityOp(rho, obs_dims), rank, trace_raw)
+
+
 def covariant_partial_trace(
     joint: JointState, k: PropagatorKernel, norm_tol: float = 1e-3
 ) -> CovariantReducedState:
@@ -599,36 +626,14 @@ def covariant_partial_trace(
 
     rho[a, b] = <P Psi_b, P Psi_a> for the observer-conditioned system
     components Psi_a = ``values[:, :, a]``, all collapsed to the last
-    slice by one ``spectral_collapse``; on a single slice this is the ordinary
-    partial trace.  The Schmidt rank counts singular values of the weighted d x
-    (nt nx) matrix above 1e-12 of the largest, from its d x d R factor (the
-    kinematical Gram matrix would square their condition number).
-    Identically zero components are skipped: their rho rows stay zero.
+    slice; on a single slice this is the ordinary partial trace.  The
+    components that are not identically zero are transformed once, as
+    (n, nt, nx), and handed to ``_covariant_trace``.
     """
-    nx, nt, d = joint.values.shape
-    comps = np.ascontiguousarray(joint.values.transpose(2, 1, 0))  # (d, nt, nx)
-    live = np.flatnonzero(np.any(comps.reshape(d, -1), axis=1))
-    comps = comps[live]
-    xw, tw = joint.x_weights(), joint.t_weights()
-    sqw = np.sqrt(np.outer(tw, xw)).reshape(-1)
-    r = np.linalg.qr((comps.reshape(live.size, nt * nx) * sqw).T, mode="r")
-    s = np.linalg.svd(r, compute_uv=False)
-    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
-    if rank == 0:
-        raise NumericalValidationError("joint state is numerically zero")
-
-    dx = float(joint.x[1] - joint.x[0])
-    cols = np.zeros((d, nx), dtype=complex)  # the d x d product keeps its summation order
-    cols[live] = spectral_collapse(comps, dx, k, joint.t[-1] - joint.t, tw)
-    rho_raw = (cols * xw) @ cols.conj().T
-    trace_raw = float(np.trace(rho_raw).real)
-    if abs(trace_raw - 1.0) > norm_tol:
-        raise NumericalValidationError(
-            f"joint state is not normalized under the physical inner product "
-            f"(trace {trace_raw:.6g})"
-        )
-    rho = 0.5 * (rho_raw + rho_raw.conj().T) / trace_raw
-    return CovariantReducedState(DensityOp(rho, joint.obs_dims), rank, trace_raw)
+    live = np.flatnonzero(np.any(joint.values, axis=(0, 1)))
+    coefs = np.fft.fft(joint.values[:, :, live].transpose(2, 1, 0))
+    dx, tw = float(joint.x[1] - joint.x[0]), joint.t_weights()
+    return _covariant_trace(coefs, live, joint.obs_dims, joint.t, tw, dx, k, norm_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,22 +667,24 @@ def _band_fold_rel(exp: DetectorExperiment) -> float:
     return float(power[np.abs(m) > exp.nx / 2].sum() / max(power.sum(), 1e-300))
 
 
-def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Evolved |0>- and |1>-branch amplitudes on the slices of ``exp.band``,
-    multiplied by the uniform smearing profile (integral one).
-
-    The branches are free solutions throughout the band, so each is
-    seeded on the first slice, transformed once and stepped to every
-    slice spectrally by one batched inverse FFT.
-    """
+def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray]:
+    """FFT coefficients (2, nt, nx) of the evolved |0>- and |1>-branch on the slices of
+    ``exp.band``: the branches are free solutions throughout the band, so each is
+    seeded on the first slice, transformed once and stepped to every slice by one
+    kinetic-phase table."""
     band = exp.band
     grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], exp.band_slices)
-    g = 1.0 / (band[1] - band[0])
-    seeds = np.array(
-        [evolved_wavefunction(exp, exp.x(), band[0]), _spectral_branch(exp, band[0])]
-    )
-    steps = spectral_evolve(seeds[:, None, :], grid.dx, exp.kernel, grid.t - band[0])
-    psi_vals, phi_vals = steps.transpose(0, 2, 1) * g
+    seeds = [evolved_wavefunction(exp, exp.x(), band[0]), _spectral_branch(exp, band[0])]
+    steps = _kinetic_phase(exp.nx, grid.dx, exp.kernel, grid.t - band[0])
+    return grid, steps * np.fft.fft(seeds)[:, None, :]
+
+
+def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """Evolved |0>- and |1>-branch amplitudes (nx, nt) on the slices of ``exp.band`` times
+    the uniform smearing profile (integral one): ``_band_coefficients`` by one inverse FFT."""
+    grid, coefs = _band_coefficients(exp)
+    g = 1.0 / (exp.band[1] - exp.band[0])
+    psi_vals, phi_vals = np.fft.ifft(coefs).transpose(0, 2, 1) * g
     return grid, psi_vals, phi_vals
 
 
@@ -697,13 +704,11 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
             f"band grid too coarse at refine level {exp.refine_level}: nx = {exp.nx} folds "
             f"{fold:.3g} of the region spectrum's power (tolerance {exp.fold_tol})"
         )
-    grid, psi_vals, phi_vals = _branch_functions(exp)
-
-    values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
-    values[:, :, 0] = psi_vals  # detector |0>, observer |0>
-    values[:, :, 3] = phi_vals  # detector |1>, observer |1>
-    joint = JointState(grid.x, grid.t, values, (2, 2))
-    reduced = covariant_partial_trace(joint, exp.kernel)
+    grid, coefs = _band_coefficients(exp)
+    # components 0 (detector |0>, observer |0>) and 3 (|1>, |1>) of the joint state, whose
+    # uniform smearing profile folds into the time weights
+    tw = trapezoid_weights(grid.nt, grid.dt) / (exp.band[1] - exp.band[0])
+    reduced = _covariant_trace(coefs, [0, 3], (2, 2), grid.t, tw, grid.dx, exp.kernel)
     m = hilbert.partial_trace(reduced.rho, {1}).matrix
     if m[0, 1] != 0 or m[1, 0] != 0:  # the kept detector factor makes them exactly 0
         raise InvariantViolation(f"observer state has an off-diagonal entry {abs(m[0, 1]):.3g}")
@@ -713,13 +718,7 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
     weights_on_1 = np.abs(pb.basis[1, :]) ** 2
     p_cqi = float(pb.dist.probs[int(np.argmax(weights_on_1))])
 
-    return CqiResult(
-        p_cqi=p_cqi,
-        rho_observer=rho_obs,
-        schmidt_rank=reduced.schmidt_rank,
-        normalization_deficit=reduced.trace_raw - 1.0,
-        band_fold_rel=fold,
-    )
+    return CqiResult(p_cqi, rho_obs, reduced.schmidt_rank, reduced.trace_raw - 1.0, fold)
 
 
 def cqi_probability(exp: DetectorExperiment) -> float:
@@ -773,29 +772,26 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     incoherent = abs(j_a) ** 2 + abs(j_b) ** 2
     cross_rr = 2.0 * (np.conj(j_a) * j_b).real / incoherent
 
-    centers = []
-    for rect in (r_a, r_b):
-        xc = 0.5 * (rect.x_lo + rect.x_hi)
-        tc = 0.5 * (rect.t_lo + rect.t_hi)
-        centers.append(complex(evolved_wavefunction(exp, np.array([xc]), tc)[0]))
-    psi_a, psi_b = centers
+    psi_a, psi_b = (
+        complex(evolved_wavefunction(exp, [0.5 * (r.x_lo + r.x_hi)], 0.5 * (r.t_lo + r.t_hi))[0])
+        for r in (r_a, r_b)
+    )
     cross_pred = 2.0 * (np.conj(psi_a) * psi_b).real / (abs(psi_a) ** 2 + abs(psi_b) ** 2)
 
     born = born_probability_detail(exp)
     cross_born = born.p_slice / sum(born.p_slice_rects) - 1.0
 
     cqi = cqi_probability_detail(exp)
-    p_cqi = cqi.p_cqi
     ratio = (1.0 + cross_rr) / (1.0 + cross_born)
     return TwoPointReport(
         p_rr=float(p_rr),
         p_born=born.p_slice,
-        p_cqi=p_cqi,
+        p_cqi=cqi.p_cqi,
         cross_rr_measured=float(cross_rr),
         cross_rr_predicted=float(cross_pred),
         cross_born=float(cross_born),
         ratio_rr_born=float(ratio),
-        cqi_born_ratio=float(p_cqi / born.p_slice),
+        cqi_born_ratio=float(cqi.p_cqi / born.p_slice),
         born=born,
         band_fold_rel=cqi.band_fold_rel,
     )
@@ -830,14 +826,6 @@ def shrinking_region_sweep(
         p_b = _born_slice_norm(shrunk)
         p_r = rr_probability(shrunk)
         meas = shrunk.region[0].measure
-        rows.append(
-            {
-                "step": kstep,
-                "t_extent": tau,
-                "p_rr": p_r,
-                "p_born": p_b,
-                "ratio_raw": p_r / p_b,
-                "ratio": p_r * meas * apparatus / p_b,
-            }
-        )
+        rows.append({"step": kstep, "t_extent": tau, "p_rr": p_r, "p_born": p_b,
+                     "ratio_raw": p_r / p_b, "ratio": p_r * meas * apparatus / p_b})
     return rows

@@ -201,6 +201,27 @@ class TestRunners:
         want = cli.postulates._readout_grid(build()).size
         assert [lv["readout_points"] for lv in levels] == [want] * 3
 
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("detector-compare", cli.postulates.benchmark_experiment),
+            ("two-point", cli.postulates.two_point_experiment),
+        ],
+    )
+    def test_levels_report_cqi_xcheck_and_perturbation_ratio(self, tmp_path, kind, build):
+        # p_cqi against dr / (1 + dr), dr the level's double region, and the ratio r
+        # that validate_perturbative checks: both reported on every level, neither guarded
+        path = write_config(tmp_path, "c.json", {"kind": kind, "output": {"path": "o"}})
+        cli.run(path, refine=1, out_dir=tmp_path)
+        levels = json.loads((tmp_path / "o.json").read_text())["diagnostics"]["levels"]
+        assert len(levels) == 2
+        for lv in levels:
+            exp = build(refine=lv["refine"])
+            dr = lv["born_double_region"]
+            want = cli.postulates.cqi_probability(exp) / (dr / (1.0 + dr)) - 1.0
+            assert lv["cqi_xcheck_rel"] == want and abs(want) < 1e-5
+            assert lv["perturbation_ratio"] == exp.validate_perturbative() > 0
+
 
 class TestDeterminism:
     def test_identical_payloads(self, tmp_path):

@@ -209,8 +209,8 @@ def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
 def test_chirp_z_at_pipeline_size(chirp_calls):
     # (rows, points per row, source x and t ends, outputs, output time, FFT length)
     calls = [
-        # the slab's refine-1 readout call, large enough that every chirp takes
-        # several recurrence blocks
+        # the slab's refine-1 sources (66 slices of 106 points) onto 1952 outputs, more
+        # than the readout's 682, so that every chirp takes several recurrence blocks
         (66, 106, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 1952), 4.2, 2160),
         # the two-point readout call: one square's 65 slices of 33 points onto 563
         # outputs, m + n - 1 = 595 in an FFT of 600

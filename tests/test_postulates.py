@@ -860,17 +860,17 @@ class TestCovariantPartialTrace:
     @pytest.mark.parametrize("touched", [False, True])
     def test_identically_zero_components_skipped(self, monkeypatch, touched):
         # the band state's components 1 and 2 are identically zero: only the
-        # others are evolved, and their rows and columns of rho stay exactly 0;
-        # one nonzero sample is enough for a component to be evolved
+        # others reach the trace core, and their rows and columns of rho stay exactly 0;
+        # one nonzero sample is enough for a component to be live
         joint = _joint_state_on_band(BENCH)
         if touched:
             vals = joint.values.copy()
             vals[BENCH.nx // 2, 0, 2] = 1e-30
             joint = JointState(joint.x, joint.t, vals, joint.obs_dims)
         shapes = []
-        collapse = ps.spectral_collapse
+        core = ps._covariant_trace
         monkeypatch.setattr(
-            ps, "spectral_collapse", lambda v, *a: shapes.append(v.shape) or collapse(v, *a)
+            ps, "_covariant_trace", lambda c, *a: shapes.append(c.shape) or core(c, *a)
         )
         red = covariant_partial_trace(joint, BENCH.kernel)
         live = [0, 2, 3] if touched else [0, 3]
@@ -880,6 +880,12 @@ class TestCovariantPartialTrace:
         rho_raw, rank = covariant_partial_trace_schmidt(joint, BENCH.kernel)
         assert red.schmidt_rank == rank
         assert abs(red.trace_raw - np.trace(rho_raw).real) <= 1e-13
+
+    def test_zero_state_rejected(self):
+        joint = _joint_state_on_slice(BENCH, 3.6)
+        zero = JointState(joint.x, joint.t, 0.0 * joint.values, joint.obs_dims)
+        with pytest.raises(NumericalValidationError, match="numerically zero"):
+            covariant_partial_trace(zero, BENCH.kernel)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -952,7 +958,7 @@ def test_covariant_trace_invariants_hypothesis(mixture_basis, seed, d, dependent
     vals = joint.values[:, j : j + 1, :]
     on_slice = JointState(grid.x, grid.t[j : j + 1], vals, (d,))
     red_s = covariant_partial_trace(on_slice, BENCH.kernel, norm_tol=np.inf)
-    amps = (vals[:, 0, :] * np.sqrt(trapezoid_weights(grid.nx, grid.dx))[:, None]).reshape(-1)
+    amps = (vals[:, 0, :] * np.sqrt(joint.x_weights())[:, None]).reshape(-1)
     oracle = hilbert.reduced_state(hilbert.Ket(amps / np.linalg.norm(amps), (grid.nx, d)), {1})
     assert np.max(np.abs(red_s.rho.matrix - oracle.matrix)) < 1e-12
 
@@ -1018,6 +1024,47 @@ class TestCqiProbability:
         with pytest.raises(InvariantViolation, match="off-diagonal"):
             cqi_probability_detail(BENCH)
 
+    @pytest.mark.parametrize(
+        "exp", [BENCH, benchmark_experiment(1), two_point_experiment()], ids=["r0", "r1", "two"]
+    )
+    def test_k_route_equals_x_route(self, monkeypatch, exp):
+        # the detector path's reduced state, from the band's Fourier coefficients, against
+        # covariant_partial_trace of the x-space branch functions on the same band
+        core, seen = ps._covariant_trace, []
+        monkeypatch.setattr(ps, "_covariant_trace", lambda *a: seen.append(core(*a)) or seen[-1])
+        res = cqi_probability_detail(exp)
+        red_k = seen[0]
+        red_x = covariant_partial_trace(_joint_state_on_band(exp), exp.kernel)
+        assert np.max(np.abs(red_k.rho.matrix - red_x.rho.matrix)) <= 1e-12
+        assert abs(red_k.trace_raw - red_x.trace_raw) <= 1e-13
+        assert res.schmidt_rank == red_k.schmidt_rank == red_x.schmidt_rank == 2
+        assert res.normalization_deficit == red_k.trace_raw - 1.0
+
+    def test_detector_path_stays_in_k(self, monkeypatch):
+        # the trace core gets components 0 and 3 only, and no band slice goes back to x:
+        # the one inverse FFT is the |1>-seed's, a single row of nx
+        core, calls, inverse = ps._covariant_trace, [], []
+        monkeypatch.setattr(
+            ps, "_covariant_trace",
+            lambda c, live, *a: calls.append((c.shape, list(live))) or core(c, live, *a),
+        )
+        ifft = np.fft.ifft
+        monkeypatch.setattr(
+            np.fft, "ifft", lambda a, **kw: inverse.append(np.shape(a)) or ifft(a, **kw)
+        )
+        cqi_probability_detail(BENCH)
+        assert calls == [((2, BENCH.band_slices, BENCH.nx), [0, 3])]
+        assert inverse == [(BENCH.nx,)]
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("x_lo", [-0.5, 10.0, 15.0, 18.5])
+    def test_restates_double_region(self, x_lo, refine):
+        # with equal x weights p_cqi restates S(k) by Parseval, also on slabs whose
+        # |1>-branch reaches the grid's ends, where end weights lost up to 1e-2 of it
+        exp = benchmark_experiment(refine, region=(Rect(x_lo, x_lo + 1.0, 3.0, 3.2),))
+        dr = ps._born_double_region(exp)
+        assert cqi_probability(exp) == pytest.approx(dr / (1.0 + dr), rel=1e-8, abs=0)
+
     @pytest.mark.parametrize("exp", [BENCH, benchmark_experiment(packet_momentum=0.6)])
     def test_batched_band_steps_equal_per_slice_evolution(self, exp):
         band = (exp.band[0] + 0.3, exp.band[1] + 0.3)
@@ -1057,8 +1104,8 @@ class TestCqiProbability:
     @pytest.mark.parametrize(
         "name, exp, tol",
         [
-            *(("slab", benchmark_experiment(r), 1e-5) for r in range(3)),
-            *(("two-point", two_point_experiment(refine=r), 5e-5) for r in range(3)),
+            *(("slab", benchmark_experiment(r), 2e-6) for r in range(3)),
+            *(("two-point", two_point_experiment(refine=r), 2e-6) for r in range(3)),
             ("slab", benchmark_experiment(nx=64), 1e-4),
             ("slab", benchmark_experiment(nx=128), 1e-4),
         ],
