@@ -41,12 +41,13 @@ relative deviation from the composite Gauss-Legendre oracle of
 ``tests/oracles.py`` on the same wavenumbers (about 0.5 s at refine 2);
 each timing builds S(k) afresh.
 
-The band branch functions ``postulates._branch_functions`` (warm, with
-S(k) cached from the double-region sum, as in a detector pass) on the
-slab at refine 0 and 1 and on two-point, with the L2 relative distance
-of their |1> seed from the region spectrum S(k) (``_spectral_branch``)
-to the kernel-sum seed ``first_order_amplitude(exp, exp.x(), band[0])``
-and that kernel sum's own time.
+The band's Fourier coefficients ``postulates._band_coefficients`` (warm,
+with S(k) cached from the double-region sum, as in a detector pass) on
+the slab at refine 0 and 1 and on two-point, on S(k)'s grid of
+``Resolution.spectral_n`` points, with the L2 relative distance of the
+|1> seed (the coefficients on the first slice, taken to x) to the
+kernel-sum seed ``first_order_amplitude(exp, grid.x, band[0])`` and that
+kernel sum's own time.
 
 On ``two_point_experiment()``, the prepared state on the region slices
 (``Resolution.sources``) at time density 8 by kernel quadrature of psi0
@@ -231,14 +232,14 @@ def time_band_seed():
         ("slab, refine 1", postulates.benchmark_experiment(1)),
         ("two-point, refine 0", postulates.two_point_experiment()),
     ]
-    print("band branch functions, |1> seed from S(k), against the kernel-sum seed")
+    print("band coefficients, |1> seed from S(k), against the kernel-sum seed")
     for label, exp in cases:
-        _, t_branch = timed(postulates._branch_functions, exp)
-        seed = postulates._spectral_branch(exp, exp.band[0])
-        ref, t_sum = timed(postulates.first_order_amplitude, exp, exp.x(), exp.band[0])
+        (grid, coefs), t_band = timed(postulates._band_coefficients, exp)
+        seed = np.fft.ifft(coefs[1, 0])
+        ref, t_sum = timed(postulates.first_order_amplitude, exp, grid.x, exp.band[0])
         rel = np.linalg.norm(seed - ref) / np.linalg.norm(ref)
-        print(f"  {label:<19}: {t_branch * 1e3:9.2f} ms   kernel-sum seed {t_sum * 1e3:.2f} ms"
-              f"   L2 rel distance {rel:.1e}")
+        print(f"  {label:<19}: {t_band * 1e3:9.2f} ms   {grid.nx} points   kernel-sum seed"
+              f" {t_sum * 1e3:.2f} ms   L2 rel distance {rel:.1e}")
 
 
 def compare_prepared_state(density=8):
@@ -269,10 +270,10 @@ def compare_partial_trace(refines=(0, 1, 2)):
     for r in refines:
         exp = postulates.benchmark_experiment(r)
         (grid, psi, phi), t_branch = timed(postulates._branch_functions, exp)
-        values = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
+        values = np.zeros((grid.nx, exp.band_slices, 4), dtype=complex)
         values[:, :, 0], values[:, :, 3] = psi, phi
         joint = postulates.JointState(grid.x, grid.t, values, (2, 2))
-        print(f"covariant partial trace, refine {r}: {exp.nx} x {exp.band_slices} x 4")
+        print(f"covariant partial trace, refine {r}: {grid.nx} x {exp.band_slices} x 4")
         (rho_raw, _), t_schmidt = timed(covariant_partial_trace_schmidt, joint, exp.kernel)
         red, t_gram = timed(postulates.covariant_partial_trace, joint, exp.kernel)
         ref = 0.5 * (rho_raw + rho_raw.conj().T) / np.trace(rho_raw).real

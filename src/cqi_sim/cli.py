@@ -141,7 +141,7 @@ class DetectorCompareParams(DetectorParams):
     columns = ("experiment", "refine", "nx", "p_born", "p_rr", "p_cqi", "cqi_born_ratio",
                "cqi_born_absdev")
     results = ("p_born", "p_rr", "p_cqi", "cqi_born_ratio")
-    diagnostics = ("schmidt_rank", "normalization_deficit", "band_fold_rel")
+    diagnostics = ("schmidt_rank", "normalization_deficit")
 
     @staticmethod
     def build(**overrides) -> postulates.DetectorExperiment:
@@ -165,7 +165,7 @@ class TwoPointParams(DetectorParams):
     columns = ("refine", "p_rr", "p_born", "p_cqi", "ratio_rr_born", "cross_rr_measured",
                "cross_rr_predicted", "cross_born", "cqi_born_ratio")
     results = ("ratio_rr_born", "cross_rr_measured", "cross_rr_predicted", "cqi_born_ratio")
-    diagnostics = ("cross_born", "band_fold_rel")
+    diagnostics = ("cross_born",)
 
     @staticmethod
     def build(**overrides) -> postulates.DetectorExperiment:
@@ -291,11 +291,11 @@ def _check_geometry(cfg: ExperimentConfig) -> postulates.DetectorExperiment:
     ConfigError naming the field at fault: no empty or reversed rectangle side,
     no overlapping rectangles (every route would count the common part twice; a
     shared edge is fine), the region after t0 (two-point: t1) and before the
-    readout and the band, and on the x grid.  The last keeps the region where the
-    output's grid says; no route is known to need it: the Born routes read no
-    grid, and the covariant route sees a rectangle past the grid's ends as its
-    image under the period nx dx (slabs at x in [19.5, 20.5] and [25, 26] gave
-    p_cqi / p_born of 0.99941 and 0.99994), whose cost elsewhere is unverified."""
+    readout and the band, a nonzero coupling and potential (else p_cqi / p_born
+    is 0 / 0), and the region on the x grid.  The last keeps the region where the
+    output's grid says; no route is known to need it: the Born routes read no grid,
+    and the covariant route restates S(k) on the period nx dx (slabs at x in
+    [19.5, 20.5] and [25, 26] give p_cqi within 2.7e-9 of dr / (1 + dr))."""
     two_point, params = cfg.kind == "two-point", cfg.params
     if "region" in params:
         boxes = [(*sorted(r["x"]), *sorted(r["t"])) for r in params["region"]]
@@ -313,6 +313,9 @@ def _check_geometry(cfg: ExperimentConfig) -> postulates.DetectorExperiment:
             raise ConfigError(f"params.separation: {err}: 2 |separation| < eps_pt") from None
         name = "t1" if two_point and err.field == "t0" else err.field
         raise ConfigError(f"params.{name}: {err}") from None
+    for name in ("coupling_alpha", "potential_v"):
+        if getattr(exp, name) == 0:
+            raise ConfigError(f"params.{name}: must be nonzero, else nothing can activate")
     placed_by = "region.{}.x" if "region" in params else "separation" if two_point else "region"
     for i, r in enumerate(exp.region):
         if r.x_lo < exp.x_min or r.x_hi > exp.x_max:
@@ -434,13 +437,19 @@ def _run_detector(cfg: ExperimentConfig, refine: int):
         exp = cfg.experiment.refined(level)
         born, values = spec.measure(exp)
         values = {"experiment": exp_id, "refine": level, "nx": exp.nx, **values}
-        dr = born.p_double_region  # by Parseval p_cqi restates dr / (1 + dr)
+        p_dr = born.p_double_region / (1.0 + born.p_double_region)  # p_cqi, by Parseval
+        cqi_rel = values["p_cqi"] / p_dr - 1.0
+        if abs(cqi_rel) > exp.xcheck_tol:
+            raise NumericalValidationError(
+                f"covariant cross-check failed at refine level {level}: p_cqi {values['p_cqi']:.6g}"
+                f" and dr / (1 + dr) {p_dr:.6g} differ by {cqi_rel:.3g} (tolerance {exp.xcheck_tol})"
+            )
         rows.append([values[key] for key in spec.columns])
         levels.append(
             {
                 **{key: values[key] for key in ("refine", *spec.diagnostics)},
                 "born_xcheck_rel": born.rel_diff,
-                "cqi_xcheck_rel": values["p_cqi"] / (dr / (1.0 + dr)) - 1.0,
+                "cqi_xcheck_rel": cqi_rel,
                 "perturbation_ratio": exp.validate_perturbative(),
                 "born_double_region": born.p_double_region,
                 "readout_edge_rel": born.readout_edge_rel,

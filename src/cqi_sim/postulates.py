@@ -159,7 +159,6 @@ class DetectorExperiment:
     refine_level: int = 0
     pert_tol: ClassVar[float] = 0.05
     xcheck_tol: ClassVar[float] = 1e-3
-    fold_tol: ClassVar[float] = 0.2  # largest share of sum |S|^2 the band seed may fold
 
     def __post_init__(self):
         if self.coupling_alpha < 0:
@@ -276,7 +275,7 @@ class Resolution:
     # at time density d a rectangle has (n_t - 1) d + 1 slices, here and in ``filon``
     readout: tuple[float, float, int]  # Born readout slice: its ends and points
     filon: tuple[tuple[int, int], ...]  # (x, t) Filon-Simpson nodes of S(k) per rectangle
-    spectral_n: int  # wavenumbers of S(k)
+    spectral_n: int  # wavenumbers of S(k), and points of the covariant band's x grid
     t_density: int  # source time density at the readout; the node counts above are at 1
 
 
@@ -304,7 +303,8 @@ def resolve(exp: DetectorExperiment) -> Resolution:
     # Filon nodes keep the packet's phase within 0.35 rad per step (0.7 per panel), in x and t
     rates = (packet_k, 0.5 * hb * packet_k**2 / m)
     filon = tuple(tuple(2 * math.ceil(s * q / 0.7) + 1 for s, q in zip(xt, rates)) for xt in sides)
-    # S(k) on the grid's FFT wavenumbers, past a coarse grid's Nyquist up to 2 reach k_phys
+    # S(k) on the FFT wavenumbers of the period nx dx, past a coarse grid's Nyquist up to
+    # 2 reach k_phys; the covariant band samples that period at as many points
     spectral_n = max(exp.nx, math.ceil(2 * reach * physical_k * (exp.nx * exp.dx) / np.pi))
     t_density = _t_density(exp, exp.readout_time, physical_k, sources)
     return Resolution(packet_k, physical_k, sources, readout, filon, spectral_n, t_density)
@@ -642,46 +642,27 @@ class CqiResult:
     rho_observer: DensityOp
     schmidt_rank: int
     normalization_deficit: float
-    band_fold_rel: float  # share of sum |S|^2 folded onto the band grid from past its Nyquist
-
-
-def _spectral_branch(exp: DetectorExperiment, t: float) -> np.ndarray:
-    """|1>-branch on ``exp.x()`` at t after the region, with no kernel sum: (alpha V / i hbar L)
-    sum_k S(k) exp(i k x - i omega (t - t_ref) - omega eta), k = 2 pi m / L in bin m mod nx."""
-    kern = exp.kernel
-    k, spec, length = _region_spectrum(exp, 1)
-    lag = 1j * (t - exp.span.t_lo) + kern.regularization_eta
-    phase = 1j * k * exp.x_min - 0.5 * kern.hbar * k**2 / kern.mass * lag
-    bins = np.zeros(exp.nx, dtype=complex)
-    np.add.at(bins, np.rint(k * length / (2.0 * np.pi)).astype(int) % exp.nx, spec * np.exp(phase))
-    pref = exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
-    return pref * np.fft.ifft(bins, norm="forward")
-
-
-def _band_fold_rel(exp: DetectorExperiment) -> float:
-    """Share of sum |S|^2 on wavenumbers 2 pi m / L that ``_spectral_branch`` folds, those
-    past the band grid's Nyquist: the folded bins add cross terms to the seed's norm."""
-    k, spec, length = _region_spectrum(exp, 1)
-    m = np.rint(k * length / (2.0 * np.pi))
-    power = np.abs(spec) ** 2
-    return float(power[np.abs(m) > exp.nx / 2].sum() / max(power.sum(), 1e-300))
 
 
 def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray]:
-    """FFT coefficients (2, nt, nx) of the evolved |0>- and |1>-branch on the slices of
-    ``exp.band``: the branches are free solutions throughout the band, so each is
-    seeded on the first slice, transformed once and stepped to every slice by one
-    kinetic-phase table."""
-    band = exp.band
-    grid = Grid(exp.x_min, exp.x_max, exp.nx, band[0], band[1], exp.band_slices)
-    seeds = [evolved_wavefunction(exp, exp.x(), band[0]), _spectral_branch(exp, band[0])]
-    steps = _kinetic_phase(exp.nx, grid.dx, exp.kernel, grid.t - band[0])
-    return grid, steps * np.fft.fft(seeds)[:, None, :]
+    """FFT coefficients (2, nt, n) of the |0>- and |1>-branch on the slices of ``exp.band``
+    and S(k)'s grid, n = ``Resolution.spectral_n`` points over the period L = nx dx: the
+    closed-form Psi through one FFT, and n (alpha V / i hbar L) S(k) exp(i k x_min - i omega
+    (band[0] - t_ref) - omega eta), both stepped to every slice by one kinetic-phase table."""
+    (k, spec, length), kern, band = _region_spectrum(exp, 1), exp.kernel, exp.band
+    n = k.size
+    grid = Grid(exp.x_min, exp.x_min + (n - 1) * length / n, n, band[0], band[1], exp.band_slices)
+    lag = 1j * (band[0] - exp.span.t_lo) + kern.regularization_eta
+    pref = n * exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
+    phi = pref * spec * np.exp(1j * k * exp.x_min - 0.5 * kern.hbar * k**2 / kern.mass * lag)
+    seeds = np.array([np.fft.fft(evolved_wavefunction(exp, grid.x, band[0])), phi])
+    return grid, _kinetic_phase(n, grid.dx, kern, grid.t - band[0]) * seeds[:, None, :]
 
 
 def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Evolved |0>- and |1>-branch amplitudes (nx, nt) on the slices of ``exp.band`` times
-    the uniform smearing profile (integral one): ``_band_coefficients`` by one inverse FFT."""
+    """Evolved |0>- and |1>-branch amplitudes (n, nt) on the band grid's x and the slices
+    of ``exp.band``, times the uniform smearing profile (integral one):
+    ``_band_coefficients`` by one inverse FFT."""
     grid, coefs = _band_coefficients(exp)
     g = 1.0 / (exp.band[1] - exp.band[0])
     psi_vals, phi_vals = np.fft.ifft(coefs).transpose(0, 2, 1) * g
@@ -698,12 +679,6 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
     and reads the probability from the observer's preferred basis.
     """
     exp.validate_perturbative()
-    fold = _band_fold_rel(exp)
-    if fold > exp.fold_tol:
-        raise NumericalValidationError(
-            f"band grid too coarse at refine level {exp.refine_level}: nx = {exp.nx} folds "
-            f"{fold:.3g} of the region spectrum's power (tolerance {exp.fold_tol})"
-        )
     grid, coefs = _band_coefficients(exp)
     # components 0 (detector |0>, observer |0>) and 3 (|1>, |1>) of the joint state, whose
     # uniform smearing profile folds into the time weights
@@ -718,7 +693,7 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
     weights_on_1 = np.abs(pb.basis[1, :]) ** 2
     p_cqi = float(pb.dist.probs[int(np.argmax(weights_on_1))])
 
-    return CqiResult(p_cqi, rho_obs, reduced.schmidt_rank, reduced.trace_raw - 1.0, fold)
+    return CqiResult(p_cqi, rho_obs, reduced.schmidt_rank, reduced.trace_raw - 1.0)
 
 
 def cqi_probability(exp: DetectorExperiment) -> float:
@@ -748,7 +723,6 @@ class TwoPointReport:
     ratio_rr_born: float  # normalized ratio, -> 2 for equal real amplitudes
     cqi_born_ratio: float
     born: BornDetail  # both Born routes: the cross-check margin
-    band_fold_rel: float  # the covariant route's ``CqiResult.band_fold_rel``
 
 
 def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
@@ -793,7 +767,6 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
         ratio_rr_born=float(ratio),
         cqi_born_ratio=float(cqi.p_cqi / born.p_slice),
         born=born,
-        band_fold_rel=cqi.band_fold_rel,
     )
 
 

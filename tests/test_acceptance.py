@@ -176,7 +176,7 @@ def test_criterion_08_covariant_trace_reduction():
     slice_dev = float(np.max(np.abs(red.rho.matrix - ordinary.matrix)))
 
     grid, psi_v, phi_v = ps._branch_functions(exp)
-    vals_b = np.zeros((exp.nx, exp.band_slices, 4), dtype=complex)
+    vals_b = np.zeros((grid.nx, exp.band_slices, 4), dtype=complex)
     vals_b[:, :, 0] = psi_v
     vals_b[:, :, 3] = phi_v
     joint_b = ps.JointState(grid.x, grid.t, vals_b, (2, 2))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from cqi_sim import cli
 from cqi_sim.errors import ConfigError, NumericalValidationError
+from oracles import CONTINUUM_BORN
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -308,37 +310,59 @@ class TestMainEntry:
         (level,) = json.loads((tmp_path / "coarse.json").read_text())["diagnostics"]["levels"]
         assert level["born_xcheck_rel"] <= 1e-3
 
-    @pytest.mark.parametrize("nx", [16, 32])
-    def test_coarse_band_grid_exit_2(self, tmp_path, capsys, nx):
-        # the band seed would fold over 0.2 of sum |S|^2 (0.63 and 0.31), and p_cqi
-        # would err by 9.6e-2 and 3.7e-3: the config is valid, the run refuses it
+    @pytest.mark.parametrize("nx", [16, 24, 32])
+    def test_coarse_band_grid_runs(self, tmp_path, nx):
+        # the band grid is S(k)'s grid (737 to 762 points over the period nx dx here), so
+        # a coarse nx sets only the period and p_cqi stays at the continuum
         cfg = {"kind": "detector-compare", "grid": {"nx": nx}, "output": {"path": "coarse"}}
         path = write_config(tmp_path, "det.json", cfg)
-        assert cli.main(["validate", str(path)]) == 0
-        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"band grid too coarse at refine level 0: nx = {nx}" in err
-        assert "tolerance 0.2" in err
-        assert not list(tmp_path.glob("coarse.*"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "coarse.csv").read_text().splitlines()
+        (row,) = csv.DictReader([ln for ln in lines if not ln.startswith("#")])
+        p = CONTINUUM_BORN["slab"]
+        assert float(row["p_cqi"]) == pytest.approx(p / (1.0 + p), rel=2e-6, abs=0)
 
     @pytest.mark.parametrize(
-        "name, grid, refine, lo, hi",
+        "name, grid, refine",
         [
-            ("detector-compare", {}, 1, 0.0, 1e-6),
-            ("detector-compare", {"nx": 48}, 0, 0.1, 0.12),
-            ("detector-compare", {"nx": 64, "x_min": -21.0}, 0, 0.01, 0.05),
-            ("two-point", {}, 1, 0.0, 1e-5),
+            ("detector-compare", {}, 1),
+            ("detector-compare", {"nx": 48}, 0),
+            ("detector-compare", {"nx": 64, "x_min": -21.0}, 0),
+            ("two-point", {}, 1),
         ],
         ids=["slab", "nx48", "nx64", "two-point"],
     )
-    def test_band_fold_rel_in_every_level(self, tmp_path, name, grid, refine, lo, hi):
+    def test_cqi_xcheck_rel_in_every_level(self, tmp_path, name, grid, refine):
+        # p_cqi restates dr / (1 + dr) by Parseval at every level, coarse grids too
         cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
-        cfg.update(grid={**cfg.get("grid", {}), **grid}, output={"path": "fold"})
+        cfg.update(grid={**cfg.get("grid", {}), **grid}, output={"path": "xcheck"})
         path = write_config(tmp_path, "cfg.json", cfg)
         assert cli.main(["run", str(path), "--refine", str(refine), "--out", str(tmp_path)]) == 0
-        levels = json.loads((tmp_path / "fold.json").read_text())["diagnostics"]["levels"]
+        levels = json.loads((tmp_path / "xcheck.json").read_text())["diagnostics"]["levels"]
         assert len(levels) == refine + 1
-        assert all(lo <= level["band_fold_rel"] <= hi for level in levels)
+        assert all(abs(level["cqi_xcheck_rel"]) <= 1e-8 for level in levels)
+
+    @pytest.mark.parametrize("name", ["detector-compare", "two-point"])
+    def test_covariant_cross_check_failure_exit_code(self, tmp_path, capsys, monkeypatch, name):
+        ps = cli.postulates
+        real = ps.cqi_probability_detail
+        scale = 1 + 2 * ps.DetectorExperiment.xcheck_tol
+        monkeypatch.setattr(
+            ps,
+            "cqi_probability_detail",
+            lambda exp: dataclasses.replace(real(exp), p_cqi=real(exp).p_cqi * scale),
+        )
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+        cfg["output"] = {"path": "off"}
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "covariant cross-check failed at refine level 0" in err
+        exp = cli.load_config(path).experiment
+        dr = ps._born_double_region(exp)
+        assert f"p_cqi {real(exp).p_cqi * scale:.6g} and dr / (1 + dr) {dr / (1 + dr):.6g}" in err
+        assert "tolerance 0.001" in err
+        assert not list(tmp_path.glob("off.*"))
 
     def test_cross_check_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         ps = cli.postulates
@@ -410,8 +434,10 @@ class TestStrictParams:
             ({"packet_width": 0}, "params.packet_width"),
             ({"packet_width": -1.0}, "params.packet_width"),
             ({"coupling_alpha": -0.02}, "params.coupling_alpha"),
+            ({"coupling_alpha": 0}, "params.coupling_alpha: must be nonzero"),
+            ({"potential_v": 0.0}, "params.potential_v: must be nonzero"),
         ],
-        ids=["width-0", "width-neg", "alpha-neg"],
+        ids=["width-0", "width-neg", "alpha-neg", "alpha-0", "v-0"],
     )
     def test_out_of_range_detector_params_exit_1(
         self, tmp_path, capsys, command, kind, params, field
