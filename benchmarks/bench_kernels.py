@@ -41,6 +41,12 @@ relative deviation from the composite Gauss-Legendre oracle of
 ``tests/oracles.py`` on the same wavenumbers (about 0.5 s at refine 2);
 each timing builds S(k) afresh.
 
+The region spectrum S(k) itself, cold (``postulates._region_spectrum``
+with its cache cleared), is timed on the slab at refine 0 and 1 and on
+two-point against ``region_spectrum_full`` of ``tests/oracles.py``, which
+builds the Filon-Simpson tables on every wavenumber instead of on the
+n // 2 + 1 bins k >= 0 and mirroring them; the max |deviation| must be 0.
+
 The band's Fourier coefficients ``postulates._band_coefficients`` (warm,
 with S(k) cached from the double-region sum, as in a detector pass) on
 the slab at refine 0 and 1 and on two-point, on S(k)'s grid of
@@ -93,6 +99,7 @@ from oracles import (  # noqa: E402
     general_interaction_probe_loop,
     no_communication_loop,
     readout_norms,
+    region_spectrum_full,
 )
 
 
@@ -226,6 +233,21 @@ def time_double_region():
               f"   rel deviation {(got - ref) / ref:+.1e}")
 
 
+def compare_region_spectrum():
+    cases = [
+        ("slab, refine 0", postulates.benchmark_experiment()),
+        ("slab, refine 1", postulates.benchmark_experiment(1)),
+        ("two-point, refine 0", postulates.two_point_experiment()),
+    ]
+    print("region spectrum S(k), cold: Filon tables on every k against the k >= 0 half")
+    for label, exp in cases:
+        ref, t_full = timed(region_spectrum_full, exp)
+        (_, got, _), t_half = timed(uncached, postulates._region_spectrum, exp, 1)
+        print(f"  {label:<19}: {got.size:4d} k   full {t_full * 1e3:7.2f} ms"
+              f"   half {t_half * 1e3:7.2f} ms   speedup {t_full / t_half:.2f}x"
+              f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
+
+
 def time_band_seed():
     cases = [
         ("slab, refine 0", postulates.benchmark_experiment()),
@@ -234,7 +256,7 @@ def time_band_seed():
     ]
     print("band coefficients, |1> seed from S(k), against the kernel-sum seed")
     for label, exp in cases:
-        (grid, coefs), t_band = timed(postulates._band_coefficients, exp)
+        (grid, coefs, _), t_band = timed(postulates._band_coefficients, exp)
         seed = np.fft.ifft(coefs[1, 0])
         ref, t_sum = timed(postulates.first_order_amplitude, exp, grid.x, exp.band[0])
         rel = np.linalg.norm(seed - ref) / np.linalg.norm(ref)
@@ -336,6 +358,7 @@ def main():
     compare_readout_forms()
     compare_readout()
     time_double_region()
+    compare_region_spectrum()
     time_band_seed()
     compare_prepared_state()
     compare_partial_trace()

@@ -344,14 +344,14 @@ def spectral_evolve(
 def spectral_collapse(values, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
     """sum_t weights[t] spectral_evolve(values[..., t, :], lags[t]) for slices (..., nt, nx):
     the slices are transformed once and summed in k-space, one inverse FFT per row."""
-    return np.fft.ifft(spectral_collapse_k(np.fft.fft(values), dx, k, lags, weights))
+    phase = _kinetic_phase(np.shape(values)[-1], dx, k, lags)
+    return np.fft.ifft(spectral_collapse_k(np.fft.fft(values), phase, weights))
 
 
-def spectral_collapse_k(coefs, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
-    """The k-space core of ``spectral_collapse``: FFT coefficients (..., nt, nx) of the
-    slices in, those (..., nx) of the collapsed rows out."""
-    phase = np.asarray(weights)[:, None] * _kinetic_phase(coefs.shape[-1], dx, k, lags)
-    return np.einsum("...tk,tk->...k", coefs, phase)
+def spectral_collapse_k(coefs, phase, weights) -> np.ndarray:
+    """The k-space core of ``spectral_collapse``: FFT coefficients (..., nt, nx) of the slices
+    and ``_kinetic_phase`` (nt, nx) of their lags in, those (..., nx) of the rows out."""
+    return np.einsum("...tk,tk->...k", coefs, np.asarray(weights)[:, None] * phase)
 
 
 def _kinetic_phase(nx: int, dx: float, k: PropagatorKernel, t: np.ndarray) -> np.ndarray:

@@ -445,22 +445,22 @@ def _filon_panel(theta: np.ndarray) -> np.ndarray:
     mu = np.array(mu)
     m, n = np.arange(3), np.arange(26)[:, None]  # 26 terms: 2^26 / 26! < 1e-18
     series = 2.0 ** (m + n + 1) / ((m + n + 1) * np.cumprod(np.maximum(n, 1), axis=0))
-    z, acc = 1j * theta[small], series[-1][:, None]
-    for c in series[-2::-1]:
-        acc = c[:, None] + acc * z
+    z, acc = 1j * theta[small], series[-1][:, None] + np.zeros(small.sum(), dtype=complex)
+    for c in series[-2::-1]:  # Horner steps in place
+        np.add(c[:, None], np.multiply(acc, z, out=acc), out=acc)
     mu[:, small] = acc
     mu0, mu1, mu2 = mu
     return np.array([(mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0, 2.0 * mu1 - mu2, (mu2 - mu1) / 2.0])
 
 
-def _filon_simpson(kappa: np.ndarray, y: np.ndarray, y_ref: float) -> np.ndarray:
+def _filon_simpson(kappa: np.ndarray, y: np.ndarray, y_ref: float, out=None) -> np.ndarray:
     """W[j, i] with sum_i W[j, i] f(y_i) = int f exp(i kappa_j (y - y_ref)) dy for the
     piecewise quadratic through f on odd uniform nodes: panel p (nodes 2p to 2p + 2)
-    adds h exp(i kappa (y_2p - y_ref)) times its panel weights at theta = kappa h."""
+    adds h exp(i kappa (y_2p - y_ref)) times its panel weights at theta = kappa h; into out."""
     h = y[1] - y[0]
     w0, w1, w2 = h * _filon_panel(kappa * h)
     back = np.exp(-1j * kappa * h)  # from a node's own phase to its panel's first node
-    c = np.empty((kappa.size, y.size), dtype=complex)
+    c = np.empty((kappa.size, y.size), dtype=complex) if out is None else out
     c[:, 0] = np.exp(1j * kappa * (y[0] - y_ref))
     c[:, 1:] = back.conj()[:, None]
     np.cumprod(c, axis=1, out=c)
@@ -484,17 +484,22 @@ def _region_spectrum(
     """(k, S, L): S(k) = int_R exp(i omega (t - t_ref)) Psi exp(-i k x) dx dt, omega =
     hbar k^2 / 2m and t_ref the earliest region time, at ``_spectral_k``'s k and period
     L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on its Filon-Simpson nodes
-    (``Resolution.filon``), whatever nx; rectangles with one time extent share Wt."""
+    (``Resolution.filon``), whatever nx; rectangles with one time extent share Wt.  Both are
+    built on k[:h] alone: fftfreq's k[h:] are -k[back], Wx rows conjugate, Wt rows equal."""
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k, length = _spectral_k(exp)
+    h, back = k.size // 2 + 1, slice((k.size - 1) // 2, 0, -1)
     spec = np.zeros(k.size, dtype=complex)
     wts = {}
     for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
         x = np.linspace(rect.x_lo, rect.x_hi, nfx)
         t = np.linspace(rect.t_lo, rect.t_hi, (nft - 1) * t_density + 1)
-        f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T  # (t, k)
+        wx = np.empty((k.size, nfx), dtype=complex)
+        np.conj(_filon_simpson(-k[:h], x, 0.0, wx[:h])[back], out=wx[h:])
+        f = evolved_wavefunction(exp, x, t) @ wx.T  # (t, k)
         if (key := (rect.t_lo, rect.t_hi, t.size)) not in wts:
-            wts[key] = _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo)
+            wt = wts[key] = np.empty((k.size, t.size), dtype=complex)
+            wt[h:] = _filon_simpson(0.5 * hb * k[:h] ** 2 / m, t, exp.span.t_lo, wt[:h])[back]
         spec += np.einsum("kt,tk->k", wts[key], f)
     k.flags.writeable = spec.flags.writeable = False
     return k, spec, length
@@ -588,12 +593,12 @@ def rr_probability(exp: DetectorExperiment) -> float:
 
 
 def _covariant_trace(
-    coefs, live, obs_dims, t, tw, dx: float, k: PropagatorKernel, norm_tol: float = 1e-3
+    coefs, live, obs_dims, phase, tw, dx: float, norm_tol: float = 1e-3
 ) -> CovariantReducedState:
     """The covariant partial trace on the FFT coefficients (n, nt, nx) of a joint state's
-    components ``live`` (the others are identically zero: their rho rows stay 0) on the
-    slices t, with time weights tw and x step dx.  The x weights dx are equal on the
-    periodic grid, so each x sum is a Parseval sum, sum_x dx f* g = (dx / nx) sum_k F* G.
+    components ``live`` (the others are identically zero: their rho rows stay 0), time weights
+    tw, equal x weights dx and ``phase`` (nt, nx) the kinetic phases of the lags to the last
+    slice.  Each x sum is a Parseval sum on the periodic grid, sum_x dx f* g = (dx / nx) sum_k F* G.
     The Schmidt rank counts singular values of the t-weighted n x (nt nx) coefficients
     above 1e-12 of the largest, from their n x n R factor (the kinematical Gram matrix
     would square their condition number).  rho_raw = (dx / nx) C C^H, with C the
@@ -606,7 +611,7 @@ def _covariant_trace(
         raise NumericalValidationError("joint state is numerically zero")
 
     cols = np.zeros((math.prod(obs_dims), nx), dtype=complex)  # d x d, one summation order
-    cols[live] = spectral_collapse_k(coefs, dx, k, t[-1] - t, tw)
+    cols[live] = spectral_collapse_k(coefs, phase, tw)
     rho_raw = (dx / nx) * (cols @ cols.conj().T)
     trace_raw = float(np.trace(rho_raw).real)
     if abs(trace_raw - 1.0) > norm_tol:
@@ -633,7 +638,8 @@ def covariant_partial_trace(
     live = np.flatnonzero(np.any(joint.values, axis=(0, 1)))
     coefs = np.fft.fft(joint.values[:, :, live].transpose(2, 1, 0))
     dx, tw = float(joint.x[1] - joint.x[0]), joint.t_weights()
-    return _covariant_trace(coefs, live, joint.obs_dims, joint.t, tw, dx, k, norm_tol)
+    phase = _kinetic_phase(joint.x.size, dx, k, joint.t[-1] - joint.t)
+    return _covariant_trace(coefs, live, joint.obs_dims, phase, tw, dx, norm_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,11 +650,12 @@ class CqiResult:
     normalization_deficit: float
 
 
-def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray]:
+def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
     """FFT coefficients (2, nt, n) of the |0>- and |1>-branch on the slices of ``exp.band``
     and S(k)'s grid, n = ``Resolution.spectral_n`` points over the period L = nx dx: the
     closed-form Psi through one FFT, and n (alpha V / i hbar L) S(k) exp(i k x_min - i omega
-    (band[0] - t_ref) - omega eta), both stepped to every slice by one kinetic-phase table."""
+    (band[0] - t_ref) - omega eta), both stepped to every slice by one kinetic-phase table,
+    which is returned too: reversed in t, it holds the collapse lags t[-1] - t."""
     (k, spec, length), kern, band = _region_spectrum(exp, 1), exp.kernel, exp.band
     n = k.size
     grid = Grid(exp.x_min, exp.x_min + (n - 1) * length / n, n, band[0], band[1], exp.band_slices)
@@ -656,14 +663,15 @@ def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray]:
     pref = n * exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
     phi = pref * spec * np.exp(1j * k * exp.x_min - 0.5 * kern.hbar * k**2 / kern.mass * lag)
     seeds = np.array([np.fft.fft(evolved_wavefunction(exp, grid.x, band[0])), phi])
-    return grid, _kinetic_phase(n, grid.dx, kern, grid.t - band[0]) * seeds[:, None, :]
+    phase = _kinetic_phase(n, grid.dx, kern, grid.t - band[0])
+    return grid, phase * seeds[:, None, :], phase
 
 
 def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
     """Evolved |0>- and |1>-branch amplitudes (n, nt) on the band grid's x and the slices
     of ``exp.band``, times the uniform smearing profile (integral one):
     ``_band_coefficients`` by one inverse FFT."""
-    grid, coefs = _band_coefficients(exp)
+    grid, coefs, _ = _band_coefficients(exp)
     g = 1.0 / (exp.band[1] - exp.band[0])
     psi_vals, phi_vals = np.fft.ifft(coefs).transpose(0, 2, 1) * g
     return grid, psi_vals, phi_vals
@@ -679,11 +687,11 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
     and reads the probability from the observer's preferred basis.
     """
     exp.validate_perturbative()
-    grid, coefs = _band_coefficients(exp)
+    grid, coefs, phase = _band_coefficients(exp)
     # components 0 (detector |0>, observer |0>) and 3 (|1>, |1>) of the joint state, whose
     # uniform smearing profile folds into the time weights
     tw = trapezoid_weights(grid.nt, grid.dt) / (exp.band[1] - exp.band[0])
-    reduced = _covariant_trace(coefs, [0, 3], (2, 2), grid.t, tw, grid.dx, exp.kernel)
+    reduced = _covariant_trace(coefs, [0, 3], (2, 2), phase[::-1], tw, grid.dx)
     m = hilbert.partial_trace(reduced.rho, {1}).matrix
     if m[0, 1] != 0 or m[1, 0] != 0:  # the kept detector factor makes them exactly 0
         raise InvariantViolation(f"observer state has an off-diagonal entry {abs(m[0, 1]):.3g}")
@@ -738,6 +746,8 @@ def two_point_report(exp: DetectorExperiment) -> TwoPointReport:
     """
     if len(exp.region) != 2:
         raise NumericalValidationError("two_point_report needs exactly two rectangles")
+    if zero := [f for f in ("coupling_alpha", "potential_v") if getattr(exp, f) == 0.0]:
+        raise NumericalValidationError(f"two_point_report needs a nonzero {zero[0]}")
     r_a, r_b = exp.region
 
     j_a, j_b = (_rect_overlap(exp, i) for i in (0, 1))

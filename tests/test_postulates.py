@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cqi_sim import cli, hilbert, postulates as ps
+from cqi_sim import cli, contspace as cs, hilbert, postulates as ps
 from cqi_sim.contspace import GridFunction, PropagatorKernel, spectral_evolve
 from cqi_sim.errors import InvariantViolation, NumericalValidationError
 from cqi_sim.postulates import (
@@ -38,6 +38,7 @@ from oracles import (
     evolved_by_quadrature,
     evolved_gaussian,
     readout_norms,
+    region_spectrum_full,
     rr_probability_continuum,
 )
 
@@ -524,9 +525,9 @@ class TestResolution:
         # rectangle had the same time extent, as the Filon weights get them
         real = ps._filon_simpson
 
-        def filon_simpson(kappa, y, y_ref):
+        def filon_simpson(kappa, y, y_ref, *out):
             seen.append(y.size)
-            return real(kappa, y, y_ref)
+            return real(kappa, y, y_ref, *out)
 
         monkeypatch.setattr(ps, "_filon_simpson", filon_simpson)
         ps._region_spectrum(exp, 2)
@@ -627,20 +628,37 @@ class TestDoubleRegion:
         assert_array_equal(ps._filon_panel(theta), want)
 
     @pytest.mark.parametrize(
-        "exp", [two_point_experiment(), THREE_RECTS], ids=["two-point", "three-rectangles"]
+        "exp",
+        [BENCH, benchmark_experiment(1), two_point_experiment(), THREE_RECTS],
+        ids=["slab", "slab-refine1", "two-point", "three-rectangles"],
     )
     def test_shared_time_tables_change_no_bit(self, exp):
-        # the same sum with its own Filon time table built for every rectangle
-        m, hb = exp.kernel.mass, exp.kernel.hbar
+        # the same sum with its own Filon time table built for every rectangle, and both
+        # tables built on every wavenumber, not mirrored from the k >= 0 half
+        assert_array_equal(ps._region_spectrum(exp, 1)[1], region_spectrum_full(exp))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0 - 2.0**-53, 1.0, 1e3])
+    def test_filon_panel_conjugate_symmetry(self, theta):
+        # below and at |theta| = 1, where the moments switch from their Taylor series
+        got = ps._filon_panel(np.array([-theta]))
+        assert_array_equal(got, ps._filon_panel(np.array([theta])).conj())
+
+    @pytest.mark.parametrize(
+        "exp, n",
+        [(BENCH, 716), (benchmark_experiment(1), 1024), (two_point_experiment(), 699)],
+        ids=["slab", "slab-refine1", "two-point"],
+    )
+    def test_filon_simpson_conjugate_symmetry(self, exp, n):
+        # what S(k)'s half-bin tables rely on: fftfreq's k[h:] are exactly -k[back], and
+        # the x table's rows at -k are the conjugates of those at +k, bit for bit
         k, _ = ps._spectral_k(exp)
-        want = np.zeros(k.size, dtype=complex)
-        for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
-            x = np.linspace(rect.x_lo, rect.x_hi, nfx)
-            t = np.linspace(rect.t_lo, rect.t_hi, nft)
-            f = evolved_wavefunction(exp, x, t) @ ps._filon_simpson(-k, x, 0.0).T
-            wt = ps._filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo)
-            want += np.einsum("kt,tk->k", wt, f)
-        assert_array_equal(ps._region_spectrum(exp, 1)[1], want)
+        assert k.size == n
+        h, back = n // 2 + 1, slice((n - 1) // 2, 0, -1)
+        assert_array_equal(k[h:], -k[back])
+        assert (k[n // 2] < 0) == (n % 2 == 0)  # the Nyquist bin -n / 2, built as it is
+        rect, (nfx, _) = exp.region[0], exp.resolution.filon[0]
+        x = np.linspace(rect.x_lo, rect.x_hi, nfx)
+        assert_array_equal(ps._filon_simpson(-k, x, 0.0), ps._filon_simpson(k, x, 0.0).conj())
 
     @pytest.mark.parametrize("exp", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_gauss_legendre_oracle(self, exp):
@@ -1040,6 +1058,21 @@ class TestCqiProbability:
         assert res.schmidt_rank == red_k.schmidt_rank == red_x.schmidt_rank == 2
         assert res.normalization_deficit == red_k.trace_raw - 1.0
 
+    @pytest.mark.parametrize(
+        "exp", [BENCH, benchmark_experiment(1), two_point_experiment()], ids=["r0", "r1", "two"]
+    )
+    def test_one_kinetic_table_per_call(self, monkeypatch, exp):
+        # the band's table of the lags t - band[0], reversed, is also the collapse's
+        calls = []
+        for mod in (ps, cs):
+            real = mod._kinetic_phase
+            monkeypatch.setattr(
+                mod, "_kinetic_phase",
+                lambda *a, real=real: calls.append(np.shape(a[3])) or real(*a),
+            )
+        cqi_probability_detail(exp)
+        assert calls == [(exp.band_slices,)]
+
     def test_detector_path_stays_in_k(self, monkeypatch):
         # the trace core gets components 0 and 3 only, on S(k)'s grid, and nothing goes
         # back to x: the |1>-seed's coefficients are S(k) itself
@@ -1185,6 +1218,12 @@ class TestTwoPoint:
     def test_needs_two_rectangles(self):
         with pytest.raises(NumericalValidationError):
             two_point_report(BENCH)
+
+    @pytest.mark.parametrize("field", ["coupling_alpha", "potential_v"])
+    def test_zero_coupling_names_the_field(self, field):
+        # the ratios divide by Born norms, which are 0 then: no bare ZeroDivisionError
+        with pytest.raises(NumericalValidationError, match=f"nonzero {field}"):
+            two_point_report(two_point_experiment(**{field: 0.0}))
 
     @pytest.mark.parametrize("separation", [2.0, 4.0])
     def test_rect_branches_add_to_union_amplitude(self, separation):
