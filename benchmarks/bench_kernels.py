@@ -47,11 +47,11 @@ two-point against ``region_spectrum_full`` of ``tests/oracles.py``, which
 builds the Filon-Simpson tables on every wavenumber instead of on the
 n // 2 + 1 bins k >= 0 and mirroring them; the max |deviation| must be 0.
 
-The band's Fourier coefficients ``postulates._band_coefficients`` (warm,
-with S(k) cached from the double-region sum, as in a detector pass) on
-the slab at refine 0 and 1 and on two-point, on S(k)'s grid of
-``Resolution.spectral_n`` points, with the L2 relative distance of the
-|1> seed (the coefficients on the first slice, taken to x) to the
+The band's two seeds ``postulates._band_seeds``, the Fourier coefficients
+of both branches at band[0] (warm, with S(k) cached from the
+double-region sum, as in a detector pass), on the slab at refine 0 and 1
+and on two-point, on S(k)'s grid of ``Resolution.spectral_n`` points,
+with the L2 relative distance of the |1> seed (taken to x) to the
 kernel-sum seed ``first_order_amplitude(exp, grid.x, band[0])`` and that
 kernel sum's own time.
 
@@ -66,8 +66,9 @@ decomposition with per-slice collapse of ``tests/oracles.py`` against
 the d x d physical Gram matrix of ``postulates.covariant_partial_trace``,
 with the max deviation of the normalized density matrices; then the x
 route (the band's x view by ``_branch_functions``, then that trace)
-against the whole of ``cqi_probability_detail``, which builds the band and
-traces it in k, with its guards and observer algebra.
+against the whole of ``cqi_probability_detail``, the seed route, which
+traces the two seeds at band[0] as one slice (P collapses the free band
+onto it), with its guards and observer algebra.
 The collapse inside it is timed on its own at refine 1 and 3: every band
 slice of both branches evolved to the last slice (one batched
 ``spectral_evolve``) and summed with the trapezoid weights, against
@@ -254,10 +255,10 @@ def time_band_seed():
         ("slab, refine 1", postulates.benchmark_experiment(1)),
         ("two-point, refine 0", postulates.two_point_experiment()),
     ]
-    print("band coefficients, |1> seed from S(k), against the kernel-sum seed")
+    print("band seeds, |1> seed from S(k), against the kernel-sum seed")
     for label, exp in cases:
-        (grid, coefs, _), t_band = timed(postulates._band_coefficients, exp)
-        seed = np.fft.ifft(coefs[1, 0])
+        (grid, seeds), t_band = timed(postulates._band_seeds, exp)
+        seed = np.fft.ifft(seeds[1])
         ref, t_sum = timed(postulates.first_order_amplitude, exp, grid.x, exp.band[0])
         rel = np.linalg.norm(seed - ref) / np.linalg.norm(ref)
         print(f"  {label:<19}: {t_band * 1e3:9.2f} ms   {grid.nx} points   kernel-sum seed"
@@ -305,7 +306,7 @@ def compare_partial_trace(refines=(0, 1, 2)):
         print(f"  gram      : {t_gram * 1e3:9.2f} ms   speedup {t_schmidt / t_gram:.1f}x"
               f"   max |drho| {err:.1e}")
         print(f"  x route   : {(t_branch + t_gram) * 1e3:9.2f} ms   (branch functions + gram)")
-        print(f"  k route   : {t_detail * 1e3:9.2f} ms   (all of cqi_probability_detail)")
+        print(f"  seed route: {t_detail * 1e3:9.2f} ms   (all of cqi_probability_detail)")
 
 
 def compare_collapse(refines=(1, 3)):

@@ -650,28 +650,27 @@ class CqiResult:
     normalization_deficit: float
 
 
-def _band_coefficients(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """FFT coefficients (2, nt, n) of the |0>- and |1>-branch on the slices of ``exp.band``
-    and S(k)'s grid, n = ``Resolution.spectral_n`` points over the period L = nx dx: the
-    closed-form Psi through one FFT, and n (alpha V / i hbar L) S(k) exp(i k x_min - i omega
-    (band[0] - t_ref) - omega eta), both stepped to every slice by one kinetic-phase table,
-    which is returned too: reversed in t, it holds the collapse lags t[-1] - t."""
+def _band_seeds(exp: DetectorExperiment) -> tuple[Grid, np.ndarray]:
+    """FFT coefficients (2, n) of the |0>- and |1>-branch at band[0], on the band's grid:
+    S(k)'s, n = ``Resolution.spectral_n`` points over the period L = nx dx.  The closed-form
+    Psi through one FFT, and n (alpha V / i hbar L) S(k) exp(i k x_min - i omega
+    (band[0] - t_ref) - omega eta)."""
     (k, spec, length), kern, band = _region_spectrum(exp, 1), exp.kernel, exp.band
     n = k.size
     grid = Grid(exp.x_min, exp.x_min + (n - 1) * length / n, n, band[0], band[1], exp.band_slices)
     lag = 1j * (band[0] - exp.span.t_lo) + kern.regularization_eta
     pref = n * exp.coupling_alpha * exp.potential_v / (1j * kern.hbar * length)
     phi = pref * spec * np.exp(1j * k * exp.x_min - 0.5 * kern.hbar * k**2 / kern.mass * lag)
-    seeds = np.array([np.fft.fft(evolved_wavefunction(exp, grid.x, band[0])), phi])
-    phase = _kinetic_phase(n, grid.dx, kern, grid.t - band[0])
-    return grid, phase * seeds[:, None, :], phase
+    return grid, np.array([np.fft.fft(evolved_wavefunction(exp, grid.x, band[0])), phi])
 
 
 def _branch_functions(exp: DetectorExperiment) -> tuple[Grid, np.ndarray, np.ndarray]:
     """Evolved |0>- and |1>-branch amplitudes (n, nt) on the band grid's x and the slices
-    of ``exp.band``, times the uniform smearing profile (integral one):
-    ``_band_coefficients`` by one inverse FFT."""
-    grid, coefs, _ = _band_coefficients(exp)
+    of ``exp.band``, times the uniform smearing profile (integral one): ``_band_seeds``
+    stepped to every slice by one kinetic-phase table, then one inverse FFT."""
+    grid, seeds = _band_seeds(exp)
+    # spectral_evolve's operand order: numpy's complex multiply is not bitwise commutative
+    coefs = _kinetic_phase(grid.nx, grid.dx, exp.kernel, grid.t - exp.band[0]) * seeds[:, None]
     g = 1.0 / (exp.band[1] - exp.band[0])
     psi_vals, phi_vals = np.fft.ifft(coefs).transpose(0, 2, 1) * g
     return grid, psi_vals, phi_vals
@@ -685,13 +684,14 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
     removes the observer's off-diagonal terms exactly), applies the
     covariant partial trace over the system, traces out the detector,
     and reads the probability from the observer's preferred basis.
+    The band is a free solution with a profile of integral one, so P collapses it onto
+    band[0] exactly: the trace runs on the two seeds there, one slice (the ordinary trace).
     """
     exp.validate_perturbative()
-    grid, coefs, phase = _band_coefficients(exp)
-    # components 0 (detector |0>, observer |0>) and 3 (|1>, |1>) of the joint state, whose
-    # uniform smearing profile folds into the time weights
-    tw = trapezoid_weights(grid.nt, grid.dt) / (exp.band[1] - exp.band[0])
-    reduced = _covariant_trace(coefs, [0, 3], (2, 2), phase[::-1], tw, grid.dx)
+    grid, seeds = _band_seeds(exp)
+    # components 0 (detector |0>, observer |0>) and 3 (|1>, |1>) of the joint state
+    one = np.ones((1, grid.nx))
+    reduced = _covariant_trace(seeds[:, None], [0, 3], (2, 2), one, one[:, 0], grid.dx)
     m = hilbert.partial_trace(reduced.rho, {1}).matrix
     if m[0, 1] != 0 or m[1, 0] != 0:  # the kept detector factor makes them exactly 0
         raise InvariantViolation(f"observer state has an off-diagonal entry {abs(m[0, 1]):.3g}")

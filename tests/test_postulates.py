@@ -1043,11 +1043,22 @@ class TestCqiProbability:
             cqi_probability_detail(BENCH)
 
     @pytest.mark.parametrize(
-        "exp", [BENCH, benchmark_experiment(1), two_point_experiment()], ids=["r0", "r1", "two"]
+        "exp",
+        [
+            BENCH,
+            benchmark_experiment(1),
+            two_point_experiment(),
+            benchmark_experiment(kernel=PropagatorKernel(regularization_eta=1e-3)),
+            benchmark_experiment(packet_momentum=0.6),
+            benchmark_experiment(region=(Rect(15.0, 16.0, 3.0, 3.2),)),
+            benchmark_experiment(nx=64),
+            benchmark_experiment(band=(3.5, 6.0)),
+        ],
+        ids=["r0", "r1", "two", "eta", "momentum", "x15", "nx64", "long-band"],
     )
     def test_k_route_equals_x_route(self, monkeypatch, exp):
-        # the detector path's reduced state, from the band's Fourier coefficients, against
-        # covariant_partial_trace of the x-space branch functions on the same band
+        # the detector path's reduced state, from the two seeds at band[0], against
+        # covariant_partial_trace of the x-space branch functions on the whole band
         core, seen = ps._covariant_trace, []
         monkeypatch.setattr(ps, "_covariant_trace", lambda *a: seen.append(core(*a)) or seen[-1])
         res = cqi_probability_detail(exp)
@@ -1061,33 +1072,30 @@ class TestCqiProbability:
     @pytest.mark.parametrize(
         "exp", [BENCH, benchmark_experiment(1), two_point_experiment()], ids=["r0", "r1", "two"]
     )
-    def test_one_kinetic_table_per_call(self, monkeypatch, exp):
-        # the band's table of the lags t - band[0], reversed, is also the collapse's
-        calls = []
-        for mod in (ps, cs):
-            real = mod._kinetic_phase
-            monkeypatch.setattr(
-                mod, "_kinetic_phase",
-                lambda *a, real=real: calls.append(np.shape(a[3])) or real(*a),
-            )
-        cqi_probability_detail(exp)
-        assert calls == [(exp.band_slices,)]
-
-    def test_detector_path_stays_in_k(self, monkeypatch):
-        # the trace core gets components 0 and 3 only, on S(k)'s grid, and nothing goes
-        # back to x: the |1>-seed's coefficients are S(k) itself
-        core, calls, inverse = ps._covariant_trace, [], []
+    def test_detector_path_traces_the_seeds(self, monkeypatch, exp):
+        # P collapses the free band onto band[0]: the core gets components 0 and 3 there as
+        # one slice on S(k)'s grid, with no kinetic table and nothing back in x, so the
+        # band's end moves no bit of p_cqi
+        core, calls, tables, inverse = ps._covariant_trace, [], [], []
         monkeypatch.setattr(
             ps, "_covariant_trace",
             lambda c, live, *a: calls.append((c.shape, list(live))) or core(c, live, *a),
         )
+        for mod in (ps, cs):
+            real = mod._kinetic_phase
+            monkeypatch.setattr(
+                mod, "_kinetic_phase", lambda *a, real=real: tables.append(a) or real(*a)
+            )
         ifft = np.fft.ifft
         monkeypatch.setattr(
             np.fft, "ifft", lambda a, **kw: inverse.append(np.shape(a)) or ifft(a, **kw)
         )
-        cqi_probability_detail(BENCH)
-        assert calls == [((2, BENCH.band_slices, BENCH.resolution.spectral_n), [0, 3])]
-        assert inverse == []
+        b0 = exp.band[0]
+        bands = [(b0, b1) for b1 in (b0 + 0.1, exp.band[1], b0 + 2.5)]
+        p = [cqi_probability(replace(exp, band=band)) for band in bands]
+        assert calls == [((2, 1, exp.resolution.spectral_n), [0, 3])] * 3
+        assert tables == [] and inverse == []
+        assert p[0] == p[1] == p[2]
 
     @pytest.mark.parametrize("refine", [0, 1, 2])
     @pytest.mark.parametrize("x_lo", [-0.5, 10.0, 15.0, 18.5, "two-point"])
