@@ -1073,29 +1073,39 @@ class TestCqiProbability:
         "exp", [BENCH, benchmark_experiment(1), two_point_experiment()], ids=["r0", "r1", "two"]
     )
     def test_detector_path_traces_the_seeds(self, monkeypatch, exp):
-        # P collapses the free band onto band[0]: the core gets components 0 and 3 there as
-        # one slice on S(k)'s grid, with no kinetic table and nothing back in x, so the
-        # band's end moves no bit of p_cqi
-        core, calls, tables, inverse = ps._covariant_trace, [], [], []
+        # P collapses the free band onto band[0]: the core gets one slice there, with no
+        # kinetic table, so the band's end moves no bit of p_cqi
+        core, calls, tables = ps._covariant_trace, [], []
         monkeypatch.setattr(
-            ps, "_covariant_trace",
-            lambda c, live, *a: calls.append((c.shape, list(live))) or core(c, live, *a),
+            ps, "_covariant_trace", lambda c, *a: calls.append(c.shape[1]) or core(c, *a)
         )
         for mod in (ps, cs):
             real = mod._kinetic_phase
             monkeypatch.setattr(
                 mod, "_kinetic_phase", lambda *a, real=real: tables.append(a) or real(*a)
             )
+        b0 = exp.band[0]
+        bands = [(b0, b1) for b1 in (b0 + 0.1, exp.band[1], b0 + 2.5)]
+        p = [cqi_probability(replace(exp, band=band)) for band in bands]
+        assert calls == [1] * 3
+        assert tables == []
+        assert p[0] == p[1] == p[2]
+
+    def test_detector_path_stays_in_k(self, monkeypatch):
+        # the trace core gets components 0 and 3 only, at band[0] on S(k)'s grid, and
+        # nothing goes back to x: the |1>-seed's coefficients are S(k) itself
+        core, calls, inverse = ps._covariant_trace, [], []
+        monkeypatch.setattr(
+            ps, "_covariant_trace",
+            lambda c, live, *a: calls.append((c.shape, list(live))) or core(c, live, *a),
+        )
         ifft = np.fft.ifft
         monkeypatch.setattr(
             np.fft, "ifft", lambda a, **kw: inverse.append(np.shape(a)) or ifft(a, **kw)
         )
-        b0 = exp.band[0]
-        bands = [(b0, b1) for b1 in (b0 + 0.1, exp.band[1], b0 + 2.5)]
-        p = [cqi_probability(replace(exp, band=band)) for band in bands]
-        assert calls == [((2, 1, exp.resolution.spectral_n), [0, 3])] * 3
-        assert tables == [] and inverse == []
-        assert p[0] == p[1] == p[2]
+        cqi_probability_detail(BENCH)
+        assert calls == [((2, 1, BENCH.resolution.spectral_n), [0, 3])]
+        assert inverse == []
 
     @pytest.mark.parametrize("refine", [0, 1, 2])
     @pytest.mark.parametrize("x_lo", [-0.5, 10.0, 15.0, 18.5, "two-point"])
