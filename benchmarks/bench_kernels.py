@@ -5,10 +5,14 @@ Run:  python benchmarks/bench_kernels.py
 ``propagate`` is timed against the dense ``propagate_numpy`` on two
 shapes of the detector pipeline: the Born readout (682 outputs x 60
 uniform source slices of 66 points) and one evolved-wavefunction call
-(61 outputs x one prepared slice of 1024 points).  Each line reports the
-best of three timings of both paths and their max relative deviation.
+(61 outputs x one prepared slice of 1024 points).  The sources go in as
+a (rows, n) block, the one form that reaches the chirp-z sum, and the
+dense sum gets the same points flattened.  Each line reports the best of
+three timings of both paths and their max relative deviation.  The
+script exits 1 when a chirp-z line did not run ``_kernels._chirp_rows``,
+since that line would then time the dense sum against itself.
 The readout's convolution chirp exp(i r q^2) spans the FFT length, from
-lag q = -(n - 1) (60 runs x 750 lags), and is timed as one complex
+lag q = -(n - 1) (60 rows x 750 lags), and is timed as one complex
 ``np.exp`` per element against the recurrence of ``_kernels._chirp``, with
 their max deviation; at these arguments (up to 400 rad) that is mostly the
 rounding of the exp arguments.  ``double_quad`` is timed on a 3919 x 3919
@@ -16,14 +20,6 @@ pair sum of scattered points (the dense sum), and on the band of
 ``tests/test_contspace.py``'s eta-halving test (6,467 points on one uniform
 (x, t) grid, eta = 0.01) by both paths: the dense sum and the lattice-lag
 convolution, with their relative deviation.
-
-The readout kernel sum of one rectangle, at the sizes of the slab's
-readout at refine 0 (65 x 53 sources onto 682 outputs) and 1 (66 x 106
-onto 682) and of two-point's at refine 0 (65 x 33 onto 563), is timed in
-both input forms of ``propagate`` (best of 20): the flattened point cloud,
-whose equal-time runs are found and gathered into rows, and the (rows, n)
-block of ``np.broadcast_to`` views that ``postulates._rect_amplitudes``
-passes, with their max relative deviation.
 
 The Born readout itself, the kernel sums of ``postulates._readout_branches``
 (one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
@@ -57,8 +53,9 @@ kernel sum's own time.
 
 On ``two_point_experiment()``, the prepared state on the region slices
 (``Resolution.sources``) at time density 8 by kernel quadrature of psi0
-(one ``propagate`` call per region slice) against the closed form of
-``evolved_wavefunction``.
+(one ``propagate`` call per region slice, psi0 as a one-row block, so
+the chirp-z sum; the script exits 1 if it is not) against the closed
+form of ``evolved_wavefunction``.
 
 Last, the covariant partial trace of the band joint state of
 ``benchmark_experiment(refine)`` at refine 0, 1 and 2: the Schmidt
@@ -114,18 +111,33 @@ def timed(fn, *args, repeat=3):
     return out, best
 
 
+def reaches_chirp_rows(fn, *args):
+    """Run fn(*args) once with ``_kernels._chirp_rows`` spied; exit 1 if it did not run."""
+    real, calls = _kernels._chirp_rows, []
+    _kernels._chirp_rows = lambda *a: calls.append(a) or real(*a)
+    try:
+        fn(*args)
+    finally:
+        _kernels._chirp_rows = real
+    if not calls:
+        sys.exit(f"{fn.__name__}: the chirp-z sum _kernels._chirp_rows did not run")
+
+
 def slices(rng, n_slices, n, t_lo, t_hi):
-    """Uniform x slices over [-0.5, 0.5] at n_slices times in [t_lo, t_hi]."""
-    x = np.tile(np.linspace(-0.5, 0.5, n), n_slices)
-    t = np.repeat(np.linspace(t_lo, t_hi, n_slices), n)
-    amp = (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)) * 1e-3
+    """A (n_slices, n) block: uniform x over [-0.5, 0.5] at n_slices times in [t_lo, t_hi]."""
+    x = np.tile(np.linspace(-0.5, 0.5, n), (n_slices, 1))
+    t = np.repeat(np.linspace(t_lo, t_hi, n_slices)[:, None], n, axis=1)
+    amp = (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)) * 1e-3
     return x, t, amp
 
 
 def compare(label, args):
+    """``propagate`` on the (rows, n) source block of args against the dense sum of its points."""
     n_out, n_src = args[0].size, args[2].size
     print(f"propagate, {label}: {n_out} outputs x {n_src} sources")
-    ref, t_dense = timed(_kernels.propagate_numpy, *args)
+    reaches_chirp_rows(_kernels.propagate, *args)
+    flat = (*args[:2], *(a.ravel() for a in args[2:5]), *args[5:])
+    ref, t_dense = timed(_kernels.propagate_numpy, *flat)
     out, t_czt = timed(_kernels.propagate, *args)
     err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
     print(f"  dense sum : {t_dense * 1e3:9.2f} ms")
@@ -137,10 +149,10 @@ def compare_chirp(x_out, t_out, x_src, t_src):
     """The convolution chirp exp(i r q^2) of ``compare``'s readout call over its FFT
     length from q = -(n - 1), one row per source slice of n points, r = D d / (2 (t_out
     - t)) at m = hbar = 1."""
-    r = 0.5 / (t_out - np.unique(t_src)[:, None]) * (x_out[1] - x_out[0]) * (x_src[1] - x_src[0])
-    n = x_src.size // r.size
+    r = 0.5 / (t_out - t_src[:, :1]) * (x_out[1] - x_out[0]) * (x_src[:, 1:2] - x_src[:, :1])
+    n = x_src.shape[1]
     size = _kernels._fast_len(x_out.size + n - 1)
-    print(f"chirp, readout convolution: {r.size} runs x {size} lags")
+    print(f"chirp, readout convolution: {r.size} rows x {size} lags")
     q = np.arange(size) - (n - 1)
     ref, t_exp = timed(lambda: np.exp(1j * r * (q * q)))
     got, t_rec = timed(_kernels._chirp, r * (n - 1) ** 2, -2.0 * (n - 1) * r, r, size)
@@ -175,28 +187,6 @@ def compare_double_quad(rng):
     print(f"  dense sum  : {t_dense * 1e3:9.2f} ms")
     print(f"  lag convol.: {t_lag * 1e3:9.2f} ms   speedup {t_dense / t_lag:.0f}x"
           f"   rel deviation {abs(got - ref) / abs(ref):.1e}")
-
-
-def compare_readout_forms():
-    cases = [
-        ("slab, refine 0", postulates.benchmark_experiment()),
-        ("slab, refine 1", postulates.benchmark_experiment(1)),
-        ("two-point, refine 0", postulates.two_point_experiment()),
-    ]
-    print("readout kernel sum of one rectangle: point cloud against (rows, n) block")
-    for label, exp in cases:
-        xq, tq, wx, wt, psi = postulates._region_sources(exp, exp.resolution.t_density)[0]
-        amp = exp.potential_v * psi * wx * wt[:, None]
-        x, t = np.broadcast_to(xq, psi.shape), np.broadcast_to(tq[:, None], psi.shape)
-        x_out, t_out, k = postulates._readout_grid(exp), exp.readout_time, exp.kernel
-        kern = (k.mass, k.hbar, k.regularization_eta)
-        flat = (x.ravel(), t.ravel(), amp.ravel())
-        pts, t_pts = timed(_kernels.propagate, x_out, t_out, *flat, *kern, repeat=20)
-        blk, t_blk = timed(_kernels.propagate, x_out, t_out, x, t, amp, *kern, repeat=20)
-        dev = np.max(np.abs(blk - pts)) / np.max(np.abs(pts))
-        print(f"  {label:<19}: {psi.shape[0]} x {psi.shape[1]} -> {x_out.size}"
-              f"   points {t_pts * 1e3:6.2f} ms   block {t_blk * 1e3:6.2f} ms"
-              f"   max rel deviation {dev:.1e}")
 
 
 def compare_readout():
@@ -269,7 +259,8 @@ def compare_prepared_state(density=8):
     exp = postulates.two_point_experiment()
     k = exp.kernel
     amp = postulates.psi0_values(exp) * trapezoid_weights(exp.nx, exp.dx)
-    src = (exp.x(), np.full(exp.nx, exp.t0), amp, k.mass, k.hbar, k.regularization_eta)
+    src = (exp.x()[None], np.full((1, exp.nx), exp.t0), amp[None], k.mass, k.hbar,
+           k.regularization_eta)
     slices = [
         (np.linspace(r.x_lo, r.x_hi, nqx), np.linspace(r.t_lo, r.t_hi, (nqt - 1) * density + 1))
         for r, (nqx, nqt) in zip(exp.region, exp.resolution.sources)
@@ -277,6 +268,7 @@ def compare_prepared_state(density=8):
     n_slices = sum(tq.size for _, tq in slices)
     print(f"prepared state, two-point at time density {density}: {n_slices} slices of"
           f" {slices[0][0].size} points")
+    reaches_chirp_rows(_kernels.propagate, slices[0][0], slices[0][1][0], *src)
     ref, t_quad = timed(
         lambda: [np.stack([_kernels.propagate(xq, t, *src) for t in tq]) for xq, tq in slices]
     )
@@ -350,13 +342,12 @@ def main():
     x_out = np.linspace(-38.0, 38.0, 682)
     compare("readout", (x_out, 4.2, x_src, t_src, amp, 1.0, 1.0, 0.0))
     compare_chirp(x_out, 4.2, x_src, t_src)
-    x_src = np.linspace(-20.0, 20.0, 1024)
-    amp = (rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)) * 1e-3
-    compare("single slice", (np.linspace(-0.5, 0.5, 61), 3.1, x_src, np.zeros(x_src.size),
+    x_src = np.linspace(-20.0, 20.0, 1024)[None]
+    amp = (rng.standard_normal(x_src.shape) + 1j * rng.standard_normal(x_src.shape)) * 1e-3
+    compare("single slice", (np.linspace(-0.5, 0.5, 61), 3.1, x_src, np.zeros(x_src.shape),
                              amp, 1.0, 1.0, 0.0))
 
     compare_double_quad(rng)
-    compare_readout_forms()
     compare_readout()
     time_double_region()
     compare_region_spectrum()

@@ -9,15 +9,15 @@ with dt = t - t' and an optional damping parameter eta >= 0 that
 rotates the time difference slightly into the complex plane.  Callers
 must keep dt != 0 whenever eta == 0.
 
-With eta == 0, ``propagate`` sums each row of uniformly spaced sources at one time
-(a (rows, n) block's rows, or a point cloud's equal-time runs) onto uniform outputs as a
-chirp-z transform, by Bluestein's FFT convolution in O((n + m) log(n + m)) (Rabiner, Schafer
-& Rader, IEEE Trans. Audio Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).
-All other sources take the dense O(n * m) sum ``propagate_numpy``,
-which the tests keep as the reference.  The double quadrature
-``double_quad`` has two paths: with eta > 0 and every point on one uniform
-(x, t) lattice, one 2-D FFT convolution over the lattice lags; otherwise a
-vdot against that same dense sum.
+With eta == 0, ``propagate`` sums a (rows, n) block of sources, each row n >= 2 uniformly
+spaced points at one time, onto uniform outputs as a chirp-z transform: Bluestein's FFT
+convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE Trans. Audio
+Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).  The caller, which knows its
+lattice, builds the block.  A flat point cloud, or a block failing any of these conditions,
+takes the dense O(n * m) sum ``propagate_numpy``, which the tests keep as the reference.
+The double quadrature ``double_quad`` has two paths: with eta > 0 and every point on one
+uniform (x, t) lattice, one 2-D FFT convolution over the lattice lags; otherwise a vdot
+against that same dense sum.
 
 Every chirp of that transform is exp(i (alpha + beta j + gamma j^2)) per
 row, and ``_chirp`` builds it by a two-level recurrence instead of one
@@ -91,18 +91,6 @@ def _lattice(v, most):
     step = (u[-1] - u[0]) / cells if cells else 1.0
     i = np.rint((v - u[0]) / step).astype(np.intp)
     return (step, i) if np.max(np.abs(u[0] + i * step - v)) <= 1e-13 * np.max(np.abs(u)) else None
-
-
-def _uniform_runs(x, starts) -> np.ndarray:
-    """For each run x[starts[r] : starts[r + 1]] (the last to the end):
-    at least two points, equally spaced up to 1e-13 of the run's max |x|."""
-    size = np.diff(starts, append=x.size)
-    run = np.repeat(np.arange(starts.size), size)
-    first, last = x[starts], x[starts + size - 1]
-    step = (last - first) / np.maximum(size - 1, 1)
-    grid = first[run] + step[run] * (np.arange(x.size) - starts[run])
-    dev = np.maximum.reduceat(np.abs(x - grid), starts)
-    return (size >= 2) & (dev <= 1e-13 * np.maximum.reduceat(np.abs(x), starts))
 
 
 def _uniform(x) -> np.ndarray:
@@ -180,37 +168,15 @@ def _chirp_rows(x_out, t_out, y0, d, t_src, a, mass, hbar):
     return out
 
 
-def _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar):
-    """``_chirp_rows`` over a point cloud's uniform runs [s, e), zero-padded to the longest."""
-    first, end = np.array(runs).T
-    j = np.arange(np.max(end - first))
-    a = np.where(j < (end - first)[:, None], amp[np.minimum(first[:, None] + j, amp.size - 1)], 0j)
-    d = (x_src[end - 1] - x_src[first]) / (end - first - 1)
-    return _chirp_rows(x_out, t_out, x_src[first], d, t_src[first], a, mass, hbar)
-
-
 def propagate(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
     """Same sum as ``propagate_numpy`` at the scalar output time ``t_out``, from points or
-    (rows, n) blocks.  With eta == 0 and uniform x_out, each equal-time run of two or more
-    uniform points, or a block of such rows, takes the chirp-z transform; the rest the dense sum."""
-    chirp = eta == 0 and min(x_out.size, x_src.shape[-1]) >= 2 and _uniform(x_out)
-    if x_src.ndim == 2:
-        if chirp and np.all(t_src == t_src[:, :1]) and np.all(_uniform(x_src)):
-            d = (x_src[:, -1] - x_src[:, 0]) / (x_src.shape[1] - 1)
-            return _chirp_rows(x_out, t_out, x_src[:, 0], d, t_src[:, 0], amp, mass, hbar)
-        x_src, t_src, amp, chirp = x_src.ravel(), t_src.ravel(), amp.ravel(), False
-    runs = []
-    dense = np.ones(x_src.size, dtype=bool)
-    if chirp:
-        starts = np.r_[0, np.flatnonzero(np.diff(t_src)) + 1]
-        ok = _uniform_runs(x_src, starts)
-        ends = np.append(starts[1:], x_src.size)
-        dense = ~np.repeat(ok, ends - starts)
-        runs = list(zip(starts[ok].tolist(), ends[ok].tolist()))
-    out = propagate_numpy(x_out, t_out, x_src[dense], t_src[dense], amp[dense], mass, hbar, eta)
-    if runs:
-        out += _chirp_runs(x_out, t_out, x_src, t_src, amp, runs, mass, hbar)
-    return out
+    (rows, n) blocks.  With eta == 0 and uniform x_out, a block whose rows each hold two or
+    more uniform points at one time takes the chirp-z transform; all else the dense sum."""
+    block = x_src.ndim == 2 and eta == 0 and min(x_out.size, x_src.shape[1]) >= 2
+    if block and _uniform(x_out) and np.all(t_src == t_src[:, :1]) and np.all(_uniform(x_src)):
+        d = (x_src[:, -1] - x_src[:, 0]) / (x_src.shape[1] - 1)
+        return _chirp_rows(x_out, t_out, x_src[:, 0], d, t_src[:, 0], amp, mass, hbar)
+    return propagate_numpy(x_out, t_out, x_src.ravel(), t_src.ravel(), amp.ravel(), mass, hbar, eta)
 
 
 def backend() -> str:

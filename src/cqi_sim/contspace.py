@@ -206,29 +206,28 @@ def project(psi: GridFunction, k: PropagatorKernel, t_out: float) -> np.ndarray:
     """Evaluate the projected (physical) state on the grid's x sampling at
     the slice t = t_out.
 
-    Trapezoid quadrature of the kernel against the support of ``psi``;
-    source slices lying exactly on t_out contribute through the delta
-    channel (their weighted values are added directly).
+    Trapezoid quadrature of the kernel against the support slices of
+    ``psi``, handed to the kernel sum as one (slices, nx) block (values at
+    or below SUPPORT_EPS weigh 0); a support slice lying exactly on t_out
+    contributes through the delta channel (its weighted values are added
+    directly).
     """
-    grid = psi.grid
-    xs, ts, vals, ws = psi.support_points()
-    on_slice = np.isclose(ts, t_out, rtol=0.0, atol=1e-12 * max(1.0, abs(t_out)))
+    grid, tw = psi.grid, psi.time_weights()
+    cols = np.flatnonzero(tw > 0)
+    if cols.size == 0:
+        raise NumericalValidationError("grid function has empty support")
+    on_slice = np.isclose(grid.t[cols], t_out, rtol=0.0, atol=1e-12 * max(1.0, abs(t_out)))
     out = np.zeros(grid.nx, dtype=complex)
     if np.any(on_slice):
-        tw = psi.time_weights()
         j = int(np.argmin(np.abs(grid.t - t_out)))
         out += psi.values[:, j] * tw[j]
-    off = ~on_slice
-    if np.any(off):
+    off = cols[~on_slice]
+    if off.size:
+        vals = psi.values[:, off].T
+        amp = np.where(np.abs(vals) > SUPPORT_EPS, vals, 0) * (psi.x_weights() * tw[off, None])
+        x, t = np.broadcast_arrays(grid.x, grid.t[off, None])
         out += _kernels.propagate(
-            grid.x,
-            float(t_out),
-            xs[off],
-            ts[off],
-            (vals * ws)[off],
-            k.mass,
-            k.hbar,
-            k.regularization_eta,
+            grid.x, float(t_out), x, t, amp, k.mass, k.hbar, k.regularization_eta
         )
     return out
 

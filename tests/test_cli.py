@@ -212,7 +212,7 @@ class TestRunners:
     )
     def test_levels_report_cqi_xcheck_and_perturbation_ratio(self, tmp_path, kind, build):
         # p_cqi against dr / (1 + dr), dr the level's double region, and the ratio r
-        # that validate_perturbative checks: both reported on every level, neither guarded
+        # that validate_perturbative checks: both reported on every level
         path = write_config(tmp_path, "c.json", {"kind": kind, "output": {"path": "o"}})
         cli.run(path, refine=1, out_dir=tmp_path)
         levels = json.loads((tmp_path / "o.json").read_text())["diagnostics"]["levels"]
@@ -223,6 +223,13 @@ class TestRunners:
             want = cli.postulates.cqi_probability(exp) / (dr / (1.0 + dr)) - 1.0
             assert lv["cqi_xcheck_rel"] == want and abs(want) < 1e-5
             assert lv["perturbation_ratio"] == exp.validate_perturbative() > 0
+            # at eta = 0 the |1> seed's norm is dr itself, so cqi_xcheck_rel = (1 + dr) /
+            # (|psi|^2 + dr) - 1: it reports the |0>-branch's grid-norm deficit at band[0]
+            grid, seeds = cli.postulates._band_seeds(exp)
+            psi2, phi2 = grid.dx / grid.nx * np.sum(np.abs(seeds) ** 2, axis=1)  # Parseval
+            assert phi2 == pytest.approx(dr, rel=1e-14, abs=0)
+            assert abs(want - ((1.0 + dr) / (psi2 + dr) - 1.0)) <= 1e-14
+            assert 0 < 1.0 - psi2 < 1e-8
 
 
 class TestDeterminism:

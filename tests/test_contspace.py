@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cqi_sim import contspace as cs
 from cqi_sim.contspace import (
@@ -68,6 +68,8 @@ class TestGridFunction:
         gf = GridFunction(g, np.zeros((g.nx, g.nt)))
         with pytest.raises(NumericalValidationError):
             gf.support_points()
+        with pytest.raises(NumericalValidationError, match="empty support"):
+            project(gf, K, 1.0)
 
 
 class TestPropagatePoint:
@@ -174,6 +176,32 @@ class TestProject:
             direct = project(gf, K, t_out)
             oracle = spectral_evolve(psi, g.dx, K, t_out, n_steps=64)
             assert l2_diff(direct, oracle, g.dx) < 1e-4
+
+    def test_support_slices_reach_the_kernel_as_one_block(self, monkeypatch):
+        # three support slices, one on t_out (the delta channel): the other two reach the
+        # chirp-z sum as one (2, nx) block, the values at or below SUPPORT_EPS weighing 0,
+        # and agree with the dense sum over the support points alone
+        g = default_grid()
+        psi = gaussian_packet(g.x, -5.0, 1.0)
+        vals = np.zeros((g.nx, g.nt), dtype=complex)
+        vals[:, 3], vals[:, 9], vals[:, 20] = psi, 0.5 * psi[::-1], 0.25j * psi
+        gf = GridFunction(g, vals)
+        calls, real = [], cs._kernels._chirp_rows
+        monkeypatch.setattr(cs._kernels, "_chirp_rows", lambda *a: calls.append(a) or real(*a))
+        out = project(gf, K, g.t[20])
+        ((_, t_out, y0, d, t_rows, amp, _, _),) = calls
+        assert t_out == g.t[20]
+        assert_array_equal(y0, [g.x[0]] * 2)
+        assert_array_equal(t_rows, g.t[[3, 9]])
+        assert_allclose(d, g.dx, rtol=1e-12)
+        tw = gf.time_weights()
+        want = vals[:, [3, 9]].T * (gf.x_weights() * tw[[3, 9], None])
+        assert_array_equal(amp, np.where(np.abs(vals[:, [3, 9]].T) > cs.SUPPORT_EPS, want, 0))
+        x, t, v, w = gf.support_points()
+        off = t != g.t[20]
+        ref = cs._kernels.propagate_numpy(g.x, g.t[20], x[off], t[off], (v * w)[off], 1.0, 1.0, 0.0)
+        ref += vals[:, 20] * tw[20]
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_unitarity_of_propagation(self):
         g = default_grid()

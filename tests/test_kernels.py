@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,71 +165,17 @@ def test_point_kernel_value():
 
 
 def uniform_slices(rng, sizes, dts, t_out):
-    """Sources on uniform x slices, one slice per time t_out - dt."""
-    xs, ts, amps = [], [], []
-    for n, dt in zip(sizes, dts):
-        y0, step = rng.uniform(-5, 5), rng.uniform(1e-3, 5e-2)
-        xs.append(y0 + step * np.arange(n))
-        ts.append(np.full(n, t_out - dt))
-        amps.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return np.concatenate(xs), np.concatenate(ts), np.concatenate(amps)
-
-
-@pytest.fixture
-def chirp_calls(monkeypatch):
-    """Source runs handed to the chirp-z path, one list per propagate call."""
-    calls = []
-    original = _kernels._chirp_runs
-
-    def spy(*args):
-        calls.append(list(args[5]))
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, "_chirp_runs", spy)
-    return calls
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=2, max_value=600),
-    st.lists(st.integers(min_value=2, max_value=600), min_size=1, max_size=4),
-    st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4, unique=True),
-    st.floats(0.5, 2.0),
-    st.floats(0.5, 2.0),
-)
-def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
-    rng = np.random.default_rng(seed)
-    x0 = rng.uniform(-10, 10)
-    x_out = np.linspace(x0, x0 + rng.uniform(0.5, 20), m)
-    x_src, t_src, amp = uniform_slices(rng, sizes, dts, 5.0)
-    args = (x_out, 5.0, x_src, t_src, amp, mass, hbar, 0.0)
-    ref = _kernels.propagate_numpy(*args)
-    assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-9 * np.max(np.abs(ref))
-
-
-def test_chirp_z_at_pipeline_size(chirp_calls):
-    # (rows, points per row, source x and t ends, outputs, output time, FFT length)
-    calls = [
-        # the slab's refine-1 sources (66 slices of 106 points) onto 1952 outputs, more
-        # than the readout's 682, so that every chirp takes several recurrence blocks
-        (66, 106, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 1952), 4.2, 2160),
-        # the two-point readout call: one square's 65 slices of 33 points onto 563
-        # outputs, m + n - 1 = 595 in an FFT of 600
-        (65, 33, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
-        # m + n - 1 = 600 fills the FFT: the last output reads its last bin
-        (65, 38, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
-    ]
-    rng = np.random.default_rng(3)
-    for rows, n, x_src, t_src, x_out, t_out, fft in calls:
-        assert _kernels._fast_len(x_out[2] + n - 1) == fft
-        x_src = np.tile(np.linspace(*x_src, n), rows)
-        t_src = np.repeat(np.linspace(*t_src, rows), n)
-        amp = rng.standard_normal(x_src.size) + 1j * rng.standard_normal(x_src.size)
-        args = (np.linspace(*x_out), t_out, x_src, t_src, amp, 1.0, 1.0, 0.0)
-        ref = _kernels.propagate_numpy(*args)
-        assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert chirp_calls[-1] == [(n * i, n * (i + 1)) for i in range(rows)]
+    """Uniform x slices of the given sizes, one per time t_out - dt, as one zero-padded
+    (slices, max(sizes)) block: each row continues its own x step past its last point,
+    and the padded points weigh 0.  Returns the block's x, t and amplitudes and the mask
+    of the slices' own points."""
+    rows, n = len(sizes), max(sizes)
+    y0, step = rng.uniform(-5, 5, (rows, 1)), rng.uniform(1e-3, 5e-2, (rows, 1))
+    x = y0 + step * np.arange(n)
+    t = np.broadcast_to(t_out - np.asarray(dts[:rows])[:, None], x.shape)
+    own = np.arange(n) < np.asarray(sizes)[:, None]
+    amp = np.where(own, rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape), 0)
+    return x, t, amp, own
 
 
 @pytest.fixture
@@ -244,12 +192,57 @@ def row_calls(monkeypatch):
     return calls
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=600),
+    st.lists(st.integers(min_value=2, max_value=600), min_size=1, max_size=4),
+    st.lists(st.floats(0.05, 5.0), min_size=4, max_size=4, unique=True),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+)
+def test_chirp_z_matches_dense_hypothesis(seed, m, sizes, dts, mass, hbar):
+    # the ragged slices as one zero-padded block against the dense sum of their own points
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-10, 10)
+    x_out = np.linspace(x0, x0 + rng.uniform(0.5, 20), m)
+    x, t, amp, own = uniform_slices(rng, sizes, dts, 5.0)
+    ref = _kernels.propagate_numpy(x_out, 5.0, x[own], t[own], amp[own], mass, hbar, 0.0)
+    with mock.patch.object(_kernels, "_chirp_rows", wraps=_kernels._chirp_rows) as rows:
+        got = _kernels.propagate(x_out, 5.0, x, t, amp, mass, hbar, 0.0)
+    rows.assert_called_once()
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def source_block(rng, rows, n, x_src, t_src):
     """A tensor grid's sources as (rows, n) blocks: n points over x_src at each of rows
     times over t_src, the nodes as broadcast views, random amplitudes."""
     x = np.broadcast_to(np.linspace(*x_src, n), (rows, n))
     t = np.broadcast_to(np.linspace(*t_src, rows)[:, None], (rows, n))
     return x, t, rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+def test_chirp_z_at_pipeline_size(row_calls):
+    # (rows, points per row, source x and t ends, outputs, output time, FFT length)
+    calls = [
+        # the slab's refine-1 sources (66 slices of 106 points) onto 1952 outputs, more
+        # than the readout's 682, so that every chirp takes several recurrence blocks
+        (66, 106, (-0.5, 0.5), (3.0, 3.2), (-38.136, 38.136, 1952), 4.2, 2160),
+        # the two-point readout call: one square's 65 slices of 33 points onto 563
+        # outputs, m + n - 1 = 595 in an FFT of 600
+        (65, 33, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
+        # m + n - 1 = 600 fills the FFT: the last output reads its last bin
+        (65, 38, (-7.0783, -6.9217), (3.0, 3.1566), (-37.254, 27.254, 563), 3.9566, 600),
+    ]
+    rng = np.random.default_rng(3)
+    for rows, n, x_src, t_src, x_out, t_out, fft in calls:
+        assert _kernels._fast_len(x_out[2] + n - 1) == fft
+        x, t, amp = source_block(rng, rows, n, x_src, t_src)
+        args = (np.linspace(*x_out), t_out, x, t, amp, 1.0, 1.0, 0.0)
+        ref = _kernels.propagate_numpy(*args[:2], x.ravel(), t.ravel(), amp.ravel(), *args[5:])
+        row_calls.clear()
+        assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert len(row_calls) == 1 and row_calls[0][5] is amp
 
 
 @pytest.mark.parametrize(
@@ -263,13 +256,12 @@ def source_block(rng, rows, n, x_src, t_src):
     ],
     ids=["slab-refine0", "slab-refine1", "two-point"],
 )
-def test_block_rows_match_dense_sum(row_calls, chirp_calls, rows, n, x_src, t_src, x_out, t_out):
+def test_block_rows_match_dense_sum(row_calls, rows, n, x_src, t_src, x_out, t_out):
     x, t, amp = source_block(np.random.default_rng(rows * n), rows, n, x_src, t_src)
     x_out = np.linspace(*x_out)
     ref = _kernels.propagate_numpy(x_out, t_out, x.ravel(), t.ravel(), amp.ravel(), 1.0, 1.0, 0.0)
     got = _kernels.propagate(x_out, t_out, x, t, amp, 1.0, 1.0, 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert chirp_calls == []  # the rows are not searched for or gathered
     ((_, _, y0, d, t_rows, a, _, _),) = row_calls
     assert a is amp
     assert_array_equal(y0, x[:, 0])
@@ -316,7 +308,7 @@ def test_chirp_matches_exact_exp(n):
     assert np.max(np.abs(got - ref)) <= 1e-13
 
 
-def test_chirp_z_matches_scipy_czt(chirp_calls):
+def test_chirp_z_matches_scipy_czt(row_calls):
     from scipy.signal import czt  # test-only dependency
 
     m_, hb, dt = 1.3, 0.7, 0.9
@@ -324,8 +316,8 @@ def test_chirp_z_matches_scipy_czt(chirp_calls):
     y = np.linspace(-1.0, 2.0, 300)
     x = np.linspace(-12.0, 9.0, 501)
     amp = rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
-    out = _kernels.propagate(x, dt, y, np.zeros(y.size), amp, m_, hb, 0.0)
-    assert chirp_calls == [[(0, y.size)]]
+    out = _kernels.propagate(x, dt, y[None], np.zeros((1, y.size)), amp[None], m_, hb, 0.0)
+    assert len(row_calls) == 1
     # W(x_j; y_i) = pref e^{ik x_j^2} e^{ik y_i^2} e^{-2ik x_j y0} z_j^{-i},
     # z_j = e^{2ik dy x_j} = A W^{-j}: a chirp-z transform of amp e^{ik y^2}
     k = m_ / (2 * hb * dt)
@@ -337,50 +329,31 @@ def test_chirp_z_matches_scipy_czt(chirp_calls):
     assert np.max(np.abs(out - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
-def routing_case(rng):
-    x_src, t_src, amp = uniform_slices(rng, (40, 70, 25), (0.4, 1.1, 2.0), 3.0)
-    return np.linspace(-8.0, 8.0, 257), x_src, t_src, amp
-
-
-@pytest.mark.parametrize("eta", [1e-3, 0.2])
-def test_damped_kernel_takes_dense_sum(chirp_calls, eta):
-    x_out, x_src, t_src, amp = routing_case(np.random.default_rng(7))
+@pytest.mark.parametrize(
+    "case",
+    ["runs", "runs-and-scattered", "damped-0.001", "damped-0.2", "nonuniform-outputs",
+     "one-output"],
+)
+def test_point_cloud_takes_dense_sum(row_calls, case):
+    # a flat point cloud is never split into equal-time runs, not even uniform ones at eta 0
+    rng = np.random.default_rng(7)
+    x, t, amp, own = uniform_slices(rng, (40, 70, 25), (0.4, 1.1, 2.0), 3.0)
+    x_src, t_src, amp = x[own], t[own], amp[own]
+    x_out, eta = np.linspace(-8.0, 8.0, 257), 0.0
+    if case == "runs-and-scattered":
+        scattered = random_points(30, rng)  # a new time per point
+        x_src, t_src, amp = (
+            np.r_[p[:15], q, p[15:]] for p, q in zip(scattered, (x_src, t_src, amp))
+        )
+    elif case.startswith("damped"):
+        eta = float(case.split("-")[1])
+    elif case == "nonuniform-outputs":
+        x_out = x_out**3 / 64
+    elif case == "one-output":
+        x_out = np.array([0.7])
     args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, eta)
     assert_array_equal(_kernels.propagate(*args), _kernels.propagate_numpy(*args))
-    assert chirp_calls == []
-
-
-@pytest.mark.parametrize("x_out", [np.linspace(-8.0, 8.0, 257) ** 3 / 64, np.array([0.7])])
-def test_nonuniform_or_single_output_takes_dense_sum(chirp_calls, x_out):
-    _, x_src, t_src, amp = routing_case(np.random.default_rng(8))
-    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
-    assert_array_equal(_kernels.propagate(*args), _kernels.propagate_numpy(*args))
-    assert chirp_calls == []
-
-
-def test_single_point_run_takes_dense_sum(chirp_calls):
-    x_out, x_src, t_src, amp = routing_case(np.random.default_rng(9))
-    x_src = np.append(x_src, 0.3)
-    t_src = np.append(t_src, 2.5)
-    amp = np.append(amp, 1.0 - 0.5j)
-    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
-    ref = _kernels.propagate_numpy(*args)
-    assert_allclose(_kernels.propagate(*args), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
-    assert chirp_calls == [[(0, 40), (40, 110), (110, 135)]]
-
-
-def test_uniform_runs_mixed_with_scattered(chirp_calls):
-    rng = np.random.default_rng(10)
-    x_out, x_uni, t_uni, a_uni = routing_case(rng)
-    x_sc, t_sc, a_sc = random_points(30, rng)  # scattered: a new time per point
-    x_gap = np.delete(np.linspace(-1.0, 1.0, 20), 7)  # one time, uneven spacing
-    x_src = np.concatenate((x_sc[:15], x_uni[:40], x_gap, x_uni[40:], x_sc[15:]))
-    t_src = np.concatenate((t_sc[:15], t_uni[:40], np.full(19, 1.7), t_uni[40:], t_sc[15:]))
-    amp = np.concatenate((a_sc[:15], a_uni[:40], np.ones(19), a_uni[40:], a_sc[15:]))
-    args = (x_out, 3.0, x_src, t_src, amp, 1.0, 1.0, 0.0)
-    ref = _kernels.propagate_numpy(*args)
-    assert_allclose(_kernels.propagate(*args), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
-    assert chirp_calls == [[(15, 55), (74, 144), (144, 169)]]
+    assert row_calls == []
 
 
 def test_fast_len_is_smallest_5_smooth_length():
