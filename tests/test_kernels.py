@@ -238,10 +238,11 @@ def test_chirp_z_at_pipeline_size(row_calls):
     for rows, n, x_src, t_src, x_out, t_out, fft in calls:
         assert _kernels._fast_len(x_out[2] + n - 1) == fft
         x, t, amp = source_block(rng, rows, n, x_src, t_src)
-        args = (np.linspace(*x_out), t_out, x, t, amp, 1.0, 1.0, 0.0)
-        ref = _kernels.propagate_numpy(*args[:2], x.ravel(), t.ravel(), amp.ravel(), *args[5:])
+        x_out = np.linspace(*x_out)
+        ref = _kernels.propagate_numpy(x_out, t_out, x.ravel(), t.ravel(), amp.ravel(), 1.0, 1.0, 0.0)
         row_calls.clear()
-        assert np.max(np.abs(_kernels.propagate(*args) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = _kernels.propagate(x_out, t_out, x, t, amp, 1.0, 1.0, 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert len(row_calls) == 1 and row_calls[0][5] is amp
 
 
