@@ -17,9 +17,13 @@ lag q = -(n - 1) (60 rows x 750 lags), and is timed as one complex
 their max deviation; at these arguments (up to 400 rad) that is mostly the
 rounding of the exp arguments.  ``double_quad`` is timed on a 3919 x 3919
 pair sum of scattered points (the dense sum), and on the band of
-``tests/test_contspace.py``'s eta-halving test (6,467 points on one uniform
-(x, t) grid, eta = 0.01) by both paths: the dense sum and the lattice-lag
-convolution, with their relative deviation.
+``tests/test_contspace.py``'s eta-halving test (its 13 support slices of
+512 grid points as one (13, 512) block of ``GridFunction.amplitudes``, as
+the direct physical inner product hands it over, eta = 0.01) by both
+paths: the dense sum of the block's points flattened and the lag
+convolution of the block, with their relative deviation.  The script
+exits 1 when the block did not take the lag convolution (one
+``propagate_numpy`` call from a single source, the lag table).
 
 The Born readout itself, the kernel sums of ``postulates._readout_branches``
 (one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
@@ -69,9 +73,9 @@ onto it), with its guards and observer algebra.
 The collapse inside it is timed on its own at refine 1 and 3: every band
 slice of both branches evolved to the last slice (one batched
 ``spectral_evolve``) and summed with the trapezoid weights, against
-``contspace.spectral_collapse``, which sums the weighted slices in
-k-space and takes one inverse FFT per branch, with their max relative
-deviation.
+``contspace.spectral_collapse_k`` between one FFT and one inverse FFT per
+branch, which sums the weighted slices in k-space, with their max
+relative deviation.
 
 Finally the finite suite's sample sweeps, per-sample loops of
 ``tests/oracles.py`` against the batched paths: the EPR no-communication
@@ -111,15 +115,20 @@ def timed(fn, *args, repeat=3):
     return out, best
 
 
-def reaches_chirp_rows(fn, *args):
-    """Run fn(*args) once with ``_kernels._chirp_rows`` spied; exit 1 if it did not run."""
-    real, calls = _kernels._chirp_rows, []
-    _kernels._chirp_rows = lambda *a: calls.append(a) or real(*a)
+def spied(name, fn, *args):
+    """The argument tuples of the ``_kernels.<name>`` calls made by one run of fn(*args)."""
+    real, calls = getattr(_kernels, name), []
+    setattr(_kernels, name, lambda *a: calls.append(a) or real(*a))
     try:
         fn(*args)
     finally:
-        _kernels._chirp_rows = real
-    if not calls:
+        setattr(_kernels, name, real)
+    return calls
+
+
+def reaches_chirp_rows(fn, *args):
+    """Run fn(*args) once; exit 1 if it did not run ``_kernels._chirp_rows``."""
+    if not spied("_chirp_rows", fn, *args):
         sys.exit(f"{fn.__name__}: the chirp-z sum _kernels._chirp_rows did not run")
 
 
@@ -179,10 +188,14 @@ def compare_double_quad(rng):
     for j in range(40, 53):  # uniform smearing, integral one
         values[:, j] = contspace.spectral_evolve(psi0, grid.dx, kern, grid.t[j])
     values /= grid.t[52] - grid.t[40]
-    x, t, v, w = contspace.GridFunction(grid, values).support_points()
-    args = (x, t, v * w, x, t, v * w, kern.mass, kern.hbar, 0.01)
-    print(f"double_quad, eta-halving band: {x.size} x {x.size} pairs on one grid, eta 0.01")
-    ref, t_dense = timed(lambda: np.vdot(v * w, _kernels.propagate_numpy(x, t, *args[3:])), repeat=1)
+    amp = contspace.GridFunction(grid, values).amplitudes()[40:53]
+    x, t = np.broadcast_arrays(grid.x, grid.t[40:53, None])
+    args = (x, t, amp, x, t, amp, kern.mass, kern.hbar, 0.01)
+    print(f"double_quad, eta-halving band: a {x.shape} block, {x.size} x {x.size} pairs, eta 0.01")
+    if [c[2].size for c in spied("propagate_numpy", _kernels.double_quad, *args)] != [1]:
+        sys.exit("double_quad, eta-halving band: the block did not take the lag convolution")
+    flat = [a.ravel() for a in args[:6]]
+    ref, t_dense = timed(_kernels.double_quad, *flat, *args[6:], repeat=1)
     got, t_lag = timed(_kernels.double_quad, *args)
     print(f"  dense sum  : {t_dense * 1e3:9.2f} ms")
     print(f"  lag convol.: {t_lag * 1e3:9.2f} ms   speedup {t_dense / t_lag:.0f}x"
@@ -310,7 +323,12 @@ def compare_collapse(refines=(1, 3)):
         args = (comps, grid.dx, exp.kernel, lags)
         print(f"band collapse, refine {r}: 2 x {grid.nt} slices x {grid.nx}")
         ref, t_slices = timed(lambda: tw @ contspace.spectral_evolve(*args))
-        got, t_kspace = timed(contspace.spectral_collapse, *args, tw)
+
+        def kspace():  # the phase table of the lags, then the k-space sum
+            phase = contspace._kinetic_phase(grid.nx, grid.dx, exp.kernel, lags)
+            return np.fft.ifft(contspace.spectral_collapse_k(np.fft.fft(comps), phase, tw))
+
+        got, t_kspace = timed(kspace)
         err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         print(f"  per slice : {t_slices * 1e3:9.2f} ms")
         print(f"  k-space   : {t_kspace * 1e3:9.2f} ms   speedup {t_slices / t_kspace:.1f}x"

@@ -15,9 +15,10 @@ convolution in O((n + m) log(n + m)) (Rabiner, Schafer & Rader, IEEE Trans. Audi
 Electroacoust. 17(2), 1969; Bluestein, ibid. 18(4), 1970).  The caller, which knows its
 lattice, builds the block.  A flat point cloud, or a block failing any of these conditions,
 takes the dense O(n * m) sum ``propagate_numpy``, which the tests keep as the reference.
-The double quadrature ``double_quad`` has two paths: with eta > 0 and every point on one
-uniform (x, t) lattice, one 2-D FFT convolution over the lattice lags; otherwise a vdot
-against that same dense sum.
+The double quadrature ``double_quad`` takes points or (rows, n) blocks too, and has two
+paths: with eta > 0 and both sides on one block of equal uniform x rows at uniform row
+times, one 2-D FFT convolution over the block's lags; otherwise a vdot against that same
+dense sum.
 
 Every chirp of that transform is exp(i (alpha + beta j + gamma j^2)) per
 row, and ``_chirp`` builds it by a two-level recurrence instead of one
@@ -63,34 +64,24 @@ def propagate_numpy(x_out, t_out, x_src, t_src, amp, mass, hbar, eta):
 
 
 def double_quad(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
-    """sum_ij conj(amp_a[i]) W(p_a[i]; p_b[j]) amp_b[j] (weights folded in).  With eta > 0
-    and every point on one uniform (x, t) lattice, W depends on the lattice lag alone, and
-    the b amplitudes scattered onto the lattice take one 2-D FFT convolution with W."""
-    na, most = x_a.size, x_a.size * x_b.size
-    axes = [_lattice(np.r_[a, b], most) for a, b in ((x_a, x_b), (t_a, t_b))] if eta > 0 else [None]
-    if None in axes:
-        return np.vdot(amp_a, propagate_numpy(x_a, t_a, x_b, t_b, amp_b, mass, hbar, eta))
-    (hx, ix), (ht, it) = axes
-    shape = (_fast_len(2 * int(ix.max()) + 1), _fast_len(2 * int(it.max()) + 1))  # no lag wraps
-    lx, lt = (np.fft.fftfreq(s, 1.0 / s) * h for s, h in zip(shape, (hx, ht)))
+    """sum_ij conj(amp_a[i]) W(p_a[i]; p_b[j]) amp_b[j] (weights folded in), from points or
+    (rows, n) blocks.  With eta > 0 and both sides on one block, its rows the same uniform x
+    points at one time each and its row times uniform, W depends on the lag alone: amp_b
+    takes one 2-D FFT convolution with W on the block's lags.  All else is the dense sum."""
+    block = eta > 0 and x_a.ndim == 2 and min(x_a.shape) >= 2
+    block = block and np.array_equal(x_a, x_b) and np.array_equal(t_a, t_b)
+    block = block and np.all(x_a == x_a[0]) and np.all(t_a == t_a[:, :1])
+    if not (block and _uniform(x_a[0]) and _uniform(t_a[:, 0])):
+        flat = (x_a.ravel(), t_a.ravel(), x_b.ravel(), t_b.ravel(), amp_b.ravel())
+        return np.vdot(amp_a, propagate_numpy(*flat, mass, hbar, eta))
+    rows, n = x_a.shape
+    shape = (_fast_len(2 * rows - 1), _fast_len(2 * n - 1))  # no lag wraps
+    steps = ((t_a[-1, 0] - t_a[0, 0]) / (rows - 1), (x_a[0, -1] - x_a[0, 0]) / (n - 1))
+    lt, lx = (np.fft.fftfreq(s, 1.0 / s) * h for s, h in zip(shape, steps))
     z = np.zeros(1)
-    w = propagate_numpy(np.repeat(lx, lt.size), np.tile(lt, lx.size), z, z, z + 1, mass, hbar, eta)
-    b = np.zeros(shape, dtype=np.complex128)
-    np.add.at(b, (ix[na:], it[na:]), amp_b)
-    conv = np.fft.ifft2(np.fft.fft2(b) * np.fft.fft2(w.reshape(shape)))
-    return np.vdot(amp_a, conv[ix[:na], it[:na]])
-
-
-def _lattice(v, most):
-    """(step, index of each v) on the uniform lattice from min(v) stepping by its least gap,
-    up to 1e-13 max |v|; None off that lattice or when it has ``most`` points or more."""
-    u = np.unique(v)
-    cells = np.rint((u[-1] - u[0]) / np.min(np.diff(u), initial=np.inf)) if u.size else most
-    if not cells < most:
-        return None
-    step = (u[-1] - u[0]) / cells if cells else 1.0
-    i = np.rint((v - u[0]) / step).astype(np.intp)
-    return (step, i) if np.max(np.abs(u[0] + i * step - v)) <= 1e-13 * np.max(np.abs(u)) else None
+    w = propagate_numpy(np.tile(lx, lt.size), np.repeat(lt, lx.size), z, z, z + 1, mass, hbar, eta)
+    conv = np.fft.ifft2(np.fft.fft2(amp_b, shape) * np.fft.fft2(w.reshape(shape)))
+    return np.vdot(amp_a, conv[:rows, :n])
 
 
 def _uniform(x) -> np.ndarray:

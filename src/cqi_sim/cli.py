@@ -325,12 +325,18 @@ def _check_geometry(cfg: ExperimentConfig) -> postulates.DetectorExperiment:
     return exp
 
 
-def _check_overlaps(params: dict) -> None:
-    """Every chain overlap a d x d matrix, d the number of initial amplitudes."""
-    d = len(params["initial"])
-    for n, u in enumerate(params.get("overlaps", [])):
-        if (rows := [len(row) for row in u]) != [d] * d:
-            raise ConfigError(f"params.overlaps.{n}: row lengths {rows}, expected {d} rows of {d}")
+def _check_params(kind: str, params: dict) -> None:
+    """What the params schemas leave out: every chain overlap a d x d matrix, d the number
+    of initial amplitudes, and no n_thetas or theta_max beside the thetas they would set."""
+    if kind == "chain":
+        d = len(params["initial"])
+        for n, u in enumerate(params.get("overlaps", [])):
+            if (rows := [len(row) for row in u]) != [d] * d:
+                msg = f"row lengths {rows}, expected {d} rows of {d}"
+                raise ConfigError(f"params.overlaps.{n}: {msg}")
+    if kind == "time-reversed-zeno" and "thetas" in params:
+        if keys := [key for key in ("n_thetas", "theta_max") if key in params]:
+            raise ConfigError(f"params.{keys[0]}: unused, as params.thetas lists the angles")
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,7 @@ class ExperimentConfig:
         _validate(data.get("params", {}), _PARAM_SCHEMAS[data["kind"]], "params")
         if "grid" in data:
             _check_grid(data["kind"], data["grid"])
-        if data["kind"] == "chain":
-            _check_overlaps(data["params"])
+        _check_params(data["kind"], data.get("params", {}))
         cfg = cls(
             kind=data["kind"],
             params=dict(data.get("params", {})),
@@ -356,7 +361,7 @@ class ExperimentConfig:
             seed=int(data.get("seed", 0)),
             output=dict(data.get("output", {})),
         )
-        cfg.experiment  # a grid kind's geometry is checked at load time
+        cfg.experiment, cfg.model  # a grid kind's geometry, a finite kind's model: checked at load
         return cfg
 
     def resolved(self) -> dict:
@@ -372,6 +377,16 @@ class ExperimentConfig:
         """A grid kind's refine-0 detector experiment, checked; None for the others."""
         return _check_geometry(self) if isinstance(self.spec, DetectorParams) else None
 
+    @cached_property
+    def model(self) -> chain.ChainSpec | epr.EprConfig | None:
+        """Chain's ChainSpec or a pair kind's EprConfig, checked; None for the others."""
+        p = self.spec
+        if isinstance(p, ChainParams):
+            return chain.spec_from_dict({"initial": p.initial, "overlaps": p.overlaps})
+        if isinstance(p, PairParams):
+            return epr.EprConfig(complex_of(p.alpha), complex_of(p.beta))
+        return None
+
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -384,8 +399,7 @@ def _fmt(v) -> str:
 
 
 def _run_chain(cfg: ExperimentConfig, refine: int):
-    p = cfg.spec
-    spec = chain.spec_from_dict({"initial": p.initial, "overlaps": p.overlaps})
+    p, spec = cfg.spec, cfg.model
     result = chain.run_chain(spec)
     rows = []
     for n, (dist, s) in enumerate(zip(result.distributions, result.entropies)):
@@ -509,12 +523,10 @@ def _run_time_reversed_zeno(cfg: ExperimentConfig, refine: int):
 
 
 def _run_epr(cfg: ExperimentConfig, refine: int):
-    p = cfg.spec
-    alpha = complex_of(p.alpha)
-    beta = complex_of(p.beta)
-    config = epr.EprConfig(alpha, beta)
+    config = cfg.model
+    alpha, beta = config.alpha, config.beta
     rho_a, rho_b, rho_ab = epr.epr_reduced(config)
-    n_rand = int(p.n_random_unitaries)
+    n_rand = int(cfg.spec.n_random_unitaries)
     us = haar_unitary(np.random.default_rng(cfg.seed), 2, (n_rand,))
     worst = float(np.max(epr.no_communication_check(epr.EprConfig(alpha, beta, us)), initial=0.0))
     rows = [
@@ -530,8 +542,7 @@ def _run_epr(cfg: ExperimentConfig, refine: int):
 
 
 def _run_realism(cfg: ExperimentConfig, refine: int):
-    p = cfg.spec
-    report = epr.realism_scenario(complex_of(p.alpha), complex_of(p.beta))
+    report = epr.realism_scenario(cfg.model.alpha, cfg.model.beta)
     cols = ["slice", "entropy_alice_bits", "entropy_bob_bits", "conditional_entropy_bits"]
     rows = [[s[c] for c in cols] for s in report["slices"]]
     results = {"slices": report["slices"]}

@@ -42,9 +42,7 @@ __all__ = [
     "project",
     "collapse_to_slice",
     "physical_inner_product",
-    "physical_norm",
     "spectral_evolve",
-    "spectral_collapse",
     "spectral_collapse_k",
     "gaussian_packet",
 ]
@@ -122,11 +120,6 @@ class GridFunction:
         v[:, t_index] = values_x
         return cls(grid, v)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, f) -> "GridFunction":
-        xx, tt = np.meshgrid(grid.x, grid.t, indexing="ij")
-        return cls(grid, f(xx, tt))
-
     def support_slices(self) -> np.ndarray:
         """Indices of time slices holding any amplitude above SUPPORT_EPS."""
         return np.flatnonzero(np.max(np.abs(self.values), axis=0) > SUPPORT_EPS)
@@ -158,29 +151,11 @@ class GridFunction:
     def x_weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid.nx, self.grid.dx)
 
-    def support_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (x, t, value, weight) arrays over the support."""
-        tw = self.time_weights()
-        cols = np.flatnonzero(tw > 0)
-        xs, ts, vals, ws = [], [], [], []
-        xw = self.x_weights()
-        for j in cols:
-            v = self.values[:, j]
-            mask = np.abs(v) > SUPPORT_EPS
-            if not np.any(mask):
-                continue
-            xs.append(self.grid.x[mask])
-            ts.append(np.full(int(mask.sum()), self.grid.t[j]))
-            vals.append(v[mask])
-            ws.append(xw[mask] * tw[j])
-        if not xs:
-            raise NumericalValidationError("grid function has empty support")
-        return (
-            np.concatenate(xs),
-            np.concatenate(ts),
-            np.concatenate(vals),
-            np.concatenate(ws),
-        )
+    def amplitudes(self) -> np.ndarray:
+        """Values times their x and time weights as an (nt, nx) block, values at or below
+        SUPPORT_EPS weighing 0: the kernel sums' source amplitudes."""
+        v, w = self.values.T, np.outer(self.time_weights(), self.x_weights())
+        return np.where(np.abs(v) > SUPPORT_EPS, v, 0) * w
 
 
 def propagate_point(
@@ -207,8 +182,8 @@ def project(psi: GridFunction, k: PropagatorKernel, t_out: float) -> np.ndarray:
     the slice t = t_out.
 
     Trapezoid quadrature of the kernel against the support slices of
-    ``psi``, handed to the kernel sum as one (slices, nx) block (values at
-    or below SUPPORT_EPS weigh 0); a support slice lying exactly on t_out
+    ``psi``, handed to the kernel sum as one (slices, nx) block of
+    ``psi.amplitudes()``; a support slice lying exactly on t_out
     contributes through the delta channel (its weighted values are added
     directly).
     """
@@ -223,11 +198,9 @@ def project(psi: GridFunction, k: PropagatorKernel, t_out: float) -> np.ndarray:
         out += psi.values[:, j] * tw[j]
     off = cols[~on_slice]
     if off.size:
-        vals = psi.values[:, off].T
-        amp = np.where(np.abs(vals) > SUPPORT_EPS, vals, 0) * (psi.x_weights() * tw[off, None])
         x, t = np.broadcast_arrays(grid.x, grid.t[off, None])
         out += _kernels.propagate(
-            grid.x, float(t_out), x, t, amp, k.mass, k.hbar, k.regularization_eta
+            grid.x, float(t_out), x, t, psi.amplitudes()[off], k.mass, k.hbar, k.regularization_eta
         )
     return out
 
@@ -242,8 +215,9 @@ def collapse_to_slice(
 ) -> np.ndarray:
     """Projected state on the slice t_ref by batched spectral evolution.
 
-    All support slices are evolved to t_ref and summed with their
-    time-quadrature weights by one ``spectral_collapse``.  Numerically
+    All support slices are transformed once, evolved to t_ref and summed
+    with their time-quadrature weights in k-space by
+    ``spectral_collapse_k``, then take one inverse FFT.  Numerically
     robust for arbitrarily small time offsets (the kernel quadrature of
     ``project`` chirps too fast to sample at short offsets); used by the
     slice route of the physical inner product.
@@ -251,7 +225,8 @@ def collapse_to_slice(
     grid = psi.grid
     tw = psi.time_weights()
     cols = np.flatnonzero(tw > 0)
-    return spectral_collapse(psi.values[:, cols].T, grid.dx, k, t_ref - grid.t[cols], tw[cols])
+    phase = _kinetic_phase(grid.nx, grid.dx, k, t_ref - grid.t[cols])
+    return np.fft.ifft(spectral_collapse_k(np.fft.fft(psi.values[:, cols].T), phase, tw[cols]))
 
 
 def physical_inner_product(
@@ -293,27 +268,25 @@ def physical_inner_product(
         return complex(np.sum(xw * np.conj(a) * b))
 
     if method == "direct":
+        if psi.grid != phi.grid:
+            raise NumericalValidationError("direct double quadrature needs both states on one grid")
+        own = [np.flatnonzero(f.time_weights() > 0) for f in (psi, phi)]
+        if not (own[0].size and own[1].size):
+            raise NumericalValidationError("grid function has empty support")
         if eta is None:
-            eta = k.regularization_eta or 1e-3 * min(psi.grid.dt, phi.grid.dt)
-        xa, ta, va, wa = psi.support_points()
-        xb, tb, vb, wb = phi.support_points()
-        overlap = np.isin(np.round(ta, 12), np.round(tb, 12)).any()
-        if overlap and eta <= 0:
+            eta = k.regularization_eta or 1e-3 * psi.grid.dt
+        if eta <= 0 and np.intersect1d(*own).size:
             raise NumericalValidationError(
                 "direct double quadrature across shared time slices needs eta > 0"
             )
-        return complex(
-            _kernels.double_quad(
-                xa, ta, va * wa, xb, tb, vb * wb, k.mass, k.hbar, eta
-            )
-        )
+        # both on the slices spanning both supports; at eta 0 each on its own, so no
+        # pair of points shares a time
+        span = np.arange(min(own[0][0], own[1][0]), max(own[0][-1], own[1][-1]) + 1)
+        rows = [span, span] if eta > 0 else own
+        x, t = np.broadcast_arrays(psi.grid.x, psi.grid.t[:, None])
+        a, b = ((x[r], t[r], f.amplitudes()[r]) for r, f in zip(rows, (psi, phi)))
+        return complex(_kernels.double_quad(*a, *b, k.mass, k.hbar, eta))
     raise ValueError(f"unknown method {method!r}")
-
-
-def physical_norm(phi: GridFunction, k: PropagatorKernel) -> float:
-    """sqrt of the physical norm squared of a kinematical state."""
-    val = physical_inner_product(phi, phi, k)
-    return float(np.sqrt(max(val.real, 0.0)))
 
 
 def spectral_evolve(
@@ -340,16 +313,11 @@ def spectral_evolve(
     return psi
 
 
-def spectral_collapse(values, dx: float, k: PropagatorKernel, lags, weights) -> np.ndarray:
-    """sum_t weights[t] spectral_evolve(values[..., t, :], lags[t]) for slices (..., nt, nx):
-    the slices are transformed once and summed in k-space, one inverse FFT per row."""
-    phase = _kinetic_phase(np.shape(values)[-1], dx, k, lags)
-    return np.fft.ifft(spectral_collapse_k(np.fft.fft(values), phase, weights))
-
-
 def spectral_collapse_k(coefs, phase, weights) -> np.ndarray:
-    """The k-space core of ``spectral_collapse``: FFT coefficients (..., nt, nx) of the slices
-    and ``_kinetic_phase`` (nt, nx) of their lags in, those (..., nx) of the rows out."""
+    """sum_t weights[t] coefs[..., t, :] phase[t] for the FFT coefficients (..., nt, nx) of
+    slices and the ``_kinetic_phase`` (nt, nx) of their lags: the k-space coefficients
+    (..., nx) of the slices evolved by their lags and summed with their weights, the
+    collapse of ``collapse_to_slice`` and of the covariant trace."""
     return np.einsum("...tk,tk->...k", coefs, np.asarray(weights)[:, None] * phase)
 
 

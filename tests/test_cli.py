@@ -734,6 +734,48 @@ class TestChainOverlapShape:
         assert not list(tmp_path.glob("*.csv"))
 
 
+class TestFiniteKindsCheckedAtLoad:
+    """Keys that a run would ignore exit 1 naming them, and amplitudes or overlaps that a
+    run refuses exit 2 with its message, from validate and from run alike."""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"n_thetas": 7}, "params.n_thetas"),
+            ({"theta_max": 3}, "params.theta_max"),
+            ({"n_thetas": 7, "theta_max": 3}, "params.n_thetas"),
+        ],
+    )
+    def test_theta_grid_beside_thetas_exit_1(self, tmp_path, capsys, command, extra, field):
+        cfg = {"kind": "time-reversed-zeno", "params": {"omega": 1.0, "thetas": [0.1], **extra}}
+        path = write_config(tmp_path, "trz.json", cfg)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 1
+        assert f"config error: {field}: unused" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("chain", {"initial": [0.6, 0.6]}, "initial amplitude vector is not normalized"),
+            ("chain", {"initial": [0.6, 0.8], "overlaps": [[[1, 1], [0, 1]]]},
+             "overlap matrix 0 is not unitary"),
+            ("epr", {"alpha": 0.6, "beta": 0.6}, "|a|^2+|b|^2 = 1"),
+            ("realism-scenario", {"alpha": [0.6, 0.1], "beta": 0.8}, "|a|^2+|b|^2 = 1"),
+        ],
+        ids=["chain-initial", "chain-overlap", "epr", "realism-scenario"],
+    )
+    def test_model_refused_exit_2(self, tmp_path, capsys, command, kind, params, message):
+        path = write_config(tmp_path, "cfg.json", {"kind": kind, "params": params})
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical validation failure: ") and message in err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRefineRejected:
     CONFIGS = {
         "chain": {"initial": [0.6, 0.8]},

@@ -10,7 +10,6 @@ from cqi_sim.contspace import (
     collapse_to_slice,
     gaussian_packet,
     physical_inner_product,
-    physical_norm,
     project,
     propagate_point,
     spectral_evolve,
@@ -24,6 +23,11 @@ K = PropagatorKernel()
 
 def default_grid(nt=81, t_max=4.0):
     return Grid(-20.0, 20.0, 512, 0.0, t_max, nt)
+
+
+def sampled(grid, f):
+    """GridFunction of f(x, t) on the grid's nodes."""
+    return GridFunction(grid, f(*np.meshgrid(grid.x, grid.t, indexing="ij")))
 
 
 def l2_diff(a, b, dx):
@@ -66,8 +70,10 @@ class TestGridFunction:
     def test_empty_support_rejected(self):
         g = default_grid()
         gf = GridFunction(g, np.zeros((g.nx, g.nt)))
-        with pytest.raises(NumericalValidationError):
-            gf.support_points()
+        one = GridFunction.on_slice(g, gaussian_packet(g.x, 0, 1), 5)
+        for a, b in [(gf, gf), (gf, one), (one, gf)]:
+            with pytest.raises(NumericalValidationError, match="empty support"):
+                physical_inner_product(a, b, K, method="direct")
         with pytest.raises(NumericalValidationError, match="empty support"):
             project(gf, K, 1.0)
 
@@ -153,7 +159,7 @@ class TestProject:
         ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * g.dx)
         errs = []
         for b in (0.2, 0.1, 0.05):
-            gf = GridFunction.from_callable(
+            gf = sampled(
                 g,
                 lambda x, t: np.exp(-((x - x0) ** 2) / a**2 - ((t - t0) ** 2) / b**2)
                 / (2 * np.pi * a * b),
@@ -197,9 +203,10 @@ class TestProject:
         tw = gf.time_weights()
         want = vals[:, [3, 9]].T * (gf.x_weights() * tw[[3, 9], None])
         assert_array_equal(amp, np.where(np.abs(vals[:, [3, 9]].T) > cs.SUPPORT_EPS, want, 0))
-        x, t, v, w = gf.support_points()
-        off = t != g.t[20]
-        ref = cs._kernels.propagate_numpy(g.x, g.t[20], x[off], t[off], (v * w)[off], 1.0, 1.0, 0.0)
+        x, t = np.meshgrid(g.x, g.t[[3, 9]], indexing="ij")
+        on = np.abs(vals[:, [3, 9]]) > cs.SUPPORT_EPS
+        v = (vals[:, [3, 9]] * gf.x_weights()[:, None] * tw[[3, 9]])[on]
+        ref = cs._kernels.propagate_numpy(g.x, g.t[20], x[on], t[on], v, 1.0, 1.0, 0.0)
         ref += vals[:, 20] * tw[20]
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -248,7 +255,7 @@ class TestPhysicalInnerProduct:
         g = default_grid()
         psi = gaussian_packet(g.x, -5, 1.0)
         gf = _band_solution(g, psi, list(range(40, 61)))
-        assert physical_norm(gf, K) == pytest.approx(1.0, abs=1e-6)
+        assert np.sqrt(physical_inner_product(gf, gf, K).real) == pytest.approx(1.0, abs=1e-6)
 
     def test_smeared_against_slice(self):
         g = default_grid()
@@ -262,8 +269,18 @@ class TestPhysicalInnerProduct:
         psi = gaussian_packet(g.x, -5, 1.0)
         ga = GridFunction.on_slice(g, psi, 0)
         gb = GridFunction.on_slice(g, spectral_evolve(psi, g.dx, K, 1.5), 30)
-        direct = physical_inner_product(ga, gb, K, method="direct")
-        assert abs(direct - 1.0) < 1e-4
+        for eta in (None, 0.0):  # disjoint supports need no damping
+            direct = physical_inner_product(ga, gb, K, method="direct", eta=eta)
+            assert abs(direct - 1.0) < 1e-4
+
+    def test_direct_method_needs_one_grid(self):
+        # the same x sampling, but slices of different times
+        g, h = default_grid(), default_grid(nt=41)
+        psi = gaussian_packet(g.x, -5, 1.0)
+        ga, gb = GridFunction.on_slice(g, psi, 0), GridFunction.on_slice(h, psi, 30)
+        assert physical_inner_product(ga, gb, K) != 0
+        with pytest.raises(NumericalValidationError, match="one grid"):
+            physical_inner_product(ga, gb, K, method="direct")
 
     def test_direct_method_eta_halving_converges(self):
         g = default_grid()
@@ -337,14 +354,15 @@ class TestSpectralCollapse:
         lags = np.sort(rng.uniform(0.0, 2.0, nt))[::-1]
         weights = rng.uniform(0.1, 1.0, nt)
         k = PropagatorKernel(mass=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 2.0))
-        got = cs.spectral_collapse(values, 0.05, k, lags, weights)
+        phase = cs._kinetic_phase(shape[-1], 0.05, k, lags)
+        got = np.fft.ifft(cs.spectral_collapse_k(np.fft.fft(values), phase, weights))
         ref = self.per_slice(values, 0.05, k, lags, weights)
         assert got.shape == shape[:-2] + shape[-1:]
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_collapse_to_slice_sums_the_weighted_slices(self):
         g = default_grid(nt=41)
-        gf = GridFunction.from_callable(
+        gf = sampled(
             g, lambda x, t: gaussian_packet(x, -3.0, 1.0, 0.5) * ((t > 1.0) & (t < 2.0))
         )
         tw = gf.time_weights()

@@ -70,14 +70,22 @@ def dense_calls(monkeypatch):
     return calls
 
 
-def lattice_points(rng, x, t, slices, keep=0.75):
-    """Points of the lattice x by t on the given slices, about ``keep`` of each slice's
-    x nodes kept (the rest masked, as ``SUPPORT_EPS`` masks a grid function), with random
-    amplitudes."""
-    mask = rng.random((len(slices), x.size)) < keep
-    xs = np.concatenate([x[m] for m in mask])
-    ts = np.concatenate([np.full(m.sum(), t[j]) for j, m in zip(slices, mask)])
-    return xs, ts, rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
+def lattice_block(rng, x, t, slices, keep=0.75):
+    """The lattice x by t as one (t.size, x.size) block, with random amplitudes on about
+    ``keep`` of the nodes of the given slices and 0 elsewhere (as ``SUPPORT_EPS`` masks a
+    grid function)."""
+    xb, tb = np.broadcast_arrays(x, t[:, None])
+    amp = np.zeros(xb.shape, dtype=complex)
+    kept = rng.random((len(slices), x.size)) < keep
+    draws = rng.standard_normal(kept.shape) + 1j * rng.standard_normal(kept.shape)
+    amp[slices] = np.where(kept, draws, 0)
+    return xb, tb, amp
+
+
+def pairs_on_support(x_a, t_a, amp_a, x_b, t_b, amp_b, *rest):
+    """The pair loop over the nodes of nonzero amplitude alone."""
+    a, b = amp_a != 0, amp_b != 0
+    return double_quad_pairs(x_a[a], t_a[a], amp_a[a], x_b[b], t_b[b], amp_b[b], *rest)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -90,33 +98,63 @@ def test_double_quad_lattice_matches_pair_loop(dense_calls, seed, shared):
     t = np.linspace(t0, t0 + (nt - 1) * rng.uniform(0.02, 0.3), nt)
     order, half = rng.permutation(nt), nt // 2
     slices_a, slices_b = order[:half], order[half - 2 :] if shared else order[half:]
-    xa, ta, aa = lattice_points(rng, x, t, slices_a)
-    xb, tb, ab = lattice_points(rng, x, t, slices_b)
-    args = (xa, ta, aa, xb, tb, ab, 1.3, 0.7, rng.uniform(0.01, 0.1))
-    ref = double_quad_pairs(*args)
+    xb, tb, aa = lattice_block(rng, x, t, slices_a)
+    ab = lattice_block(rng, x, t, slices_b)[2]
+    args = (xb, tb, aa, xb, tb, ab, 1.3, 0.7, rng.uniform(0.01, 0.1))
+    ref = pairs_on_support(*args)
     assert abs(_kernels.double_quad(*args) - ref) <= 1e-12 * abs(ref)
     assert len(dense_calls) == 1 and dense_calls[0][1] == 1  # one lag table, one source
 
 
-def test_double_quad_dense_off_the_lattice(dense_calls):
-    rng = np.random.default_rng(21)
+def off_the_lattice(rng, case):
+    """double_quad's arguments for one case of input off one uniform block: from the
+    lattice blocks of two states, the first on slices 0-2, the second on slices 3-5."""
     x, t = np.linspace(-2.0, 2.0, 9), np.linspace(1.0, 2.0, 6)
-    xa, ta, aa = lattice_points(rng, x, t, [0, 1, 2])
-    xb, tb, ab = lattice_points(rng, x, t, [3, 4, 5])
-    xs, ts, amps = random_points(40, rng)
-    jittered = xb.copy()
-    jittered[0] += 1e-9
-    cases = [
-        (xa, ta, aa, xb, tb, ab, 1.0, 1.0, 0.0),  # eta = 0, on the lattice
-        (xa, ta, aa, xs, ts + 5.0, amps, 1.0, 1.0, 0.05),  # scattered points
-        (xa, ta, aa, jittered, tb, ab, 1.0, 1.0, 0.05),  # one point off the lattice
-        (*[np.empty(0)] * 6, 1.0, 1.0, 0.05),  # no points
-    ]
-    for args in cases:
+    xb, tb, aa = lattice_block(rng, x, t, [0, 1, 2])
+    ab = lattice_block(rng, x, t, [3, 4, 5])[2]
+    a, b, eta = [xb, tb, aa], [xb, tb, ab], 0.05
+    if case == "eta-0":  # each side on its own slices, so that no pair shares a time
+        a, b, eta = [v[:3] for v in a], [v[3:] for v in b], 0.0
+    elif case == "unequal-blocks":
+        a, b = [v[:4] for v in a], [v[2:] for v in b]
+    elif case == "flat-points":
+        a, b = [v.ravel() for v in a], [v.ravel() for v in b]
+    elif case == "scattered":
+        xs, ts, amps = random_points(40, rng)
+        a, b = [v.ravel() for v in a], [xs, ts + 5.0, amps]
+    elif case == "uneven-row":
+        a[0] = b[0] = xb.copy()
+        a[0][4, 3] += 1e-3
+    elif case == "unequal-rows":  # each row uniform, one of them shifted
+        a[0] = b[0] = xb.copy()
+        a[0][2] += 0.1
+    elif case == "two-times-in-a-row":
+        a[1] = b[1] = tb.copy()
+        a[1][2, -1] += 1e-3
+    elif case == "uneven-times":
+        a[1] = b[1] = np.broadcast_arrays(x, t[:, None] ** 2)[1]
+    elif case == "one-row":
+        a, b = [v[:1] for v in a], [v[:1] for v in b]
+    elif case == "no-points":
+        a, b = [np.empty(0)] * 3, [np.empty(0)] * 3
+    return (*a, *b, 1.0, 1.0, eta)
+
+
+def test_double_quad_dense_off_the_lattice(dense_calls):
+    # exactly the vdot against the dense sum, whatever keeps the input off one uniform block
+    rng = np.random.default_rng(21)
+    for case in ["eta-0", "unequal-blocks", "flat-points", "scattered", "uneven-row",
+                 "unequal-rows", "two-times-in-a-row", "uneven-times", "one-row", "no-points"]:
+        args = off_the_lattice(rng, case)
+        flat = [v.ravel() for v in args[:6]]
+        want = np.vdot(flat[2], _kernels.propagate_numpy(*flat[:2], *flat[3:], *args[6:]))
         dense_calls.clear()
-        ref = double_quad_pairs(*args)
-        assert abs(_kernels.double_quad(*args) - ref) <= 1e-12 * abs(ref)
-        assert dense_calls == [(args[0].size, args[3].size)]
+        got = _kernels.double_quad(*args)
+        assert got == want, case
+        assert dense_calls == [(flat[0].size, flat[3].size)], case
+        if flat[0].size:
+            ref = double_quad_pairs(*flat, *args[6:])
+            assert abs(got - ref) <= 1e-12 * abs(ref), case
 
 
 def test_dense_sum_with_a_time_per_output():
