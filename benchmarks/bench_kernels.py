@@ -17,13 +17,17 @@ lag q = -(n - 1) (60 rows x 750 lags), and is timed as one complex
 their max deviation; at these arguments (up to 400 rad) that is mostly the
 rounding of the exp arguments.  ``double_quad`` is timed on a 3919 x 3919
 pair sum of scattered points (the dense sum), and on the band of
-``tests/test_contspace.py``'s eta-halving test (its 13 support slices of
-512 grid points as one (13, 512) block of ``GridFunction.amplitudes``, as
-the direct physical inner product hands it over, eta = 0.01) by both
+``tests/test_contspace.py``'s eta-halving test (its support block of
+``GridFunction.amplitudes``, rows x columns from ``GridFunction.support``,
+as the direct physical inner product hands it over, eta = 0.01) by both
 paths: the dense sum of the block's points flattened and the lag
 convolution of the block, with their relative deviation.  The script
 exits 1 when the block did not take the lag convolution (one
-``propagate_numpy`` call from a single source, the lag table).
+``propagate_numpy`` call from a single source, the lag table).  The
+direct physical inner product itself is timed on the two single slices
+30 steps apart of ``test_direct_method_agrees_disjoint``, at the default
+eta (1e-3 dt) and at eta = 0, where each state reaches ``double_quad`` as
+its own (1, columns) support block.
 
 The Born readout itself, the kernel sums of ``postulates._readout_branches``
 (one per rectangle) and the slice norm p_slice, by ``readout_norms`` of
@@ -188,8 +192,10 @@ def compare_double_quad(rng):
     for j in range(40, 53):  # uniform smearing, integral one
         values[:, j] = contspace.spectral_evolve(psi0, grid.dx, kern, grid.t[j])
     values /= grid.t[52] - grid.t[40]
-    amp = contspace.GridFunction(grid, values).amplitudes()[40:53]
-    x, t = np.broadcast_arrays(grid.x, grid.t[40:53, None])
+    band = contspace.GridFunction(grid, values)
+    rows, cols = band.support()
+    x, t = np.broadcast_arrays(grid.x[cols], grid.t[rows, None])
+    amp = band.amplitudes()[rows, cols]
     args = (x, t, amp, x, t, amp, kern.mass, kern.hbar, 0.01)
     print(f"double_quad, eta-halving band: a {x.shape} block, {x.size} x {x.size} pairs, eta 0.01")
     if [c[2].size for c in spied("propagate_numpy", _kernels.double_quad, *args)] != [1]:
@@ -200,6 +206,16 @@ def compare_double_quad(rng):
     print(f"  dense sum  : {t_dense * 1e3:9.2f} ms")
     print(f"  lag convol.: {t_lag * 1e3:9.2f} ms   speedup {t_dense / t_lag:.0f}x"
           f"   rel deviation {abs(got - ref) / abs(ref):.1e}")
+
+    # the direct physical inner product of two single slices 30 steps apart
+    a = contspace.GridFunction.on_slice(grid, psi0, 0)
+    psi1 = contspace.spectral_evolve(psi0, grid.dx, kern, 1.5)
+    b = contspace.GridFunction.on_slice(grid, psi1, 30)
+    print("physical inner product, direct, two single slices 30 steps apart:")
+    for eta in (None, 0.0):
+        val, t_ip = timed(contspace.physical_inner_product, a, b, kern, "direct", eta)
+        label = "eta 1e-3 dt" if eta is None else f"eta {eta:g}"
+        print(f"  {label:<11}: {t_ip * 1e3:9.2f} ms   |<a|P|b> - 1| {abs(val - 1.0):.1e}")
 
 
 def compare_readout():

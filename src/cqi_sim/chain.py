@@ -28,7 +28,6 @@ __all__ = [
     "system_entropy",
     "inefficient_detector",
     "general_interaction_probe",
-    "spec_to_dict",
     "spec_from_dict",
 ]
 
@@ -181,15 +180,6 @@ def general_interaction_probe(seed: int, n_cases: int = 50, d: int = 2) -> dict:
         "monotone": monotone,
         "violations": n_cases - monotone,
         "worst_entropy_drop_bits": -worst,
-    }
-
-
-def spec_to_dict(spec: ChainSpec) -> dict:
-    return {
-        "initial": [[z.real, z.imag] for z in spec.initial],
-        "overlaps": [
-            [[[z.real, z.imag] for z in row] for row in u] for u in spec.overlaps
-        ],
     }
 
 

@@ -177,10 +177,6 @@ class TwoPointParams(DetectorParams):
         return rep.born, vars(rep)
 
 
-# the scalar keys shared by both detector kinds
-_DETECTOR_FLOATS = tuple(f.name for f in fields(DetectorParams) if f.name != "band")
-
-
 def _is(x, kind: str) -> bool:
     """JSON Schema's type test, but numbers must be finite: a bool is no
     number, 2.0 is an integer, NaN, ±Infinity and an int beyond the float

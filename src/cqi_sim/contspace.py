@@ -17,6 +17,10 @@ time slice is interpreted as carrying a delta factor in time (weight 1,
 the Schroedinger-picture limit); genuinely smeared supports use the
 plain dx dt Lebesgue measure with per-band trapezoid weights.
 
+A state's support is its time slices and the contiguous x range holding
+any value above SUPPORT_EPS (``GridFunction.support``, which rejects an
+empty state); every kernel sum runs over that block of its amplitudes.
+
 Equal-time kernel evaluations are the delta channel and are handled
 explicitly; direct double quadrature across coincident slices therefore
 requires a positive damping parameter eta.
@@ -120,13 +124,14 @@ class GridFunction:
         v[:, t_index] = values_x
         return cls(grid, v)
 
-    def support_slices(self) -> np.ndarray:
-        """Indices of time slices holding any amplitude above SUPPORT_EPS."""
-        return np.flatnonzero(np.max(np.abs(self.values), axis=0) > SUPPORT_EPS)
-
-    @property
-    def single_slice(self) -> bool:
-        return self.support_slices().size == 1
+    def support(self) -> tuple[np.ndarray, slice]:
+        """Support slices (rows) and the contiguous x range (columns) holding any amplitude
+        above SUPPORT_EPS; the block of ``amplitudes()`` every kernel sum runs over."""
+        on = np.abs(self.values) > SUPPORT_EPS
+        rows, cols = np.flatnonzero(on.any(axis=0)), np.flatnonzero(on.any(axis=1))
+        if rows.size == 0:
+            raise NumericalValidationError("grid function has empty support")
+        return rows, slice(cols[0], cols[-1] + 1)
 
     def time_weights(self) -> np.ndarray:
         """Quadrature weight per time slice.
@@ -136,9 +141,7 @@ class GridFunction:
         weights dt * [1/2, 1, ..., 1, 1/2].
         """
         w = np.zeros(self.grid.nt)
-        sup = self.support_slices()
-        if sup.size == 0:
-            return w
+        sup = self.support()[0]
         if sup.size == 1:
             w[sup[0]] = 1.0
             return w
@@ -181,33 +184,24 @@ def project(psi: GridFunction, k: PropagatorKernel, t_out: float) -> np.ndarray:
     """Evaluate the projected (physical) state on the grid's x sampling at
     the slice t = t_out.
 
-    Trapezoid quadrature of the kernel against the support slices of
-    ``psi``, handed to the kernel sum as one (slices, nx) block of
-    ``psi.amplitudes()``; a support slice lying exactly on t_out
-    contributes through the delta channel (its weighted values are added
-    directly).
+    Trapezoid quadrature of the kernel against the support of ``psi``,
+    handed to the kernel sum as one (slices, columns) block of
+    ``psi.amplitudes()`` over its support's x range; a support slice lying
+    exactly on t_out contributes through the delta channel (its weighted
+    values are added directly).
     """
     grid, tw = psi.grid, psi.time_weights()
-    cols = np.flatnonzero(tw > 0)
-    if cols.size == 0:
-        raise NumericalValidationError("grid function has empty support")
-    on_slice = np.isclose(grid.t[cols], t_out, rtol=0.0, atol=1e-12 * max(1.0, abs(t_out)))
+    rows, cols = psi.support()
+    on_slice = np.isclose(grid.t[rows], t_out, rtol=0.0, atol=1e-12 * max(1.0, abs(t_out)))
     out = np.zeros(grid.nx, dtype=complex)
     if np.any(on_slice):
         j = int(np.argmin(np.abs(grid.t - t_out)))
         out += psi.values[:, j] * tw[j]
-    off = cols[~on_slice]
+    off = rows[~on_slice]
     if off.size:
-        x, t = np.broadcast_arrays(grid.x, grid.t[off, None])
-        out += _kernels.propagate(
-            grid.x, float(t_out), x, t, psi.amplitudes()[off], k.mass, k.hbar, k.regularization_eta
-        )
+        src = (*np.broadcast_arrays(grid.x[cols], grid.t[off, None]), psi.amplitudes()[off, cols])
+        out += _kernels.propagate(grid.x, float(t_out), *src, k.mass, k.hbar, k.regularization_eta)
     return out
-
-
-def _common_x(a: GridFunction, b: GridFunction) -> None:
-    if a.grid.nx != b.grid.nx or not np.allclose(a.grid.x, b.grid.x):
-        raise NumericalValidationError("states must share the same x sampling")
 
 
 def collapse_to_slice(
@@ -215,18 +209,17 @@ def collapse_to_slice(
 ) -> np.ndarray:
     """Projected state on the slice t_ref by batched spectral evolution.
 
-    All support slices are transformed once, evolved to t_ref and summed
-    with their time-quadrature weights in k-space by
-    ``spectral_collapse_k``, then take one inverse FFT.  Numerically
-    robust for arbitrarily small time offsets (the kernel quadrature of
-    ``project`` chirps too fast to sample at short offsets); used by the
-    slice route of the physical inner product.
+    All support slices are transformed once at full width (the FFT is
+    periodic), evolved to t_ref and summed with their time-quadrature
+    weights in k-space by ``spectral_collapse_k``, then take one inverse
+    FFT.  Numerically robust for arbitrarily small time offsets (the
+    kernel quadrature of ``project`` chirps too fast to sample at short
+    offsets); used by the slice route of the physical inner product.
     """
-    grid = psi.grid
-    tw = psi.time_weights()
-    cols = np.flatnonzero(tw > 0)
-    phase = _kinetic_phase(grid.nx, grid.dx, k, t_ref - grid.t[cols])
-    return np.fft.ifft(spectral_collapse_k(np.fft.fft(psi.values[:, cols].T), phase, tw[cols]))
+    grid, tw = psi.grid, psi.time_weights()
+    rows = psi.support()[0]
+    phase = _kinetic_phase(grid.nx, grid.dx, k, t_ref - grid.t[rows])
+    return np.fft.ifft(spectral_collapse_k(np.fft.fft(psi.values[:, rows].T), phase, tw[rows]))
 
 
 def physical_inner_product(
@@ -242,49 +235,38 @@ def physical_inner_product(
     equals the ordinary L2 product of the two projections on any common
     reference slice (unitarity of the kernel); the collapse to the
     latest support time is done spectrally, which stays accurate at
-    arbitrarily small time offsets.  method "direct"
-    performs the raw double quadrature with the kernel itself, which
-    needs a positive ``eta`` whenever the supports share time slices.
-    Two single-slice states on a common slice reduce to the plain L2
-    product (the delta channel).
+    arbitrarily small time offsets.  method "direct" performs the raw
+    double quadrature with the kernel itself, each state's support block
+    of ``amplitudes()`` against the other's; it needs a positive ``eta``
+    whenever the supports share time slices.  Two single-slice states on
+    a common slice reduce to the plain L2 product (the delta channel).
     """
-    _common_x(psi, phi)
-    xw = psi.x_weights()
-    sup_psi = psi.grid.t[psi.support_slices()]
-    sup_phi = phi.grid.t[phi.support_slices()]
-    if (
-        psi.single_slice
-        and phi.single_slice
-        and abs(sup_psi[0] - sup_phi[0]) < 1e-12
-    ):
-        jp = psi.support_slices()[0]
-        jq = phi.support_slices()[0]
-        return complex(np.sum(xw * np.conj(psi.values[:, jp]) * phi.values[:, jq]))
+    if psi.grid.nx != phi.grid.nx or not np.allclose(psi.grid.x, phi.grid.x):
+        raise NumericalValidationError("states must share the same x sampling")
+    sup = psi.support(), phi.support()
+    (ra, _), (rb, _) = sup
+    ta, tb = psi.grid.t[ra], phi.grid.t[rb]
+    if ra.size == rb.size == 1 and abs(ta[0] - tb[0]) < 1e-12:
+        a, b = psi.values[:, ra[0]], phi.values[:, rb[0]]
+        return complex(np.sum(psi.x_weights() * np.conj(a) * b))
 
     if method == "slice":
-        t_ref = float(max(sup_psi.max(), sup_phi.max()))
+        t_ref = float(max(ta[-1], tb[-1]))
         a = collapse_to_slice(psi, k, t_ref)
         b = collapse_to_slice(phi, k, t_ref)
-        return complex(np.sum(xw * np.conj(a) * b))
+        return complex(np.sum(psi.x_weights() * np.conj(a) * b))
 
     if method == "direct":
         if psi.grid != phi.grid:
             raise NumericalValidationError("direct double quadrature needs both states on one grid")
-        own = [np.flatnonzero(f.time_weights() > 0) for f in (psi, phi)]
-        if not (own[0].size and own[1].size):
-            raise NumericalValidationError("grid function has empty support")
         if eta is None:
             eta = k.regularization_eta or 1e-3 * psi.grid.dt
-        if eta <= 0 and np.intersect1d(*own).size:
+        if eta <= 0 and np.intersect1d(ra, rb).size:
             raise NumericalValidationError(
                 "direct double quadrature across shared time slices needs eta > 0"
             )
-        # both on the slices spanning both supports; at eta 0 each on its own, so no
-        # pair of points shares a time
-        span = np.arange(min(own[0][0], own[1][0]), max(own[0][-1], own[1][-1]) + 1)
-        rows = [span, span] if eta > 0 else own
         x, t = np.broadcast_arrays(psi.grid.x, psi.grid.t[:, None])
-        a, b = ((x[r], t[r], f.amplitudes()[r]) for r, f in zip(rows, (psi, phi)))
+        a, b = ((x[r, c], t[r, c], f.amplitudes()[r, c]) for (r, c), f in zip(sup, (psi, phi)))
         return complex(_kernels.double_quad(*a, *b, k.mass, k.hbar, eta))
     raise ValueError(f"unknown method {method!r}")
 

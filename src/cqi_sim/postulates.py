@@ -55,7 +55,6 @@ __all__ = [
     "cqi_probability_detail",
     "two_point_report",
     "shrinking_region_sweep",
-    "band_invariance_sweep",
 ]
 
 
@@ -706,14 +705,6 @@ def cqi_probability_detail(exp: DetectorExperiment) -> CqiResult:
 
 def cqi_probability(exp: DetectorExperiment) -> float:
     return cqi_probability_detail(exp).p_cqi
-
-
-def band_invariance_sweep(
-    exp: DetectorExperiment, shifts: tuple[float, ...] = (0.0, 0.3, 0.8)
-) -> list[float]:
-    """cqi probability recomputed on time-shifted readout bands."""
-    b0, b1 = exp.band
-    return [cqi_probability(replace(exp, band=(b0 + s, b1 + s))) for s in shifts]
 
 
 # --------------------------------------------------------------------------

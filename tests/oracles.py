@@ -47,6 +47,19 @@ def double_quad_pairs(x_a, t_a, amp_a, x_b, t_b, amp_b, mass, hbar, eta):
     return acc
 
 
+def propagate_longdouble(x_out, t_out, x_src, t_src, amp, mass=1.0, hbar=1.0):
+    """sum_i W(x_out[j], t_out; x_src[i], t_src[i]) amp[i] at eta = 0 as a dense sum in long
+    double (extended precision on x86) from the float64 inputs: a reference for the float64
+    kernel sums' own rounding.  W's phase is taken exactly as exp(-i pi/4) sqrt(m / (2 pi
+    hbar dt)) for dt > 0."""
+    ld = np.longdouble
+    x_out, x_src, dt = (np.asarray(v, dtype=ld) for v in (x_out, x_src, t_out - t_src))
+    pi = np.arccos(ld(-1))
+    pref = np.sqrt(mass / (2 * pi * ld(hbar) * dt)) * np.exp(-1j * pi / 4)
+    dx = x_out[:, None] - x_src[None, :]
+    return np.exp(1j * (mass / (2 * ld(hbar) * dt) * dx * dx)) @ (pref * amp)
+
+
 def evolved_by_quadrature(exp, x, times):
     """Prepared packet of a detector experiment at each of ``times``, by
     the dense trapezoid sum of the kernel over psi0 on the x grid (psi0

@@ -180,14 +180,6 @@ class TestInefficientDetector:
             chain.inefficient_detector(1.0, 1.0, 1.0)
 
 
-def test_serialization_roundtrip():
-    spec = random_spec(RNG, 3, 3)
-    spec2 = chain.spec_from_dict(chain.spec_to_dict(spec))
-    assert_allclose(spec2.initial, spec.initial, atol=1e-15)
-    for u, v in zip(spec2.overlaps, spec.overlaps):
-        assert_allclose(u, v, atol=1e-15)
-
-
 @pytest.mark.parametrize("d, n_cases", [(2, 50), (2, 1), (3, 12), (2, 0)])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_general_interaction_probe_matches_per_case_oracle(seed, d, n_cases):

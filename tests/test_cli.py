@@ -423,12 +423,12 @@ class TestStrictParams:
 
     def test_detector_keys_accepted(self, tmp_path):
         # every key set; readout_time after the region, as load_config requires
-        params = {key: 1.0 for key in cli._DETECTOR_FLOATS}
+        params = {key: 1.0 for key in _DETECTOR_FLOATS}
         params.update(band=[3.5, 3.9], region=[{"x": [-0.5, 0.5], "t": [3.0, 3.2]}], id="slab")
         params.update(readout_time=4.2)
         path = write_config(tmp_path, "det.json", {"kind": "detector-compare", "params": params})
         assert cli.load_config(path).params == params
-        tp = {key: 1.0 for key in cli._DETECTOR_FLOATS}
+        tp = {key: 1.0 for key in _DETECTOR_FLOATS}
         tp.update(band=[3.5, 3.9], separation=2.0, eps_pt=0.1, t1=3.0, readout_time=4.2)
         path = write_config(tmp_path, "tp.json", {"kind": "two-point", "params": tp})
         assert cli.load_config(path).params == tp

@@ -16,7 +16,7 @@ from cqi_sim.contspace import (
 )
 from cqi_sim.errors import NumericalValidationError
 
-from oracles import evolved_gaussian
+from oracles import evolved_gaussian, propagate_longdouble
 
 K = PropagatorKernel()
 
@@ -71,11 +71,23 @@ class TestGridFunction:
         g = default_grid()
         gf = GridFunction(g, np.zeros((g.nx, g.nt)))
         one = GridFunction.on_slice(g, gaussian_packet(g.x, 0, 1), 5)
-        for a, b in [(gf, gf), (gf, one), (one, gf)]:
+        for method in ("slice", "direct"):
+            for a, b in [(gf, gf), (gf, one), (one, gf)]:
+                with pytest.raises(NumericalValidationError, match="empty support"):
+                    physical_inner_product(a, b, K, method=method)
+        for route in (project, collapse_to_slice):
             with pytest.raises(NumericalValidationError, match="empty support"):
-                physical_inner_product(a, b, K, method="direct")
-        with pytest.raises(NumericalValidationError, match="empty support"):
-            project(gf, K, 1.0)
+                route(gf, K, 1.0)
+
+    def test_support_is_the_rows_and_column_range_above_eps(self):
+        g = default_grid()
+        vals = np.zeros((g.nx, g.nt), dtype=complex)
+        vals[40:60, 7] = 1.0
+        vals[100, 12] = 2 * cs.SUPPORT_EPS
+        vals[300, 20] = cs.SUPPORT_EPS  # at the threshold: no support
+        rows, cols = GridFunction(g, vals).support()
+        assert_array_equal(rows, [7, 12])
+        assert (cols.start, cols.stop, cols.step) == (40, 101, None)
 
 
 class TestPropagatePoint:
@@ -185,30 +197,41 @@ class TestProject:
 
     def test_support_slices_reach_the_kernel_as_one_block(self, monkeypatch):
         # three support slices, one on t_out (the delta channel): the other two reach the
-        # chirp-z sum as one (2, nx) block, the values at or below SUPPORT_EPS weighing 0,
-        # and agree with the dense sum over the support points alone
+        # chirp-z sum as one (2, columns) block over the support's x range, the values at or
+        # below SUPPORT_EPS weighing 0, and agree with the dense sum over the support points
         g = default_grid()
         psi = gaussian_packet(g.x, -5.0, 1.0)
         vals = np.zeros((g.nx, g.nt), dtype=complex)
         vals[:, 3], vals[:, 9], vals[:, 20] = psi, 0.5 * psi[::-1], 0.25j * psi
         gf = GridFunction(g, vals)
+        on = np.abs(vals[:, [3, 9]]) > cs.SUPPORT_EPS
+        lo, hi = np.flatnonzero(on.any(axis=1))[[0, -1]]
+        assert 0 < lo and hi < g.nx - 1
         calls, real = [], cs._kernels._chirp_rows
         monkeypatch.setattr(cs._kernels, "_chirp_rows", lambda *a: calls.append(a) or real(*a))
         out = project(gf, K, g.t[20])
         ((_, t_out, y0, d, t_rows, amp, _, _),) = calls
         assert t_out == g.t[20]
-        assert_array_equal(y0, [g.x[0]] * 2)
+        assert_array_equal(y0, [g.x[lo]] * 2)
         assert_array_equal(t_rows, g.t[[3, 9]])
         assert_allclose(d, g.dx, rtol=1e-12)
         tw = gf.time_weights()
         want = vals[:, [3, 9]].T * (gf.x_weights() * tw[[3, 9], None])
-        assert_array_equal(amp, np.where(np.abs(vals[:, [3, 9]].T) > cs.SUPPORT_EPS, want, 0))
+        assert_array_equal(amp, np.where(on.T, want, 0)[:, lo : hi + 1])
         x, t = np.meshgrid(g.x, g.t[[3, 9]], indexing="ij")
-        on = np.abs(vals[:, [3, 9]]) > cs.SUPPORT_EPS
         v = (vals[:, [3, 9]] * gf.x_weights()[:, None] * tw[[3, 9]])[on]
         ref = cs._kernels.propagate_numpy(g.x, g.t[20], x[on], t[on], v, 1.0, 1.0, 0.0)
         ref += vals[:, 20] * tw[20]
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_narrow_packet_matches_long_double_sum(self):
+        # a packet at -5 on one slice of a 512-point grid over [-20, 20], projected to t = 3:
+        # the chirp-z sum over the support's columns keeps its phases, and its rounding, small
+        g = default_grid()
+        gf = GridFunction.on_slice(g, gaussian_packet(g.x, -5.0, 1.0), 0)
+        ref = propagate_longdouble(g.x, 3.0, g.x, np.zeros(g.nx), gf.amplitudes()[0])
+        out = project(gf, K, 3.0)
+        assert np.max(np.abs(out - ref)) <= 2.5e-14 * np.max(np.abs(ref))
 
     def test_unitarity_of_propagation(self):
         g = default_grid()
@@ -272,6 +295,41 @@ class TestPhysicalInnerProduct:
         for eta in (None, 0.0):  # disjoint supports need no damping
             direct = physical_inner_product(ga, gb, K, method="direct", eta=eta)
             assert abs(direct - 1.0) < 1e-4
+
+    def test_direct_method_hands_each_state_its_support_block(self, monkeypatch):
+        # two disjoint slices arrive as (1, columns) blocks over their own x ranges; the band
+        # against itself as two equal blocks, which take the lag convolution (one dense call,
+        # the lag table from a single source)
+        g = default_grid()
+        psi = gaussian_packet(g.x, -5, 1.0)
+        ga = GridFunction.on_slice(g, psi, 0)
+        gb = GridFunction.on_slice(g, spectral_evolve(psi, g.dx, K, 1.5), 30)
+        band = _band_solution(g, psi, list(range(40, 53)))
+        calls, real = [], cs._kernels.double_quad
+        monkeypatch.setattr(cs._kernels, "double_quad", lambda *a: calls.append(a) or real(*a))
+        dense, real_dense = [], cs._kernels.propagate_numpy
+        monkeypatch.setattr(
+            cs._kernels, "propagate_numpy", lambda *a: dense.append(a) or real_dense(*a)
+        )
+        for eta in (None, 0.0):
+            physical_inner_product(ga, gb, K, method="direct", eta=eta)
+            (args,) = calls
+            for f, (x, t, amp) in zip((ga, gb), (args[:3], args[3:6])):
+                rows, cols = f.support()
+                n = cols.stop - cols.start
+                assert x.shape == t.shape == amp.shape == (1, n) and n < g.nx
+                assert_array_equal(x[0], g.x[cols])
+                assert_array_equal(amp, f.amplitudes()[rows, cols])
+            calls.clear()
+        dense.clear()
+        physical_inner_product(band, band, K, method="direct", eta=0.01)
+        ((x_a, t_a, amp_a, x_b, t_b, amp_b, *_),) = calls
+        rows, cols = band.support()
+        assert_array_equal(amp_a, band.amplitudes()[rows, cols])
+        assert_array_equal(x_a, x_b)
+        assert_array_equal(t_a, t_b)
+        assert_array_equal(amp_a, amp_b)
+        assert [c[2].size for c in dense] == [1]
 
     def test_direct_method_needs_one_grid(self):
         # the same x sampling, but slices of different times
