@@ -46,10 +46,13 @@ relative deviation from the composite Gauss-Legendre oracle of
 each timing builds S(k) afresh.
 
 The region spectrum S(k) itself, cold (``postulates._region_spectrum``
-with its cache cleared), is timed on the slab at refine 0 and 1 and on
-two-point against ``region_spectrum_full`` of ``tests/oracles.py``, which
-builds the Filon-Simpson tables on every wavenumber instead of on the
-n // 2 + 1 bins k >= 0 and mirroring them; the max |deviation| must be 0.
+with its cache cleared, best of 20), is timed on the slab at refine 0, 1
+and 2 and on two-point against ``region_spectrum_full`` of ``tests/oracles.py``, which
+builds each Filon-Simpson table by a ``_filon_tables`` call of its own and
+on every wavenumber, instead of all of them in one call on the n // 2 + 1
+bins k >= 0 and mirroring them; the max |deviation| must be 0.  Each line
+also gives the ``_filon_panel`` evaluations of one cold build (one per
+level) and the theta values they cover.
 
 The band's two seeds ``postulates._band_seeds``, the Fourier coefficients
 of both branches at band[0] (warm, with S(k) cached from the
@@ -253,19 +256,34 @@ def time_double_region():
               f"   rel deviation {(got - ref) / ref:+.1e}")
 
 
+def panel_sizes(exp):
+    """The theta count of each ``_filon_panel`` evaluation in one cold S(k) build of exp."""
+    real, sizes = postulates._filon_panel, []
+    postulates._filon_panel = lambda theta: sizes.append(theta.size) or real(theta)
+    try:
+        uncached(postulates._region_spectrum, exp, 1)
+    finally:
+        postulates._filon_panel = real
+    return sizes
+
+
 def compare_region_spectrum():
     cases = [
         ("slab, refine 0", postulates.benchmark_experiment()),
         ("slab, refine 1", postulates.benchmark_experiment(1)),
+        ("slab, refine 2", postulates.benchmark_experiment(2)),
         ("two-point, refine 0", postulates.two_point_experiment()),
     ]
-    print("region spectrum S(k), cold: Filon tables on every k against the k >= 0 half")
+    print("region spectrum S(k), cold: Filon tables one per call on every k against one call"
+          " on the k >= 0 half")
     for label, exp in cases:
-        ref, t_full = timed(region_spectrum_full, exp)
-        (_, got, _), t_half = timed(uncached, postulates._region_spectrum, exp, 1)
+        ref, t_full = timed(region_spectrum_full, exp, repeat=20)
+        (_, got, _), t_half = timed(uncached, postulates._region_spectrum, exp, 1, repeat=20)
+        sizes = panel_sizes(exp)
         print(f"  {label:<19}: {got.size:4d} k   full {t_full * 1e3:7.2f} ms"
               f"   half {t_half * 1e3:7.2f} ms   speedup {t_full / t_half:.2f}x"
-              f"   max |deviation| {np.max(np.abs(got - ref)):.1e}")
+              f"   max |deviation| {np.max(np.abs(got - ref)):.1e}"
+              f"   panel evaluations {len(sizes)} ({sum(sizes)} theta)")
 
 
 def time_band_seed():

@@ -429,12 +429,18 @@ class BornDetail:
     readout_points: int  # size of the readout grid, 0 when nothing is summed
 
 
+# mu_m's Taylor coefficients 2^{m+n+1} / ((m + n + 1) n!), rows n < 26, columns m < 3; n! is
+# an int64 cumprod, which wraps past n = 20, so rows 21-25 are off (by up to 1.2e-10 in mu_m)
+_M, _N = np.arange(3), np.arange(26)[:, None]
+_FILON_SERIES = 2.0 ** (_M + _N + 1) / ((_M + _N + 1) * np.cumprod(np.maximum(_N, 1), axis=0))
+
+
 def _filon_panel(theta: np.ndarray) -> np.ndarray:
     """Filon-Simpson panel weights int_0^2 L_j(s) exp(i theta s) ds of the
     quadratics L_j through s = 0, 1, 2, from mu_m = int_0^2 s^m exp(i theta s) ds:
     mu_0 = (e^{2 i theta} - 1) / (i theta), mu_m = (2^m e^{2 i theta} - m mu_{m-1})
     / (i theta), or below |theta| = 1, where that cancels, the Taylor series
-    sum_n (i theta)^n 2^{m+n+1} / ((m + n + 1) n!)."""
+    ``_FILON_SERIES`` summed by Horner steps in place."""
     small = np.abs(theta) < 1.0
     z = 1j * np.where(small, 1.0, theta)
     e2 = np.exp(2.0 * z)
@@ -442,32 +448,36 @@ def _filon_panel(theta: np.ndarray) -> np.ndarray:
     for m in (1, 2):
         mu.append((2.0**m * e2 - m * mu[-1]) / z)
     mu = np.array(mu)
-    m, n = np.arange(3), np.arange(26)[:, None]  # 26 terms: 2^26 / 26! < 1e-18
-    series = 2.0 ** (m + n + 1) / ((m + n + 1) * np.cumprod(np.maximum(n, 1), axis=0))
-    z, acc = 1j * theta[small], series[-1][:, None] + np.zeros(small.sum(), dtype=complex)
-    for c in series[-2::-1]:  # Horner steps in place
+    z, acc = 1j * theta[small], _FILON_SERIES[-1][:, None] + np.zeros(small.sum(), dtype=complex)
+    for c in _FILON_SERIES[-2::-1]:
         np.add(c[:, None], np.multiply(acc, z, out=acc), out=acc)
     mu[:, small] = acc
     mu0, mu1, mu2 = mu
     return np.array([(mu2 - 3.0 * mu1 + 2.0 * mu0) / 2.0, 2.0 * mu1 - mu2, (mu2 - mu1) / 2.0])
 
 
-def _filon_simpson(kappa: np.ndarray, y: np.ndarray, y_ref: float, out=None) -> np.ndarray:
-    """W[j, i] with sum_i W[j, i] f(y_i) = int f exp(i kappa_j (y - y_ref)) dy for the
-    piecewise quadratic through f on odd uniform nodes: panel p (nodes 2p to 2p + 2)
-    adds h exp(i kappa (y_2p - y_ref)) times its panel weights at theta = kappa h; into out."""
-    h = y[1] - y[0]
+def _filon_tables(specs, width: int) -> list[np.ndarray]:
+    """Per (kappa, y, y_ref) of specs, W[i, j] with sum_i W[i, j] f(y_i) = int f exp(i kappa_j
+    (y - y_ref)) dy for the piecewise quadratic through f on odd uniform nodes, laid out
+    (nodes, width) with kappa's columns first: panel p (nodes 2p to 2p + 2) adds h exp(i kappa
+    (y_2p - y_ref)) times its panel weights at theta = kappa h, all tables' from one
+    ``_filon_panel`` call; each table is a running product down its rows."""
+    sizes = [kappa.size for kappa, _, _ in specs]
+    kappa = np.concatenate([kappa for kappa, _, _ in specs])
+    h, y0 = np.repeat([(y[1] - y[0], y[0] - y_ref) for _, y, y_ref in specs], sizes, axis=0).T
     w0, w1, w2 = h * _filon_panel(kappa * h)
     back = np.exp(-1j * kappa * h)  # from a node's own phase to its panel's first node
-    c = np.empty((kappa.size, y.size), dtype=complex) if out is None else out
-    c[:, 0] = np.exp(1j * kappa * (y[0] - y_ref))
-    c[:, 1:] = back.conj()[:, None]
-    np.cumprod(c, axis=1, out=c)
-    c[:, 2:-1:2] *= (w0 + back**2 * w2)[:, None]  # shared by two panels
-    c[:, 1::2] *= (back * w1)[:, None]
-    c[:, 0] *= w0
-    c[:, -1] *= back**2 * w2
-    return c
+    last = back**2 * w2
+    rows = np.array([np.exp(1j * kappa * y0), back.conj(), w0 + last, back * w1, w0, last])
+    tables = [np.empty((y.size, width), dtype=complex) for _, y, _ in specs]
+    for c, r in zip(tables, np.split(rows, np.cumsum(sizes)[:-1], axis=1)):
+        w = c[:, : r.shape[1]]
+        w[0], w[1:] = r[0], r[1]
+        np.cumprod(w, axis=0, out=w)
+        w[2:-1:2] *= r[2]  # shared by two panels
+        w[1::2] *= r[3]
+        w[[0, -1]] *= r[4:]
+    return tables
 
 
 def _spectral_k(exp: DetectorExperiment) -> tuple[np.ndarray, float]:
@@ -482,24 +492,24 @@ def _region_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(k, S, L): S(k) = int_R exp(i omega (t - t_ref)) Psi exp(-i k x) dx dt, omega =
     hbar k^2 / 2m and t_ref the earliest region time, at ``_spectral_k``'s k and period
-    L.  Each rectangle adds sum Wt[k, t] Psi(x, t) Wx[k, x] on its Filon-Simpson nodes
-    (``Resolution.filon``), whatever nx; rectangles with one time extent share Wt.  Both are
-    built on k[:h] alone: fftfreq's k[h:] are -k[back], Wx rows conjugate, Wt rows equal."""
-    m, hb = exp.kernel.mass, exp.kernel.hbar
+    L.  Each rectangle adds sum Wt[t, k] Psi(x, t) Wx[x, k] on its Filon-Simpson nodes
+    (``Resolution.filon``), whatever nx; rectangles with one time extent share Wt.  One
+    ``_filon_tables`` call, one panel evaluation over every table's theta, builds them all,
+    laid out (nodes, k), on k[:h] alone: fftfreq's k[h:] are -k[back], Wx columns conjugate,
+    Wt columns equal."""
     k, length = _spectral_k(exp)
     h, back = k.size // 2 + 1, slice((k.size - 1) // 2, 0, -1)
-    spec = np.zeros(k.size, dtype=complex)
-    wts = {}
-    for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
-        x = np.linspace(rect.x_lo, rect.x_hi, nfx)
-        t = np.linspace(rect.t_lo, rect.t_hi, (nft - 1) * t_density + 1)
-        wx = np.empty((k.size, nfx), dtype=complex)
-        np.conj(_filon_simpson(-k[:h], x, 0.0, wx[:h])[back], out=wx[h:])
-        f = evolved_wavefunction(exp, x, t) @ wx.T  # (t, k)
-        if (key := (rect.t_lo, rect.t_hi, t.size)) not in wts:
-            wt = wts[key] = np.empty((k.size, t.size), dtype=complex)
-            wt[h:] = _filon_simpson(0.5 * hb * k[:h] ** 2 / m, t, exp.span.t_lo, wt[:h])[back]
-        spec += np.einsum("kt,tk->k", wts[key], f)
+    nodes = [(np.linspace(r.x_lo, r.x_hi, nfx), (r.t_lo, r.t_hi, (nft - 1) * t_density + 1))
+             for r, (nfx, nft) in zip(exp.region, exp.resolution.filon)]
+    ts = {key: np.linspace(*key) for _, key in nodes}
+    omega = 0.5 * exp.kernel.hbar * k[:h] ** 2 / exp.kernel.mass
+    tables = _filon_tables([(-k[:h], x, 0.0) for x, _ in nodes]
+                           + [(omega, t, exp.span.t_lo) for t in ts.values()], k.size)
+    for i, w in enumerate(tables):
+        w[:, h:] = w[:, back].conj() if i < len(nodes) else w[:, back]
+    wt, spec = dict(zip(ts, tables[len(nodes):])), np.zeros(k.size, dtype=complex)
+    for (x, key), wx in zip(nodes, tables):
+        spec += np.einsum("tk,tk->k", wt[key], evolved_wavefunction(exp, x, ts[key]) @ wx)
     k.flags.writeable = spec.flags.writeable = False
     return k, spec, length
 

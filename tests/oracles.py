@@ -133,11 +133,12 @@ def born_double_region_gauss(exp, k, length, block=64):
 
 
 def region_spectrum_full(exp, t_density=1):
-    """S(k) of ``postulates._region_spectrum`` with both Filon-Simpson tables built on every
-    wavenumber of ``postulates._spectral_k`` and a time table of its own for every
-    rectangle: the reference for the tables built on the n // 2 + 1 bins k[: n // 2 + 1]
-    and shared between rectangles, which must match it bit for bit."""
-    from cqi_sim.postulates import _filon_simpson, _spectral_k, evolved_wavefunction
+    """S(k) of ``postulates._region_spectrum`` with each Filon-Simpson table built by a
+    ``_filon_tables`` call of its own, on every wavenumber of ``postulates._spectral_k``, and
+    a time table of its own for every rectangle: the reference for the tables built in one
+    call on the n // 2 + 1 bins k[: n // 2 + 1] and shared between rectangles, which must
+    match it bit for bit."""
+    from cqi_sim.postulates import _filon_tables, _spectral_k, evolved_wavefunction
 
     m, hb = exp.kernel.mass, exp.kernel.hbar
     k, _ = _spectral_k(exp)
@@ -145,9 +146,9 @@ def region_spectrum_full(exp, t_density=1):
     for rect, (nfx, nft) in zip(exp.region, exp.resolution.filon):
         x = np.linspace(rect.x_lo, rect.x_hi, nfx)
         t = np.linspace(rect.t_lo, rect.t_hi, (nft - 1) * t_density + 1)
-        f = evolved_wavefunction(exp, x, t) @ _filon_simpson(-k, x, 0.0).T
-        wt = _filon_simpson(0.5 * hb * k**2 / m, t, exp.span.t_lo)
-        spec += np.einsum("kt,tk->k", wt, f)
+        (wx,) = _filon_tables([(-k, x, 0.0)], k.size)
+        (wt,) = _filon_tables([(0.5 * hb * k**2 / m, t, exp.span.t_lo)], k.size)
+        spec += np.einsum("tk,tk->k", wt, evolved_wavefunction(exp, x, t) @ wx)
     return spec
 
 

@@ -517,22 +517,24 @@ class TestResolution:
         for i, nodes in enumerate(res.sources):
             assert tuple(a.size for a in ps._rect_subgrid(exp, i)[:2]) == nodes
         assert ps._spectral_k(exp)[0].size == res.spectral_n
-        seen = []  # the x nodes of each rectangle, then its t nodes unless an earlier
-        # rectangle had the same time extent, as the Filon weights get them
-        real = ps._filon_simpson
+        calls, panels = [], []  # per builder call, its tables' nodes; per panel call, its size
+        real_tables, real_panel = ps._filon_tables, ps._filon_panel
 
-        def filon_simpson(kappa, y, y_ref, *out):
-            seen.append(y.size)
-            return real(kappa, y, y_ref, *out)
+        def filon_tables(specs, width):
+            calls.append([y.size for _, y, _ in specs])
+            return real_tables(specs, width)
 
-        monkeypatch.setattr(ps, "_filon_simpson", filon_simpson)
+        monkeypatch.setattr(ps, "_filon_tables", filon_tables)
+        monkeypatch.setattr(ps, "_filon_panel", lambda th: panels.append(th.size) or real_panel(th))
         ps._region_spectrum(exp, 2)
-        want, extents = [], set()
-        for rect, (nfx, nft) in zip(exp.region, res.filon):
-            nt = 2 * (nft - 1) + 1  # at time density 2
-            want += [nfx] if (rect.t_lo, rect.t_hi, nt) in extents else [nfx, nt]
-            extents.add((rect.t_lo, rect.t_hi, nt))
-        assert seen == want
+        # one builder call and one panel evaluation per miss: the x nodes of every rectangle,
+        # then the t nodes of each distinct time extent, in the order the rectangles give them
+        extents = list(dict.fromkeys((r.t_lo, r.t_hi, 2 * (nft - 1) + 1)
+                                     for r, (_, nft) in zip(exp.region, res.filon)))
+        assert calls == [[nfx for nfx, _ in res.filon] + [nt for _, _, nt in extents]]
+        assert panels == [len(calls[0]) * (res.spectral_n // 2 + 1)]
+        ps._region_spectrum(exp, 2)
+        assert len(calls) == len(panels) == 1
         assert len(extents) == len({(r.t_lo, r.t_hi) for r in exp.region})
 
     def test_resolved_once_per_experiment(self, monkeypatch):
@@ -633,6 +635,23 @@ class TestDoubleRegion:
         # tables built on every wavenumber, not mirrored from the k >= 0 half
         assert_array_equal(ps._region_spectrum(exp, 1)[1], region_spectrum_full(exp))
 
+    def test_tables_in_one_call_change_no_bit(self):
+        # x and t tables of different node and wavenumber counts, each with theta on both
+        # sides of |theta| = 1, built in one call equal the same tables built one per call,
+        # and the panel weights of a concatenation are the concatenated panel weights
+        kx, kt = np.linspace(-40.0, 40.0, 333), 0.5 * np.linspace(0.0, 30.0, 120) ** 2
+        specs = [(kx, np.linspace(-1.0, 1.0, 19), 0.0), (kt, np.linspace(3.0, 3.2, 11), 2.9),
+                 (-kx[:50], np.linspace(0.5, 1.0, 5), 0.0), (kt, np.linspace(3.1, 3.4, 7), 2.9)]
+        thetas = [kappa * (y[1] - y[0]) for kappa, y, _ in specs]
+        for theta in thetas[:2]:
+            assert (np.abs(theta) < 1.0).any() and (np.abs(theta) >= 1.0).any()
+        for got, spec in zip(ps._filon_tables(specs, 400), specs, strict=True):
+            (want,) = ps._filon_tables([spec], spec[0].size)
+            assert got.shape == (spec[1].size, 400)
+            assert_array_equal(got[:, : spec[0].size], want)
+        parts = [ps._filon_panel(theta) for theta in thetas]
+        assert_array_equal(ps._filon_panel(np.concatenate(thetas)), np.concatenate(parts, axis=1))
+
     @pytest.mark.parametrize("theta", [0.0, 1.0 - 2.0**-53, 1.0, 1e3])
     def test_filon_panel_conjugate_symmetry(self, theta):
         # below and at |theta| = 1, where the moments switch from their Taylor series
@@ -646,7 +665,7 @@ class TestDoubleRegion:
     )
     def test_filon_simpson_conjugate_symmetry(self, exp, n):
         # what S(k)'s half-bin tables rely on: fftfreq's k[h:] are exactly -k[back], and
-        # the x table's rows at -k are the conjugates of those at +k, bit for bit
+        # the x table's columns at -k are the conjugates of those at +k, bit for bit
         k, _ = ps._spectral_k(exp)
         assert k.size == n
         h, back = n // 2 + 1, slice((n - 1) // 2, 0, -1)
@@ -654,7 +673,8 @@ class TestDoubleRegion:
         assert (k[n // 2] < 0) == (n % 2 == 0)  # the Nyquist bin -n / 2, built as it is
         rect, (nfx, _) = exp.region[0], exp.resolution.filon[0]
         x = np.linspace(rect.x_lo, rect.x_hi, nfx)
-        assert_array_equal(ps._filon_simpson(-k, x, 0.0), ps._filon_simpson(k, x, 0.0).conj())
+        (minus,), (plus,) = ps._filon_tables([(-k, x, 0.0)], n), ps._filon_tables([(k, x, 0.0)], n)
+        assert_array_equal(minus, plus.conj())
 
     @pytest.mark.parametrize("exp", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_gauss_legendre_oracle(self, exp):
