@@ -430,7 +430,7 @@ class BornDetail:
 
 
 # mu_m's Taylor coefficients 2^{m+n+1} / ((m + n + 1) n!), rows n < 26, columns m < 3; n! is
-# an int64 cumprod, which wraps past n = 20, so rows 21-25 are off (by up to 1.2e-10 in mu_m)
+# an int64 cumprod, which wraps past n = 20, so rows 21-25 are off (by up to 1.3e-10 in mu_m)
 _M, _N = np.arange(3), np.arange(26)[:, None]
 _FILON_SERIES = 2.0 ** (_M + _N + 1) / ((_M + _N + 1) * np.cumprod(np.maximum(_N, 1), axis=0))
 
